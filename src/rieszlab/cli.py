@@ -103,17 +103,28 @@ class RunConfig:
 def validate_config(values):
     merged = dict(_DEFAULTS)
     merged.update(values)
+    for key in sorted(_FLOAT_KEYS):
+        if merged[key] is not None and not np.isfinite(merged[key]):
+            raise ConfigError("%s must be finite, got %g" % (key, merged[key]))
     alpha = merged["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha ∈ (0,1) is required, got %g" % alpha)
     if merged["delta"] <= 0:
         raise ConfigError("delta must be positive")
-    if merged["grid.n_theta"] % 4 != 0:
-        raise ConfigError("grid.n_theta must be a multiple of 4")
+    if merged["grid.n_theta"] < 4 or merged["grid.n_theta"] % 4 != 0:
+        raise ConfigError("grid.n_theta must be a positive multiple of 4")
     if merged["grid.n_r"] < 8:
         raise ConfigError("grid.n_r must be at least 8")
     if merged["grid.r_max"] <= 0:
         raise ConfigError("grid.r_max must be positive")
+    if merged["run.kind"] in ("full", "remainder", "sweep"):
+        # the elliptic solves run in log R and keep modes 0..n_theta // 3
+        if merged["grid.spacing"] != "geometric":
+            raise ConfigError("run.kind = %s needs grid.spacing = geometric"
+                              % merged["run.kind"])
+        if merged["grid.n_theta"] < 8:
+            raise ConfigError("run.kind = %s needs grid.n_theta >= 8"
+                              % merged["run.kind"])
     if merged["time.dt_factor"] <= 0 or merged["time.horizon_factor"] <= 0:
         raise ConfigError("time factors must be positive")
     if merged["time.sample_count"] < 2:
@@ -122,6 +133,8 @@ def validate_config(values):
     if amp is not None and amp < 0:
         raise ConfigError("initial.amplitude must be nonnegative")
     kind = merged["initial.kind"]
+    if kind in ("bump", "indicator") and merged["initial.width"] <= 0:
+        raise ConfigError("initial.width must be positive")
     if kind == "bump":
         lo = merged["initial.center"] - merged["initial.width"]
         hi = merged["initial.center"] + merged["initial.width"]
@@ -141,10 +154,16 @@ def validate_config(values):
             raise ConfigError("support must end inside 0.8*r_max = %g, "
                               "got %g" % (0.8 * merged["grid.r_max"], hi))
     try:
-        tuple(float(a) for a in str(merged["run.alphas"]).split(",")
-              if a != "")
+        alphas = [float(a) for a in str(merged["run.alphas"]).split(",")
+                  if a != ""]
     except ValueError:
         raise ConfigError("run.alphas must be comma-separated numbers")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ConfigError("run.alphas members must lie in (0,1), got %s"
+                          % merged["run.alphas"])
+    if merged["run.kind"] == "sweep" and not alphas:
+        raise ConfigError("run.kind = sweep needs at least one run.alphas "
+                          "member")
     return RunConfig(merged)
 
 
@@ -456,7 +475,8 @@ def _report(lines, name, ok, detail):
 
 
 def verify_kernel():
-    """Kernel self-checks: quadrature vs closed form, sandwich, table."""
+    """Kernel self-checks: quadrature vs closed form, sandwich, the
+    production kernel vs quadrature."""
     lines, good = [], True
     pts = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
     worst = 0.0
@@ -476,12 +496,16 @@ def verify_kernel():
     good &= _report(lines, "kernel-sandwich", margin_lo >= 0 and
                     margin_hi >= 0, "min margins %.2e / %.2e"
                     % (margin_lo, margin_hi))
-    a_tab = np.linspace(0.0, 39.5, 113)
-    tab = kernel_values(a_tab)
-    ref = 1.0 / np.cosh(0.5 * a_tab) ** 2
-    tab_err = float(np.max(np.abs(tab - ref) / ref))
-    good &= _report(lines, "memo-table", tab_err <= 1e-8,
-                    "max rel %.2e" % tab_err)
+    # the production closed form against the defining integral, with
+    # points packed into (0, 1/256) where K is flat
+    a_prod = np.concatenate([np.geomspace(1e-6, 1.0 / 256.0, 12),
+                             np.linspace(0.0, 40.0, 161)])
+    quad_ref = np.array([gamma_kernel(a).value for a in a_prod])
+    prod_err = float(np.max(np.abs(kernel_values(a_prod) - quad_ref)
+                            / quad_ref))
+    good &= _report(lines, "production-vs-quadrature", prod_err <= 1e-9,
+                    "max rel %.2e, margin %.2e to 1e-9 over %d points"
+                    % (prod_err, 1e-9 - prod_err, a_prod.size))
     grid = build_radial_grid(0.5, 8.0, 4097)
     f0 = model_mod.make_indicator(grid, 1.0, 2.0)
     A0 = RadialProfile(grid, np.zeros(grid.n))
@@ -575,7 +599,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a config file")
     p_run.add_argument("config", help="path to a key = value config file")
-    sub.add_parser("verify-kernel", help="kernel quadrature self checks")
+    sub.add_parser("verify-kernel", help="kernel closed form vs quadrature")
     sub.add_parser("verify-elliptic", help="mode solver self checks")
     sub.add_parser("verify-oracle", help="model integrator self checks")
     args = parser.parse_args(argv)

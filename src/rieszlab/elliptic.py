@@ -112,24 +112,53 @@ def _solve_mode_low(omega_n, n, alpha):
 
 
 def _mode_bands(grid, n, alpha):
+    """The mode-n stencil rows in solve_banded's (1, 1) storage: row 0
+    holds the superdiagonal, row 1 the diagonal, row 2 the subdiagonal."""
     h = _log_step(grid)
-    N = grid.n
     a2h = alpha * alpha / (h * h)
     b2h = 2.0 * alpha / h
-    diag = np.full(N, -2.0 * a2h + (4.0 - n * n))
-    lower = np.full(N - 1, a2h - b2h)
-    upper = np.full(N - 1, a2h + b2h)
+    ab = np.zeros((3, grid.n))
+    ab[0, 1:] = a2h + b2h
+    ab[1, :] = -2.0 * a2h + (4.0 - n * n)
+    ab[2, :-1] = a2h - b2h
     if n == 2:
         # ghost node psi_{-1} = psi_1 encodes zero left slope and cancels
         # the first-order term in the boundary row
-        diag[0] = -2.0 * a2h
-        upper[0] = 2.0 * a2h
+        ab[1, 0] = -2.0 * a2h
+        ab[0, 1] = 2.0 * a2h
     else:
-        diag[0] = 1.0
-        upper[0] = 0.0
-    diag[-1] = 1.0
-    lower[-1] = 0.0
-    return lower, diag, upper
+        ab[1, 0] = 1.0
+        ab[0, 1] = 0.0
+    ab[1, -1] = 1.0
+    ab[2, -2] = 0.0
+    return ab
+
+
+def _apply_bands(ab, v):
+    """The rows in ab applied to v, whose leading axis is radial; a
+    trailing parity axis broadcasts."""
+    ab = ab.reshape(ab.shape + (1,) * (v.ndim - 1))
+    out = ab[1] * v
+    out[:-1] += ab[0, 1:] * v[1:]
+    out[1:] += ab[2, :-1] * v[:-1]
+    return out
+
+
+def _stencil_rhs(w, n):
+    """Right-hand side of the mode-n rows: the data with the Dirichlet
+    boundary rows zeroed (mode 2 keeps its ghost-node left row)."""
+    rhs = np.array(w, dtype=float)
+    if n != 2:
+        rhs[0] = 0.0
+    rhs[-1] = 0.0
+    return rhs
+
+
+def _solve_stencil(ab, rhs, n):
+    psi = solve_banded((1, 1), ab, rhs)
+    if not np.all(np.isfinite(psi)):
+        raise EllipticError("mode %d solve returned non-finite values" % n)
+    return psi
 
 
 def _check_boundary_decay(psi, n, tol):
@@ -161,22 +190,10 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05, check_resolution=False):
     n = int(n)
     grid = omega_n.grid
     if n < 2:
-        psi_prof = _solve_mode_low(omega_n, n, alpha)
-        psi = psi_prof.values
+        psi = _solve_mode_low(omega_n, n, alpha).values
     else:
-        lower, diag, upper = _mode_bands(grid, n, alpha)
-        rhs = omega_n.values.astype(float).copy()
-        if n != 2:
-            rhs[0] = 0.0
-        rhs[-1] = 0.0
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        psi = solve_banded((1, 1), ab, rhs)
-        psi_prof = RadialProfile(grid, psi)
-    if not np.all(np.isfinite(psi)):
-        raise EllipticError("mode %d solve returned non-finite values" % n)
+        psi = _solve_stencil(_mode_bands(grid, n, alpha),
+                             _stencil_rhs(omega_n.values, n), n)
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     if check_resolution:
@@ -189,7 +206,7 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05, check_resolution=False):
             raise EllipticError(
                 "grid-too-coarse: mode %d error estimate %.2e of sup %.2e"
                 % (n, est, peak))
-    return psi_prof
+    return RadialProfile(grid, psi)
 
 
 def apply_mode_operator(psi_n, n, alpha):
@@ -197,12 +214,8 @@ def apply_mode_operator(psi_n, n, alpha):
     boundary rows included, so for n >= 2 solve-then-apply returns the
     (boundary-modified) right-hand side to machine precision."""
     grid = psi_n.grid
-    lower, diag, upper = _mode_bands(grid, int(n), alpha)
-    v = psi_n.values
-    out = diag * v
-    out[:-1] += upper * v[1:]
-    out[1:] += lower * v[:-1]
-    return RadialProfile(grid, out)
+    return RadialProfile(grid, _apply_bands(_mode_bands(grid, int(n), alpha),
+                                            psi_n.values))
 
 
 def mode_residual(psi_n, omega_n, n, alpha):
@@ -211,12 +224,8 @@ def mode_residual(psi_n, omega_n, n, alpha):
     stencil to truncation order, not to machine precision."""
     if n < 2:
         raise ValueError("residual is defined for the stencil modes, n >= 2")
-    rhs = omega_n.values.astype(float).copy()
-    if n != 2:
-        rhs[0] = 0.0
-    rhs[-1] = 0.0
     applied = apply_mode_operator(psi_n, n, alpha).values
-    return float(np.max(np.abs(applied - rhs)))
+    return float(np.max(np.abs(applied - _stencil_rhs(omega_n.values, n))))
 
 
 def exact_mode2(f, alpha, R=None):
@@ -288,11 +297,7 @@ def solve_full(omega, alpha, n_modes=None):
     low2 = 0.0
 
     def _interior_defect(v, w, n):
-        lower, diag, upper = _mode_bands(rgrid, n, alpha)
-        d = diag * v
-        d[:-1] += upper * v[1:]
-        d[1:] += lower * v[:-1]
-        d -= w
+        d = _apply_bands(_mode_bands(rgrid, n, alpha), v) - w
         d[0] = d[-1] = 0.0
         return d
 
@@ -315,29 +320,16 @@ def solve_full(omega, alpha, n_modes=None):
         trapz(_interior_defect(p1s.values, om1s, 1) ** 2, nodes)
         + trapz(_interior_defect(p1c.values, om1c, 1) ** 2, nodes))
     for n in range(2, n_modes + 1):
-        lower, diag, upper = _mode_bands(rgrid, n, alpha)
+        ab = _mode_bands(rgrid, n, alpha)
         om_n = np.empty((rgrid.n, 2))
         om_n[:, 0] = -scale * spec[:, n].imag
         om_n[:, 1] = scale * spec[:, n].real
-        rhs = om_n.copy()
-        if n != 2:
-            rhs[0, :] = 0.0
-        rhs[-1, :] = 0.0
-        ab = np.zeros((3, rgrid.n))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        sol = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise EllipticError("mode %d solve returned non-finite values"
-                                % n)
+        rhs = _stencil_rhs(om_n, n)
+        sol = _solve_stencil(ab, rhs, n)
         coeffs[(n, "sin")] = RadialProfile(rgrid, sol[:, 0])
         coeffs[(n, "cos")] = RadialProfile(rgrid, sol[:, 1])
         psi_spec[:, n] = 0.5 * N * (sol[:, 1] - 1j * sol[:, 0])
-        applied = diag[:, None] * sol
-        applied[:-1, :] += upper[:, None] * sol[1:, :]
-        applied[1:, :] += lower[:, None] * sol[:-1, :]
-        resid = applied - rhs
+        resid = _apply_bands(ab, sol) - rhs
         num2 += np.pi * (trapz(resid[:, 0] ** 2, nodes)
                          + trapz(resid[:, 1] ** 2, nodes))
         den2 += np.pi * (trapz(om_n[:, 0] ** 2, nodes)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError, SupportEscapeError, CflViolationError
 from .grids import (Field2D, r_ddr, r2_d2dr2, theta_deriv, sup_norm,
                     l2_norm, project_mode)
-from .elliptic import solve_full
+from .elliptic import solve_full, velocity_from_psi
 from .kernels import op_Ls
 from . import model as _model
 
@@ -89,24 +89,15 @@ def rhs_full(state, include_forcing=True, n_modes=None):
     return Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
 
 
-def transport_velocities(state, n_modes=None):
-    """Grid speeds used by the time-step bound: dx/dt and dtheta/dt."""
-    rgrid, agrid = state.omega.rgrid, state.omega.agrid
-    nm = agrid.n_theta // 3 if n_modes is None else n_modes
-    sol = solve_full(state.omega, state.alpha, n_modes=nm)
-    psi = -sol.psi.values
-    ux = state.alpha * theta_deriv(psi, agrid)
-    ut = 2.0 * psi + state.alpha * r_ddr(psi, rgrid, axis=0)
-    return ux, ut
-
-
 def cfl_dt(state, cfl=0.5, n_modes=None):
-    """Advective step bound; infinite for a quiescent field."""
+    """Advective step bound on the (log R, theta) grid, from the speeds of
+    velocity_from_psi; infinite for a quiescent field."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
-    ux, ut = transport_velocities(state, n_modes=n_modes)
+    psi = solve_full(state.omega, state.alpha, n_modes=n_modes).psi
+    angular, radial = velocity_from_psi(psi, state.alpha)
     hx = float(np.log(rgrid.nodes[1] / rgrid.nodes[0]))
-    vmax_x = float(np.max(np.abs(ux)))
-    vmax_t = float(np.max(np.abs(ut)))
+    vmax_x = float(np.max(np.abs(radial.values / rgrid.nodes[:, None])))
+    vmax_t = float(np.max(np.abs(angular.values)))
     dt = np.inf
     if vmax_x > 0:
         dt = min(dt, cfl * hx / vmax_x)
@@ -116,17 +107,16 @@ def cfl_dt(state, cfl=0.5, n_modes=None):
 
 
 def step_full(state, dt, include_forcing=True, n_modes=None,
-              enforce_cfl=True, cfl_safety=0.5, support_threshold=None):
+              enforce_cfl=True):
     """One strong-stability-preserving third-order step.
 
     enforce_cfl rechecks the advective bound at the cost of one extra
     elliptic solve; drivers that already sized dt from cfl_dt switch it
-    off. support_threshold, when given, aborts if the stepped vorticity
-    reaches the outer tenth of the grid above that level."""
+    off."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
     if enforce_cfl:
-        bound = cfl_dt(state, cfl=cfl_safety, n_modes=n_modes)
+        bound = cfl_dt(state, n_modes=n_modes)
         if dt > bound * (1.0 + 1e-12):
             raise CflViolationError(
                 "dt=%g exceeds the advective bound %g at t=%g"
@@ -146,11 +136,8 @@ def step_full(state, dt, include_forcing=True, n_modes=None,
     if not np.all(np.isfinite(v3)):
         raise NumericalError("non-finite vorticity after step at t=%g"
                              % (state.t + dt), stage="step_full")
-    out = FullState(state.alpha, Field2D(om.rgrid, om.agrid, v3),
-                    state.t + dt)
-    if support_threshold is not None:
-        check_support(out, support_threshold)
-    return out
+    return FullState(state.alpha, Field2D(om.rgrid, om.agrid, v3),
+                     state.t + dt)
 
 
 def check_support(state, threshold):

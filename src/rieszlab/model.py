@@ -129,11 +129,6 @@ def sup_theta_f(state):
     return RadialProfile(state.f0.grid, state.f0.values.copy())
 
 
-def theta_star(state):
-    """Angle attaining the sup at each node: arctan(e^A)."""
-    return np.arctan(np.exp(state.A.values))
-
-
 def reconstruct_Omega2(state, agrid):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
     theta = agrid.nodes[None, :]

@@ -75,6 +75,29 @@ def test_validate_rejects_out_of_range(tmp_path):
         cli.parse_config(write_config(tmp_path, "alpha = 0.2\ndelta = 0\n"))
 
 
+@pytest.mark.parametrize("body", [
+    "grid.n_theta = 0\n",
+    "grid.r_max = inf\n",
+    "grid.spacing = uniform\nrun.kind = remainder\n",
+    "run.kind = sweep\nrun.alphas = 1.5,0.75,0.375\n",
+    "initial.kind = indicator\ninitial.width = -1\n",
+    "initial.width = 0\n",
+    "grid.n_theta = 4\nrun.kind = remainder\n",
+    "run.kind = sweep\nrun.alphas = ,\n",
+    "delta = nan\n",
+], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
+        "indicator-negative-width", "bump-zero-width", "n-theta-4-remainder",
+        "sweep-no-alphas", "delta-nan"])
+def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = 0.2\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 3\noutput.dir = %s\n%s" % (out, body)))
+    assert cli.main(["run", path]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_run_with_zero_amplitude(tmp_path):
     out = tmp_path / "out"
     cfg = cli.parse_config(write_config(tmp_path, (
@@ -180,6 +203,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["verify-elliptic"]) == 0
     printed = capsys.readouterr().out
     assert "ok" in printed and "FAIL" not in printed
+    assert cli.main(["verify-kernel"]) == 0
+    printed = capsys.readouterr().out
+    assert "FAIL" not in printed and "memo-table" not in printed
+    for name in ("closed-form-identity", "kernel-sandwich",
+                 "production-vs-quadrature", "zero-exponent-reduction"):
+        assert "ok   " + name in printed
 
 
 def test_table_initial_kind(tmp_path):

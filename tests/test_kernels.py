@@ -44,10 +44,13 @@ def test_kernel_monotone_and_bounded():
     assert np.all(np.diff(vals) <= 0.0)
 
 
-def test_kernel_table_matches_closed_form():
-    a = np.linspace(0.0, 39.0, 157)
-    ref = 1.0 / np.cosh(0.5 * a) ** 2
-    assert np.max(np.abs(kernel_values(a) - ref) / ref) < 1e-8
+def test_kernel_values_match_quadrature_oracle():
+    # dense on [0, 40], with a = 0.0026 and more points inside the first
+    # 1/256, where K is flat and an interpolant of log K misses its slope
+    a = np.concatenate([[0.0026], np.geomspace(1e-6, 1.0 / 256.0, 9),
+                        np.linspace(0.0, 40.0, 321)])
+    ref = np.array([gamma_kernel(x).value for x in a])
+    assert np.max(np.abs(kernel_values(a) - ref) / ref) < 1e-9
 
 
 def test_op_L_indicator_values():
