@@ -7,8 +7,9 @@ files plus a manifest.json recording the resolved configuration, code
 version, wall time, per-check summary, and a sha256 digest of every
 emitted file, so identical config and code give byte-identical output.
 
-Exit codes: 0 success, 2 bad config, 3 numerical failure (the manifest
-names the failing stage), 4 a verify subcommand found a failing check.
+Exit codes: 0 success, 2 bad config, 3 numerical failure or a solver's
+ValueError (the manifest names the failing stage), 4 a verify subcommand
+found a failing check.
 """
 
 import argparse
@@ -24,12 +25,13 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError
 from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
-                    sup_norm, l2_norm, project_mode)
+                    l2_norm)
 from .kernels import gamma_kernel, kernel_values, op_L, op_Ls, apply_lf_kernel
 from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
-                       solve_full, apply_mode_operator, mode_residual)
-from .evolution import FullState, step_linear, run_remainder_study
+                       mode_residual)
+from .evolution import (FullState, step_linear, run_remainder_study, march,
+                        field_row, support_edge_index)
 from .diagnostics import alpha_scaling_study
 
 
@@ -103,6 +105,10 @@ class RunConfig:
 def validate_config(values):
     merged = dict(_DEFAULTS)
     merged.update(values)
+    for key, allowed in sorted(_CHOICES.items()):
+        if merged[key] not in allowed:
+            raise ConfigError("%s must be one of %s, got %r"
+                              % (key, "|".join(allowed), merged[key]))
     for key in sorted(_FLOAT_KEYS):
         if merged[key] is not None and not np.isfinite(merged[key]):
             raise ConfigError("%s must be finite, got %g" % (key, merged[key]))
@@ -197,9 +203,6 @@ def parse_config(path):
         except ValueError:
             raise ConfigError("%s:%d: bad value %r for %s"
                               % (path, ln, val, key))
-        if key in _CHOICES and values[key] not in _CHOICES[key]:
-            raise ConfigError("%s:%d: %s must be one of %s"
-                              % (path, ln, key, "|".join(_CHOICES[key])))
     return validate_config(values)
 
 
@@ -224,6 +227,10 @@ def build_profile(config, rgrid):
         raise ConfigError("cannot read initial.table_path: %s" % exc)
     if table.ndim != 2 or table.shape[1] < 2:
         raise ConfigError("initial table needs two columns: R, value")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("initial table entries must be finite")
+    if np.any(table[:, 1] < 0):
+        raise ConfigError("initial table values must be nonnegative")
     vals = np.interp(rgrid.nodes, table[:, 0], table[:, 1], left=0.0,
                      right=0.0)
     nz = rgrid.nodes[vals != 0.0]
@@ -286,45 +293,41 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
 
 
-def _growth_times(config, alpha):
-    t_final = config.horizon_factor * alpha * abs(np.log(alpha))
+def _sample_times(config):
+    t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
     return np.linspace(0.0, t_final, config.sample_count)
 
 
-def _support_inf_index(f0):
-    nz = f0.values > 0
-    return int(np.argmax(nz)) if np.any(nz) else 0
+def _write_growth(out_dir, columns):
+    path = os.path.join(out_dir, "growth.csv")
+    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", columns)
+    return path
 
 
 def _run_model(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     state = model_mod.init_state(f0, config.alpha)
-    times = _growth_times(config, config.alpha)
+    times = _sample_times(config)
     dt = config.alpha * config.dt_factor
-    j0 = _support_inf_index(f0)
-    sup, l2, ls_inf, a_max = [], [], [], []
+    j0 = support_edge_index(f0)
+    rows = []
     violations = 0
-    for ts in times:
-        while state.t < ts - 1e-14 * max(times[-1], 1.0):
-            state = model_mod.step(state, min(dt, ts - state.t))
-        sup.append(model_mod.sup_omega2(state))
-        l2.append(l2_norm(model_mod.reconstruct_Omega2(state, agrid)))
-        ls_inf.append(float(model_mod.eval_Ls(state).values[j0]))
-        a_max.append(float(np.max(state.A.values)))
+    for state in march(state, times, model_mod.step, lambda _: dt):
+        rows.append((model_mod.sup_omega2(state),
+                     l2_norm(model_mod.reconstruct_Omega2(state, agrid)),
+                     float(model_mod.eval_Ls(state).values[j0]),
+                     float(np.max(state.A.values))))
         violations += model_mod.check_sandwich(state).n_violations
-    path = os.path.join(out_dir, "growth.csv")
-    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max",
-               [times, sup, l2, ls_inf, a_max])
+    sup, l2, ls_inf, a_max = zip(*rows)
     manifest.checks["sandwich"] = ("pass" if violations == 0
                                    else "fail: %d node-times" % violations)
     manifest.checks["finite_norms"] = (
         "pass" if np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))
         else "fail")
-    return [path]
+    return [_write_growth(out_dir, [times, sup, l2, ls_inf, a_max])]
 
 
 def _run_linear(config, out_dir, manifest):
@@ -333,42 +336,34 @@ def _run_linear(config, out_dir, manifest):
     omega0 = Field2D(rgrid, agrid,
                      np.outer(f0.values, np.sin(2.0 * agrid.nodes)))
     state = FullState(config.alpha, omega0, 0.0)
-    times = _growth_times(config, config.alpha)
-    j0 = _support_inf_index(f0)
+    times = _sample_times(config)
+    j0 = support_edge_index(f0)
     ls0 = op_Ls(omega0).values
-    sup, l2, ls_inf, a_max = [], [], [], []
+    rows = []
     worst = 0.0
-    for ts in times:
-        if ts > state.t:
-            state = step_linear(state, ts - state.t)
-        om = state.omega
-        sup.append(sup_norm(om))
-        l2.append(l2_norm(om))
-        ls_inf.append(float(op_Ls(om).values[j0]))
-        a_max.append(2.0 * float(np.max(project_mode(om, 0, "cos").values)))
+    # the linear step is exact, so one step per sample
+    for ts, state in zip(times, march(state, times, step_linear,
+                                      lambda _: np.inf)):
+        rows.append(field_row(state.omega, j0))
         exact = omega0.values + (0.5 * ts / config.alpha) * ls0[:, None]
         scale = max(float(np.max(np.abs(exact))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(om.values - exact))) / scale)
-    path = os.path.join(out_dir, "growth.csv")
-    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max",
-               [times, sup, l2, ls_inf, a_max])
+        worst = max(worst, float(np.max(np.abs(state.omega.values - exact)))
+                    / scale)
     manifest.checks["closed_form"] = ("pass (%.2e)" % worst if worst <= 1e-10
                                       else "fail: %.2e" % worst)
-    return [path]
+    return [_write_growth(out_dir, [times] + list(zip(*rows)))]
 
 
-def _run_remainder(config, out_dir, manifest, alpha=None):
-    alpha = config.alpha if alpha is None else alpha
+def _run_remainder(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
-    t_final = config.horizon_factor * alpha * abs(np.log(alpha))
-    series = run_remainder_study(f0, alpha, agrid, t_final=t_final,
+    t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
+    series = run_remainder_study(f0, config.alpha, agrid, t_final=t_final,
                                  n_samples=config.sample_count,
                                  model_dt_factor=config.dt_factor)
-    growth = os.path.join(out_dir, "growth.csv")
-    _write_csv(growth, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max",
-               [series.t, series.full_sup, series.full_l2, series.ls_inf,
-                series.a_proxy])
+    growth = _write_growth(out_dir, [series.t, series.full_sup,
+                                     series.full_l2, series.ls_inf,
+                                     series.a_proxy])
     rem = os.path.join(out_dir, "remainder.csv")
     _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup",
                [series.t, series.rem_sup, series.rem_l2, series.full_sup,
@@ -376,48 +371,42 @@ def _run_remainder(config, out_dir, manifest, alpha=None):
     manifest.checks["support_containment"] = "pass"
     manifest.checks["finite_norms"] = (
         "pass" if np.all(np.isfinite(series.full_sup)) else "fail")
-    return [growth, rem], series
+    return [growth, rem]
 
 
 def _run_full(config, out_dir, manifest):
-    paths, series = _run_remainder(config, out_dir, manifest)
+    growth, rem = _run_remainder(config, out_dir, manifest)
     # full kind reports the same growth history without the model columns
-    os.remove(paths[1])
-    return [paths[0]]
+    os.remove(rem)
+    return [growth]
 
 
 def _sweep_member(args):
-    values, alpha, member_dir = args
-    config = validate_config(values)
-    os.makedirs(member_dir, exist_ok=True)
-    manifest = RunManifest(config.echo(), member_dir)
-    manifest.config_echo["alpha"] = alpha
-    t0 = time.perf_counter()
+    """One sweep alpha in a worker process; args is (member config, alpha,
+    member output dir). Returns (alpha, peak rem_sup, files, error)."""
+    config, alpha, member_dir = args
+    mpath = os.path.join(member_dir, "manifest.json")
     try:
-        paths, series = _run_remainder(config, member_dir, manifest,
-                                       alpha=alpha)
-        manifest.add_files(paths)
-        manifest.wall_time = time.perf_counter() - t0
-        mpath = manifest.write()
-        return alpha, series.max_rem_sup(), paths + [mpath], None
-    except RieszlabError as exc:
-        manifest.error = {"type": type(exc).__name__, "message": str(exc),
-                          "stage": getattr(exc, "stage", "")}
-        manifest.wall_time = time.perf_counter() - t0
-        mpath = manifest.write()
+        manifest = _execute(config, _run_remainder)
+    except (RieszlabError, ValueError) as exc:
         return alpha, float("nan"), [mpath], exc
+    # %.17g round-trips, so the peak read back is the marched one
+    rem = np.loadtxt(os.path.join(member_dir, "remainder.csv"),
+                     delimiter=",", skiprows=1, ndmin=2)
+    files = [os.path.join(member_dir, rel) for rel in manifest.files]
+    return alpha, float(np.max(rem[:, 1])), files + [mpath], None
 
 
 def _run_sweep(config, out_dir, manifest):
     jobs = []
     for alpha in config.alphas:
-        member_dir = os.path.join(out_dir, "alpha_%g" % alpha)
-        jobs.append((dict(config.values), alpha, member_dir))
+        member = config.replaced(alpha=alpha, **{
+            "run.kind": "remainder",
+            "output.dir": os.path.join(out_dir, "alpha_%g" % alpha)})
+        jobs.append((member, alpha, member.output_dir))
     workers = min(len(jobs), os.cpu_count() or 1)
-    results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(_sweep_member, jobs):
-            results.append(res)
+        results = list(pool.map(_sweep_member, jobs))
     paths = []
     for alpha, peak, member_paths, err in results:
         paths.extend(member_paths)
@@ -440,33 +429,34 @@ def _run_sweep(config, out_dir, manifest):
     return paths + [spath]
 
 
-def run(config):
-    """Execute a validated config; always writes manifest.json."""
+_BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,
+           "remainder": _run_remainder, "sweep": _run_sweep}
+
+
+def _execute(config, body):
+    """Call body(config, out_dir, manifest), which returns the files it
+    wrote, and write manifest.json whether or not it raises."""
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config.echo(), out_dir)
     t0 = time.perf_counter()
     try:
-        if config.run_kind == "model":
-            paths = _run_model(config, out_dir, manifest)
-        elif config.run_kind == "linear":
-            paths = _run_linear(config, out_dir, manifest)
-        elif config.run_kind == "full":
-            paths = _run_full(config, out_dir, manifest)
-        elif config.run_kind == "remainder":
-            paths, _ = _run_remainder(config, out_dir, manifest)
-        else:
-            paths = _run_sweep(config, out_dir, manifest)
-        manifest.add_files(paths)
-        manifest.wall_time = time.perf_counter() - t0
-        manifest.write()
-        return manifest
-    except RieszlabError as exc:
+        manifest.add_files(body(config, out_dir, manifest))
+    except Exception as exc:
+        # recorded whatever it is; main maps RieszlabError and ValueError
+        # to exit codes
         manifest.error = {"type": type(exc).__name__, "message": str(exc),
                           "stage": getattr(exc, "stage", "")}
+        raise
+    finally:
         manifest.wall_time = time.perf_counter() - t0
         manifest.write()
-        raise
+    return manifest
+
+
+def run(config):
+    """Execute a validated config; always writes manifest.json."""
+    return _execute(config, _BODIES[config.run_kind])
 
 
 def _report(lines, name, ok, detail):
@@ -606,16 +596,12 @@ def main(argv=None):
 
     if args.command == "run":
         try:
-            config = parse_config(args.config)
+            manifest = run(parse_config(args.config))
         except ConfigError as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 2
-        try:
-            manifest = run(config)
-        except ConfigError as exc:
-            print("config error: %s" % exc, file=sys.stderr)
-            return 2
-        except NumericalError as exc:
+        except (RieszlabError, ValueError) as exc:
+            # a ValueError is a solver precondition that validation missed
             print("numerical failure (%s): %s"
                   % (getattr(exc, "stage", "") or "run", exc),
                   file=sys.stderr)

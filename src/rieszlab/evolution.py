@@ -38,22 +38,16 @@ class RemainderSeries:
     the full run's own norm history (l2, the tail value at the support
     inf, and twice the peak angular mean as the exponent proxy)."""
 
-    def __init__(self, t, rem_sup, rem_l2, full_sup, model_sup, alpha,
-                 n_steps, full_l2=None, ls_inf=None, a_proxy=None):
+    def __init__(self, t, rem_sup, rem_l2, full_sup, model_sup, full_l2,
+                 ls_inf, a_proxy):
         self.t = np.asarray(t, dtype=float)
         self.rem_sup = np.asarray(rem_sup, dtype=float)
         self.rem_l2 = np.asarray(rem_l2, dtype=float)
         self.full_sup = np.asarray(full_sup, dtype=float)
         self.model_sup = np.asarray(model_sup, dtype=float)
-        self.alpha = alpha
-        self.n_steps = n_steps
-        zeros = np.zeros_like(self.t)
-        self.full_l2 = zeros if full_l2 is None else np.asarray(full_l2,
-                                                                dtype=float)
-        self.ls_inf = zeros if ls_inf is None else np.asarray(ls_inf,
-                                                              dtype=float)
-        self.a_proxy = zeros if a_proxy is None else np.asarray(a_proxy,
-                                                                dtype=float)
+        self.full_l2 = np.asarray(full_l2, dtype=float)
+        self.ls_inf = np.asarray(ls_inf, dtype=float)
+        self.a_proxy = np.asarray(a_proxy, dtype=float)
 
     def max_rem_sup(self):
         return float(np.max(self.rem_sup))
@@ -65,11 +59,11 @@ def _band_limit(values, agrid, n_modes):
     return np.fft.irfft(spec, n=agrid.n_theta, axis=-1)
 
 
-def rhs_full(state, include_forcing=True, n_modes=None):
+def rhs_full(state, include_forcing=True):
     """Tendency of the vorticity field at one instant."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
-    nm = agrid.n_theta // 3 if n_modes is None else n_modes
+    nm = agrid.n_theta // 3
     sol = solve_full(state.omega, alpha, n_modes=nm)
     psi = -sol.psi.values
     om = state.omega.values
@@ -89,25 +83,25 @@ def rhs_full(state, include_forcing=True, n_modes=None):
     return Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
 
 
-def cfl_dt(state, cfl=0.5, n_modes=None):
-    """Advective step bound on the (log R, theta) grid, from the speeds of
-    velocity_from_psi; infinite for a quiescent field."""
+def cfl_dt(state):
+    """Advective step bound (Courant number 0.5) on the (log R, theta)
+    grid, from the speeds of velocity_from_psi; infinite for a quiescent
+    field."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
-    psi = solve_full(state.omega, state.alpha, n_modes=n_modes).psi
+    psi = solve_full(state.omega, state.alpha).psi
     angular, radial = velocity_from_psi(psi, state.alpha)
     hx = float(np.log(rgrid.nodes[1] / rgrid.nodes[0]))
     vmax_x = float(np.max(np.abs(radial.values / rgrid.nodes[:, None])))
     vmax_t = float(np.max(np.abs(angular.values)))
     dt = np.inf
     if vmax_x > 0:
-        dt = min(dt, cfl * hx / vmax_x)
+        dt = min(dt, 0.5 * hx / vmax_x)
     if vmax_t > 0:
-        dt = min(dt, cfl * agrid.dtheta / vmax_t)
+        dt = min(dt, 0.5 * agrid.dtheta / vmax_t)
     return dt
 
 
-def step_full(state, dt, include_forcing=True, n_modes=None,
-              enforce_cfl=True):
+def step_full(state, dt, include_forcing=True, enforce_cfl=True):
     """One strong-stability-preserving third-order step.
 
     enforce_cfl rechecks the advective bound at the cost of one extra
@@ -116,7 +110,7 @@ def step_full(state, dt, include_forcing=True, n_modes=None,
     if dt <= 0:
         raise ValueError("nonpositive-dt")
     if enforce_cfl:
-        bound = cfl_dt(state, n_modes=n_modes)
+        bound = cfl_dt(state)
         if dt > bound * (1.0 + 1e-12):
             raise CflViolationError(
                 "dt=%g exceeds the advective bound %g at t=%g"
@@ -126,8 +120,7 @@ def step_full(state, dt, include_forcing=True, n_modes=None,
     def rhs_of(values, t):
         return rhs_full(FullState(state.alpha,
                                   Field2D(om.rgrid, om.agrid, values), t),
-                        include_forcing=include_forcing,
-                        n_modes=n_modes).values
+                        include_forcing=include_forcing).values
 
     v0 = om.values
     v1 = v0 + dt * rhs_of(v0, state.t)
@@ -168,9 +161,32 @@ def step_linear(state, dt):
                      state.t + dt)
 
 
+def march(state, times, step, max_dt):
+    """Yield `state` advanced to each of `times` in turn. Each step is
+    min(max_dt(state), time left to the sample); a sample within
+    1e-14 * max(times[-1], 1) counts as reached."""
+    tol = 1e-14 * max(times[-1], 1.0)
+    for ts in times:
+        while state.t < ts - tol:
+            state = step(state, min(max_dt(state), ts - state.t))
+        yield state
+
+
+def support_edge_index(f0):
+    """Index of the first node where f0 is positive (0 if none is)."""
+    nz = f0.values > 0
+    return int(np.argmax(nz)) if np.any(nz) else 0
+
+
+def field_row(omega, j0):
+    """The growth columns of a grid field: sup, l2, L_s at node j0, and
+    twice the peak angular mean (the exponent proxy)."""
+    return (sup_norm(omega), l2_norm(omega), float(op_Ls(omega).values[j0]),
+            2.0 * float(np.max(project_mode(omega, 0, "cos").values)))
+
+
 def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
-                        cfl=0.5, model_dt_factor=0.02, n_modes=None,
-                        escape_tol=1e-4):
+                        model_dt_factor=0.02):
     """March the full system and the model side by side from the same
     initial data (pure sine mode built on f0) and sample how far apart
     they drift. Returns a RemainderSeries."""
@@ -180,40 +196,32 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
         raise ValueError("need at least 2 samples")
     mstate = _model.init_state(f0, alpha)
     omega0 = _model.reconstruct_Omega2(mstate, agrid)
-    state = FullState(alpha, omega0, 0.0)
-    escape_threshold = escape_tol * max(sup_norm(omega0), 1.0)
+    escape_threshold = 1e-4 * max(sup_norm(omega0), 1.0)
     dt_model = alpha * model_dt_factor
-    dt_cap = 0.05 * alpha
     times = np.linspace(0.0, t_final, n_samples)
-    sup_f0 = f0.values > 0
-    j0 = int(np.argmax(sup_f0)) if np.any(sup_f0) else 0
-    rem_sup, rem_l2, full_sup, model_sup = [], [], [], []
-    full_l2, ls_inf, a_proxy = [], [], []
-    n_steps = 0
-    for i, ts in enumerate(times):
-        while state.t < ts - 1e-14 * t_final:
-            dt = min(cfl_dt(state, cfl=cfl, n_modes=n_modes), dt_cap,
-                     ts - state.t)
-            if dt < 1e-12:
-                raise NumericalError("time step collapsed at t=%g"
-                                     % state.t, stage="remainder-study")
-            # dt already honors the advective bound just computed
-            state = step_full(state, dt, n_modes=n_modes, enforce_cfl=False)
-            check_support(state, escape_threshold)
-            n_steps += 1
-        while mstate.t < ts - 1e-14 * t_final:
-            mstate = _model.step(mstate, min(dt_model, ts - mstate.t))
+    j0 = support_edge_index(f0)
+
+    def full_dt(state):
+        bound = min(cfl_dt(state), 0.05 * alpha)
+        if bound < 1e-12:
+            raise NumericalError("time step collapsed at t=%g" % state.t,
+                                 stage="remainder-study")
+        return bound
+
+    def full_step(state, dt):
+        # dt already honors the advective bound just computed
+        state = step_full(state, dt, enforce_cfl=False)
+        check_support(state, escape_threshold)
+        return state
+
+    rows = []
+    for state, mstate in zip(
+            march(FullState(alpha, omega0, 0.0), times, full_step, full_dt),
+            march(mstate, times, _model.step, lambda _: dt_model)):
         om_model = _model.reconstruct_Omega2(mstate, agrid)
-        diff = Field2D(agrid=agrid, rgrid=f0.grid,
-                       values=state.omega.values - om_model.values)
-        rem_sup.append(sup_norm(diff))
-        rem_l2.append(l2_norm(diff))
-        full_sup.append(sup_norm(state.omega))
-        model_sup.append(_model.sup_omega2(mstate))
-        full_l2.append(l2_norm(state.omega))
-        ls_inf.append(float(op_Ls(state.omega).values[j0]))
-        a_proxy.append(2.0 * float(np.max(
-            project_mode(state.omega, 0, "cos").values)))
-    return RemainderSeries(times, rem_sup, rem_l2, full_sup, model_sup,
-                           alpha, n_steps, full_l2=full_l2, ls_inf=ls_inf,
-                           a_proxy=a_proxy)
+        diff = Field2D(f0.grid, agrid, state.omega.values - om_model.values)
+        rem_sup, rem_l2 = sup_norm(diff), l2_norm(diff)
+        full_sup, full_l2, ls_inf, a_proxy = field_row(state.omega, j0)
+        rows.append((rem_sup, rem_l2, full_sup, _model.sup_omega2(mstate),
+                     full_l2, ls_inf, a_proxy))
+    return RemainderSeries(times, *zip(*rows))

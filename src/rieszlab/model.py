@@ -31,7 +31,7 @@ c1-Riccati rate initially; numerics confirm the violation).
 
 import numpy as np
 
-from .grids import RadialGrid, RadialProfile, Field2D
+from .grids import RadialProfile, Field2D
 from .kernels import apply_lf_kernel, profile_tail, op_L
 
 C1 = 1.0

@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszlab.errors import ConfigError
 from rieszlab import cli
@@ -75,6 +77,17 @@ def test_validate_rejects_out_of_range(tmp_path):
         cli.parse_config(write_config(tmp_path, "alpha = 0.2\ndelta = 0\n"))
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"run.kind": "bogus"}, "run.kind must be one of"),
+    ({"grid.spacing": "foo"}, "grid.spacing must be one of"),
+    ({"initial.kind": "nope"}, "initial.kind must be one of"),
+], ids=["run-kind", "spacing", "initial-kind"])
+def test_validate_config_rejects_unknown_choices(values, message):
+    # library callers reach validate_config without parse_config
+    with pytest.raises(ConfigError, match=message):
+        cli.validate_config(values)
+
+
 @pytest.mark.parametrize("body", [
     "grid.n_theta = 0\n",
     "grid.r_max = inf\n",
@@ -96,6 +109,96 @@ def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
     assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-0.5", "nonnegative"), ("nan", "finite")], ids=["negative", "nan"])
+def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, value,
+                                               message):
+    table = tmp_path / "profile.txt"
+    table.write_text("1.5 1.0\n2.0 %s\n2.5 1.0\n" % value,
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = 0.2\ninitial.kind = table\ninitial.table_path = %s\n"
+        "grid.n_r = 64\ngrid.n_theta = 16\noutput.dir = %s\n"
+        % (table, out)))
+    assert cli.main(["run", path]) == 2
+    assert message in capsys.readouterr().err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "ConfigError" and message in error["message"]
+
+
+def test_stray_value_error_exits_3_with_manifest(tmp_path, capsys,
+                                                 monkeypatch):
+    def body(config, out_dir, manifest):
+        raise ValueError("broken precondition")
+
+    monkeypatch.setitem(cli._BODIES, "model", body)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "output.dir = %s\n" % out)
+    assert cli.main(["run", path]) == 3
+    assert "broken precondition" in capsys.readouterr().err
+    error = load_manifest(out)["error"]
+    assert error == {"type": "ValueError", "message": "broken precondition",
+                     "stage": ""}
+
+
+# a config that validation accepts on a tiny grid, or one with a single
+# key moved to an edge or out of range
+_TINY_VALID = st.fixed_dictionaries({
+    "run.kind": st.sampled_from(["model", "linear", "full", "remainder"]),
+    "alpha": st.floats(min_value=0.05, max_value=0.6),
+    "delta": st.floats(min_value=0.1, max_value=4.0),
+    "grid.n_r": st.sampled_from([33, 64]),
+    "grid.n_theta": st.sampled_from([8, 12, 16]),
+    "time.sample_count": st.integers(min_value=2, max_value=4),
+    "time.horizon_factor": st.sampled_from([0.01, 0.1]),
+    "initial.kind": st.sampled_from(["bump", "indicator"]),
+    "initial.center": st.floats(min_value=2.0, max_value=3.0),
+    "initial.width": st.floats(min_value=0.5, max_value=1.0),
+    "initial.amplitude": st.sampled_from([0.0, 1.0, 2.0]),
+})
+_TINY_EDGES = {
+    "alpha": [-0.1, 0.0, 0.99, 1.0],
+    "delta": [0.0, -1.0, 1e3],
+    "grid.r_max": [0.0, 3.0, 3.8],
+    "grid.n_r": [4, 8],
+    "grid.spacing": ["uniform"],
+    "grid.n_theta": [0, 4, 30],
+    "time.sample_count": [0, 1],
+    "time.horizon_factor": [0.0, 1.0],
+    "time.dt_factor": [0.0, 0.5],
+    "initial.center": [1.0, 6.0],
+    "initial.width": [-1.0, 0.0, 2.5],
+}
+
+
+@st.composite
+def _tiny_configs(draw):
+    values = draw(_TINY_VALID)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_TINY_EDGES)))
+        values[key] = draw(st.sampled_from(_TINY_EDGES[key]))
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=_tiny_configs())
+def test_every_config_exits_cleanly_with_manifest(values):
+    # every config either runs or stops with exit 2 or 3, never with a
+    # traceback, and a run that started leaves its manifest
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "run.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            for key, value in sorted(values.items()):
+                fh.write("%s = %s\n" % (key, value))
+            fh.write("output.dir = %s\n" % out)
+        code = cli.main(["run", path])
+        assert code in (0, 2, 3, 4)
+        if code in (0, 3):
+            assert os.path.isfile(os.path.join(out, "manifest.json"))
 
 
 def test_model_run_with_zero_amplitude(tmp_path):
@@ -166,7 +269,10 @@ def test_sweep_layout_and_scaling_report(tmp_path):
         member = out / ("alpha_" + a)
         assert (member / "remainder.csv").exists()
         assert (member / "growth.csv").exists()
-        assert (member / "manifest.json").exists()
+        echo = load_manifest(member)["config"]
+        assert echo["run.kind"] == "remainder"
+        assert echo["alpha"] == float(a)
+        assert echo["output.dir"] == str(member)
     with open(os.path.join(str(out), "scaling_report.csv"),
               encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -192,6 +298,20 @@ def test_manifest_written_on_numerical_failure(tmp_path, capsys):
     on_disk = load_manifest(out)
     assert on_disk["error"]["type"] == "SupportEscapeError"
     assert "enlarge r_max" in on_disk["error"]["message"]
+
+
+def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, (
+        "alpha = 0.4\nrun.kind = sweep\nrun.alphas = 0.4\n"
+        "grid.r_max = 3.8\ntime.sample_count = 5\ngrid.n_r = 255\n"
+        "grid.n_theta = 64\noutput.dir = %s\n" % out))
+    assert cli.main(["run", path]) == 3
+    assert "sweep member alpha=0.4 failed" in capsys.readouterr().err
+    member = load_manifest(out / "alpha_0.4")
+    assert member["error"]["type"] == "SupportEscapeError"
+    assert member["config"]["run.kind"] == "remainder"
+    assert load_manifest(out)["error"]["type"] == "NumericalError"
 
 
 def test_main_exit_codes(tmp_path, capsys):
