@@ -103,6 +103,9 @@ class RunConfig:
 
 
 def validate_config(values):
+    unknown = sorted(set(values) - set(_DEFAULTS))
+    if unknown:
+        raise ConfigError("unknown key %s" % ", ".join(map(repr, unknown)))
     merged = dict(_DEFAULTS)
     merged.update(values)
     for key, allowed in sorted(_CHOICES.items()):
@@ -231,6 +234,9 @@ def build_profile(config, rgrid):
         raise ConfigError("initial table entries must be finite")
     if np.any(table[:, 1] < 0):
         raise ConfigError("initial table values must be nonnegative")
+    if not np.all(np.diff(table[:, 0]) > 0):
+        raise ConfigError("initial table R column must be strictly "
+                          "increasing")
     vals = np.interp(rgrid.nodes, table[:, 0], table[:, 1], left=0.0,
                      right=0.0)
     nz = rgrid.nodes[vals != 0.0]

@@ -32,31 +32,8 @@ from scipy.linalg import solve_banded
 from scipy.signal import lfilter
 
 from .errors import EllipticError
-from .grids import (RadialGrid, RadialProfile, Field2D, l2_norm, trapz,
-                    r_ddr, theta_deriv)
+from .grids import RadialGrid, RadialProfile, Field2D, r_ddr, theta_deriv
 from .kernels import profile_tail
-
-
-class EllipticSolution:
-    """psi is the assembled field; coeffs maps (n, parity) to the solved
-    radial coefficient; residual_norm is the relative l2 defect of the
-    stencil-mode rows (the marched modes 0 and 1 satisfy an integral
-    recurrence instead and their centered-stencil defect, second order by
-    construction, is reported separately as low_mode_defect);
-    truncation_norm is the L2 mass of the angular modes dropped by the
-    cutoff."""
-
-    def __init__(self, alpha, psi, coeffs, residual_norm, low_mode_defect,
-                 truncation_norm):
-        self.alpha = alpha
-        self.psi = psi
-        self.coeffs = coeffs
-        self.residual_norm = residual_norm
-        self.low_mode_defect = low_mode_defect
-        self.truncation_norm = truncation_norm
-
-    def mode_sup(self, n, parity):
-        return float(np.max(np.abs(self.coeffs[(n, parity)].values)))
 
 
 def _log_step(grid):
@@ -272,7 +249,7 @@ def principal_remainder_split(f, alpha):
 def solve_full(omega, alpha, n_modes=None):
     """Project omega on angular modes up to n_modes (default n_theta // 3,
     which also dealiases the quadratic transport terms), solve each mode,
-    and assemble. Returns an EllipticSolution.
+    and assemble. Returns psi as a Field2D.
 
     The assembly runs in spectral space (one inverse transform instead of
     an outer product per mode) and the stencil modes solve both parities
@@ -287,66 +264,24 @@ def solve_full(omega, alpha, n_modes=None):
     if n_modes >= agrid.n_theta // 2:
         raise ValueError("n_modes must stay below the Nyquist mode")
     N = agrid.n_theta
-    nodes = rgrid.nodes
     spec = np.fft.rfft(omega.values, axis=-1)
     scale = 2.0 / N
-    coeffs = {}
     psi_spec = np.zeros_like(spec)
-    num2 = 0.0
-    den2 = 0.0
-    low2 = 0.0
-
-    def _interior_defect(v, w, n):
-        d = _apply_bands(_mode_bands(rgrid, n, alpha), v) - w
-        d[0] = d[-1] = 0.0
-        return d
-
-    om0 = spec[:, 0].real / N
-    p0 = _solve_mode_low(RadialProfile(rgrid, om0), 0, alpha)
-    coeffs[(0, "cos")] = p0
+    p0 = _solve_mode_low(RadialProfile(rgrid, spec[:, 0].real / N), 0, alpha)
     psi_spec[:, 0] = N * p0.values
-    den2 += 2.0 * np.pi * trapz(om0 ** 2, nodes)
-    low2 += 2.0 * np.pi * trapz(_interior_defect(p0.values, om0, 0) ** 2,
-                                nodes)
-    om1s = -scale * spec[:, 1].imag
-    om1c = scale * spec[:, 1].real
-    p1s = _solve_mode_low(RadialProfile(rgrid, om1s), 1, alpha)
-    p1c = _solve_mode_low(RadialProfile(rgrid, om1c), 1, alpha)
-    coeffs[(1, "sin")] = p1s
-    coeffs[(1, "cos")] = p1c
+    p1s = _solve_mode_low(RadialProfile(rgrid, -scale * spec[:, 1].imag), 1,
+                          alpha)
+    p1c = _solve_mode_low(RadialProfile(rgrid, scale * spec[:, 1].real), 1,
+                          alpha)
     psi_spec[:, 1] = 0.5 * N * (p1c.values - 1j * p1s.values)
-    den2 += np.pi * (trapz(om1s ** 2, nodes) + trapz(om1c ** 2, nodes))
-    low2 += np.pi * (
-        trapz(_interior_defect(p1s.values, om1s, 1) ** 2, nodes)
-        + trapz(_interior_defect(p1c.values, om1c, 1) ** 2, nodes))
     for n in range(2, n_modes + 1):
-        ab = _mode_bands(rgrid, n, alpha)
         om_n = np.empty((rgrid.n, 2))
         om_n[:, 0] = -scale * spec[:, n].imag
         om_n[:, 1] = scale * spec[:, n].real
-        rhs = _stencil_rhs(om_n, n)
-        sol = _solve_stencil(ab, rhs, n)
-        coeffs[(n, "sin")] = RadialProfile(rgrid, sol[:, 0])
-        coeffs[(n, "cos")] = RadialProfile(rgrid, sol[:, 1])
+        sol = _solve_stencil(_mode_bands(rgrid, n, alpha),
+                             _stencil_rhs(om_n, n), n)
         psi_spec[:, n] = 0.5 * N * (sol[:, 1] - 1j * sol[:, 0])
-        resid = _apply_bands(ab, sol) - rhs
-        num2 += np.pi * (trapz(resid[:, 0] ** 2, nodes)
-                         + trapz(resid[:, 1] ** 2, nodes))
-        den2 += np.pi * (trapz(om_n[:, 0] ** 2, nodes)
-                         + trapz(om_n[:, 1] ** 2, nodes))
-    psi = Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
-    spec_trunc = spec.copy()
-    spec_trunc[:, :n_modes + 1] = 0.0
-    dropped = np.fft.irfft(spec_trunc, n=N, axis=-1)
-    truncation = l2_norm(Field2D(rgrid, agrid, dropped))
-    if den2 > 0.0:
-        residual_norm = float(np.sqrt(num2 / den2))
-        low_defect = float(np.sqrt(low2 / den2))
-    else:
-        residual_norm = 0.0
-        low_defect = 0.0
-    return EllipticSolution(alpha, psi, coeffs, residual_norm, low_defect,
-                            truncation)
+    return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
 
 
 def velocity_from_psi(psi, alpha):

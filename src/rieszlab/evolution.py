@@ -64,8 +64,7 @@ def rhs_full(state, include_forcing=True):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
-    sol = solve_full(state.omega, alpha, n_modes=nm)
-    psi = -sol.psi.values
+    psi = -solve_full(state.omega, alpha, n_modes=nm).values
     om = state.omega.values
     dth_psi = theta_deriv(psi, agrid)
     dx_psi = r_ddr(psi, rgrid, axis=0)
@@ -88,7 +87,7 @@ def cfl_dt(state):
     grid, from the speeds of velocity_from_psi; infinite for a quiescent
     field."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
-    psi = solve_full(state.omega, state.alpha).psi
+    psi = solve_full(state.omega, state.alpha)
     angular, radial = velocity_from_psi(psi, state.alpha)
     hx = float(np.log(rgrid.nodes[1] / rgrid.nodes[0]))
     vmax_x = float(np.max(np.abs(radial.values / rgrid.nodes[:, None])))

@@ -46,10 +46,6 @@ class RadialGrid:
         self.n = nodes.size
 
     @property
-    def r_min(self):
-        return self.nodes[0]
-
-    @property
     def r_max(self):
         return self.nodes[-1]
 

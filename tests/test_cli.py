@@ -81,7 +81,8 @@ def test_validate_rejects_out_of_range(tmp_path):
     ({"run.kind": "bogus"}, "run.kind must be one of"),
     ({"grid.spacing": "foo"}, "grid.spacing must be one of"),
     ({"initial.kind": "nope"}, "initial.kind must be one of"),
-], ids=["run-kind", "spacing", "initial-kind"])
+    ({"alhpa": 0.2}, "unknown key 'alhpa'"),
+], ids=["run-kind", "spacing", "initial-kind", "unknown-key"])
 def test_validate_config_rejects_unknown_choices(values, message):
     # library callers reach validate_config without parse_config
     with pytest.raises(ConfigError, match=message):
@@ -111,13 +112,16 @@ def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value, message", [
-    ("-0.5", "nonnegative"), ("nan", "finite")], ids=["negative", "nan"])
-def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, value,
+@pytest.mark.parametrize("rows, message", [
+    ("1.5 1.0\n2.0 -0.5\n2.5 1.0\n", "nonnegative"),
+    ("1.5 1.0\n2.0 nan\n2.5 1.0\n", "finite"),
+    # np.interp needs increasing R; unsorted it returns zeros here
+    ("3.0 0.0\n1.5 1.0\n2.0 1.0\n2.5 1.0\n", "strictly increasing"),
+], ids=["negative", "nan", "unsorted"])
+def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, rows,
                                                message):
     table = tmp_path / "profile.txt"
-    table.write_text("1.5 1.0\n2.0 %s\n2.5 1.0\n" % value,
-                     encoding="utf-8")
+    table.write_text(rows, encoding="utf-8")
     out = tmp_path / "out"
     path = write_config(tmp_path, (
         "alpha = 0.2\ninitial.kind = table\ninitial.table_path = %s\n"
@@ -154,7 +158,7 @@ _TINY_VALID = st.fixed_dictionaries({
     "grid.n_theta": st.sampled_from([8, 12, 16]),
     "time.sample_count": st.integers(min_value=2, max_value=4),
     "time.horizon_factor": st.sampled_from([0.01, 0.1]),
-    "initial.kind": st.sampled_from(["bump", "indicator"]),
+    "initial.kind": st.sampled_from(["bump", "indicator", "table"]),
     "initial.center": st.floats(min_value=2.0, max_value=3.0),
     "initial.width": st.floats(min_value=0.5, max_value=1.0),
     "initial.amplitude": st.sampled_from([0.0, 1.0, 2.0]),
@@ -175,19 +179,46 @@ _TINY_EDGES = {
 
 
 @st.composite
+def _tiny_tables(draw):
+    """Rows (R, value) of an initial table: R sorted and values finite and
+    nonnegative, or with the order reversed, one value made negative or
+    one entry made not finite."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    radii = draw(st.lists(st.floats(min_value=0.8, max_value=3.5),
+                          min_size=n, max_size=n))
+    vals = draw(st.lists(st.floats(min_value=0.0, max_value=2.0),
+                         min_size=n, max_size=n))
+    rows = [list(row) for row in zip(sorted(radii), vals)]
+    # drawn as an index: sampled_from gave its first choice most draws
+    defect = [None, "unsorted", "negative", "nan", "inf"][
+        draw(st.integers(0, 4))]
+    if defect == "unsorted":
+        rows.reverse()
+    elif defect == "negative":
+        rows[draw(st.integers(0, n - 1))][1] = -0.5
+    elif defect is not None:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = float(
+            defect)
+    return rows
+
+
+@st.composite
 def _tiny_configs(draw):
     values = draw(_TINY_VALID)
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(_TINY_EDGES)))
         values[key] = draw(st.sampled_from(_TINY_EDGES[key]))
-    return values
+    table = (draw(_tiny_tables()) if values["initial.kind"] == "table"
+             else None)
+    return values, table
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(values=_tiny_configs())
-def test_every_config_exits_cleanly_with_manifest(values):
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_tiny_configs())
+def test_every_config_exits_cleanly_with_manifest(case):
     # every config either runs or stops with exit 2 or 3, never with a
     # traceback, and a run that started leaves its manifest
+    values, table = case
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         path = os.path.join(tmp, "run.txt")
@@ -195,6 +226,12 @@ def test_every_config_exits_cleanly_with_manifest(values):
             for key, value in sorted(values.items()):
                 fh.write("%s = %s\n" % (key, value))
             fh.write("output.dir = %s\n" % out)
+            if table is not None:
+                table_path = os.path.join(tmp, "table.txt")
+                with open(table_path, "w", encoding="utf-8") as tf:
+                    for row in table:
+                        tf.write("%r %r\n" % tuple(row))
+                fh.write("initial.table_path = %s\n" % table_path)
         code = cli.main(["run", path])
         assert code in (0, 2, 3, 4)
         if code in (0, 3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz)
+                            Field2D, trapz, project_mode)
 from rieszlab.kernels import profile_tail
 from rieszlab.errors import EllipticError
 from rieszlab import model as m
@@ -158,12 +158,18 @@ def test_split_zero_data():
     assert np.all(principal.values == 0.0) and np.all(rem.values == 0.0)
 
 
+def _modes(n_max):
+    """Every (n, parity) pair with n <= n_max; mode 0 has no sin part."""
+    return [(n, p) for n in range(n_max + 1) for p in ("sin", "cos")
+            if (n, p) != (0, "sin")]
+
+
 def test_solve_full_zero_field():
     g = aligned_grid(513)
     agrid = AngularGrid(32)
-    sol = solve_full(Field2D(g, agrid, np.zeros((g.n, 32))), 0.3)
-    assert np.all(sol.psi.values == 0.0)
-    assert sol.residual_norm == 0.0 and sol.truncation_norm == 0.0
+    psi = solve_full(Field2D(g, agrid, np.zeros((g.n, 32))), 0.3)
+    assert isinstance(psi, Field2D)
+    assert np.all(psi.values == 0.0)
 
 
 def test_solve_full_single_mode_diagonal():
@@ -171,31 +177,41 @@ def test_solve_full_single_mode_diagonal():
     agrid = AngularGrid(96)
     f = m.make_bump(g)
     om = Field2D(g, agrid, np.outer(f.values, np.cos(5.0 * agrid.nodes)))
-    sol = solve_full(om, 0.3)
-    main = sol.mode_sup(5, "cos")
-    leak = max(sol.mode_sup(n, p) for (n, p) in sol.coeffs
+    psi = solve_full(om, 0.3)
+    psi5 = project_mode(psi, 5, "cos")
+    main = float(np.max(np.abs(psi5.values)))
+    leak = max(float(np.max(np.abs(project_mode(psi, n, p).values)))
+               for (n, p) in _modes(agrid.n_theta // 2 - 1)
                if (n, p) != (5, "cos"))
     assert leak <= 1e-10 * main
     direct = solve_mode(5, f, 0.3)
-    dev = np.max(np.abs(sol.coeffs[(5, "cos")].values - direct.values))
-    assert dev <= 1e-12 * main
-    assert sol.residual_norm <= 1e-6
+    assert np.max(np.abs(psi5.values - direct.values)) <= 1e-12 * main
+    assert mode_residual(psi5, f, 5, 0.3) <= 1e-9
 
 
-def test_solve_full_band_limited_residual():
+def test_solve_full_band_limited_matches_mode_solves():
     g = aligned_grid(2049)
     agrid = AngularGrid(96)
     f = m.make_bump(g)
     rng = np.random.default_rng(11)
     vals = np.zeros((g.n, agrid.n_theta))
-    for n in range(2, 11):
-        vals += rng.normal() * np.outer(f.values, np.sin(n * agrid.nodes))
-        vals += rng.normal() * np.outer(f.values, np.cos(n * agrid.nodes))
-    sol = solve_full(Field2D(g, agrid, vals), 0.3)
-    assert sol.residual_norm <= 1e-6
-    # nothing above the cutoff was present, so nothing was dropped
-    assert sol.truncation_norm <= 1e-10
-    assert sol.low_mode_defect <= 1e-6
+    for n, p in _modes(10):
+        trig = np.sin if p == "sin" else np.cos
+        vals += rng.normal() * np.outer(f.values, trig(n * agrid.nodes))
+    omega = Field2D(g, agrid, vals)
+    psi = solve_full(omega, 0.3)
+    # the transforms round at the scale of the whole field, so every mode,
+    # the marched modes 0 and 1 included, is compared against sup|psi|
+    scale = float(np.max(np.abs(psi.values)))
+    for n, p in _modes(10):
+        direct = solve_mode(n, project_mode(omega, n, p), 0.3,
+                            boundary_tol=None)
+        dev = np.max(np.abs(project_mode(psi, n, p).values - direct.values))
+        assert dev <= 1e-12 * scale, (n, p)
+    # nothing above the data's band appears in psi
+    above = max(float(np.max(np.abs(project_mode(psi, n, p).values)))
+                for n in range(11, agrid.n_theta // 2) for p in ("sin", "cos"))
+    assert above <= 1e-12 * scale
 
 
 def test_velocity_zero_and_pure_rotation():
