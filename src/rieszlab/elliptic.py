@@ -27,8 +27,10 @@ sup|omega_2| / 16 uniformly in alpha; the bound survives discretization
 because the history cells integrate the interpolant exactly.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import lfilter
 
 from .errors import EllipticError
@@ -88,13 +90,13 @@ def _solve_mode_low(omega_n, n, alpha):
     return RadialProfile(grid, psi)
 
 
-def _mode_bands(grid, n, alpha):
-    """The mode-n stencil rows in solve_banded's (1, 1) storage: row 0
-    holds the superdiagonal, row 1 the diagonal, row 2 the subdiagonal."""
-    h = _log_step(grid)
+def _bands(n_r, h, n, alpha):
+    """The mode-n stencil rows on n_r nodes of log step h, in
+    solve_banded's (1, 1) storage: row 0 holds the superdiagonal, row 1
+    the diagonal, row 2 the subdiagonal."""
     a2h = alpha * alpha / (h * h)
     b2h = 2.0 * alpha / h
-    ab = np.zeros((3, grid.n))
+    ab = np.zeros((3, n_r))
     ab[0, 1:] = a2h + b2h
     ab[1, :] = -2.0 * a2h + (4.0 - n * n)
     ab[2, :-1] = a2h - b2h
@@ -111,6 +113,10 @@ def _mode_bands(grid, n, alpha):
     return ab
 
 
+def _mode_bands(grid, n, alpha):
+    return _bands(grid.n, _log_step(grid), n, alpha)
+
+
 def _apply_bands(ab, v):
     """The rows in ab applied to v, whose leading axis is radial; a
     trailing parity axis broadcasts."""
@@ -121,20 +127,58 @@ def _apply_bands(ab, v):
     return out
 
 
-def _stencil_rhs(w, n):
-    """Right-hand side of the mode-n rows: the data with the Dirichlet
-    boundary rows zeroed (mode 2 keeps its ghost-node left row)."""
+def _stencil_rhs(w, n_lo):
+    """Right-hand sides of the stencil rows of modes n_lo, n_lo + 1, ...:
+    the data, with modes along the next-to-last axis and the radial nodes
+    along the last, and the Dirichlet boundary rows zeroed (mode 2 keeps
+    its ghost-node left row)."""
     rhs = np.array(w, dtype=float)
-    if n != 2:
-        rhs[0] = 0.0
-    rhs[-1] = 0.0
+    rhs[..., int(n_lo == 2):, 0] = 0.0
+    rhs[..., -1] = 0.0
     return rhs
 
 
-def _solve_stencil(ab, rhs, n):
-    psi = solve_banded((1, 1), ab, rhs)
+@lru_cache(maxsize=8)
+def _stacked_factor(n_r, h, alpha, n_lo, n_hi):
+    """LU factors (dgttrf) of the stencil rows of modes n_lo..n_hi
+    stacked as diagonal blocks of one tridiagonal system. The boundary
+    rows of every block have no entry across the block edge, so the
+    blocks stay decoupled and eliminating them together is the same
+    arithmetic as eliminating each alone. The rows depend on the grid and
+    alpha only, never on time; the cached arrays are shared by every
+    caller and therefore read-only."""
+    ab = np.hstack([_bands(n_r, h, n, alpha) for n in range(n_lo, n_hi + 1)])
+    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise EllipticError("stencil factorization failed for modes %d..%d "
+                            "(dgttrf info %d)" % (n_lo, n_hi, info))
+    for a in factors:
+        a.setflags(write=False)
+    return tuple(factors)
+
+
+def _solve_stencil(grid, alpha, n_lo, rhs):
+    """Solve the stencil rows of modes n_lo, n_lo + 1, ... in one call.
+    rhs comes from _stencil_rhs with shape (columns, modes, n_r); the
+    solution has the same shape."""
+    cols, blocks, n_r = rhs.shape
+    factors = _stacked_factor(n_r, _log_step(grid), alpha, n_lo,
+                              n_lo + blocks - 1)
+    # the transpose is the Fortran-ordered (rows, columns) matrix that
+    # dgttrs takes and returns, so the solution reshapes without a copy
+    psi, info = dgttrs(*factors, rhs.reshape(cols, blocks * n_r).T)
+    if info != 0:
+        raise EllipticError("stencil solve failed (dgttrs info %d)" % info)
+    psi = psi.T.reshape(rhs.shape)
     if not np.all(np.isfinite(psi)):
-        raise EllipticError("mode %d solve returned non-finite values" % n)
+        # a non-finite value reaches every block through the zero
+        # cross-block entries (0 * inf is nan), so the blocks are solved
+        # one at a time to name the first mode whose own solve fails
+        if blocks > 1:
+            for k in range(blocks):
+                _solve_stencil(grid, alpha, n_lo + k, rhs[:, k:k + 1])
+        raise EllipticError("mode %d solve returned non-finite values"
+                            % n_lo)
     return psi
 
 
@@ -169,8 +213,8 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05, check_resolution=False):
     if n < 2:
         psi = _solve_mode_low(omega_n, n, alpha).values
     else:
-        psi = _solve_stencil(_mode_bands(grid, n, alpha),
-                             _stencil_rhs(omega_n.values, n), n)
+        rhs = _stencil_rhs(omega_n.values[None, None], n)
+        psi = _solve_stencil(grid, alpha, n, rhs)[0, 0]
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     if check_resolution:
@@ -202,7 +246,8 @@ def mode_residual(psi_n, omega_n, n, alpha):
     if n < 2:
         raise ValueError("residual is defined for the stencil modes, n >= 2")
     applied = apply_mode_operator(psi_n, n, alpha).values
-    return float(np.max(np.abs(applied - _stencil_rhs(omega_n.values, n))))
+    rhs = _stencil_rhs(omega_n.values[None], n)[0]
+    return float(np.max(np.abs(applied - rhs)))
 
 
 def exact_mode2(f, alpha, R=None):
@@ -252,9 +297,9 @@ def solve_full(omega, alpha, n_modes=None):
     and assemble. Returns psi as a Field2D.
 
     The assembly runs in spectral space (one inverse transform instead of
-    an outer product per mode) and the stencil modes solve both parities
-    through a single banded call; this sits on the hot path of the time
-    stepper."""
+    an outer product per mode), and the stencil modes 2..n_modes solve
+    both parities in one call against rows factored once per grid and
+    alpha; this sits on the hot path of the time stepper."""
     agrid = omega.agrid
     rgrid = omega.rgrid
     if n_modes is None:
@@ -274,13 +319,10 @@ def solve_full(omega, alpha, n_modes=None):
     p1c = _solve_mode_low(RadialProfile(rgrid, scale * spec[:, 1].real), 1,
                           alpha)
     psi_spec[:, 1] = 0.5 * N * (p1c.values - 1j * p1s.values)
-    for n in range(2, n_modes + 1):
-        om_n = np.empty((rgrid.n, 2))
-        om_n[:, 0] = -scale * spec[:, n].imag
-        om_n[:, 1] = scale * spec[:, n].real
-        sol = _solve_stencil(_mode_bands(rgrid, n, alpha),
-                             _stencil_rhs(om_n, n), n)
-        psi_spec[:, n] = 0.5 * N * (sol[:, 1] - 1j * sol[:, 0])
+    stencil = spec[:, 2:n_modes + 1].T
+    om_n = np.stack([-scale * stencil.imag, scale * stencil.real])
+    sin, cos = _solve_stencil(rgrid, alpha, 2, _stencil_rhs(om_n, 2))
+    psi_spec[:, 2:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
     return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
 
 

@@ -36,10 +36,12 @@ class FullState:
 class RemainderSeries:
     """Sampled distance between the full evolution and the model, plus
     the full run's own norm history (l2, the tail value at the support
-    inf, and twice the peak angular mean as the exponent proxy)."""
+    inf, and twice the peak angular mean as the exponent proxy), and the
+    largest outer-band reach of any step against the threshold that
+    check_support held it to."""
 
     def __init__(self, t, rem_sup, rem_l2, full_sup, model_sup, full_l2,
-                 ls_inf, a_proxy):
+                 ls_inf, a_proxy, peak_reach, reach_threshold):
         self.t = np.asarray(t, dtype=float)
         self.rem_sup = np.asarray(rem_sup, dtype=float)
         self.rem_l2 = np.asarray(rem_l2, dtype=float)
@@ -48,6 +50,8 @@ class RemainderSeries:
         self.full_l2 = np.asarray(full_l2, dtype=float)
         self.ls_inf = np.asarray(ls_inf, dtype=float)
         self.a_proxy = np.asarray(a_proxy, dtype=float)
+        self.peak_reach = float(peak_reach)
+        self.reach_threshold = float(reach_threshold)
 
     def max_rem_sup(self):
         return float(np.max(self.rem_sup))
@@ -137,7 +141,8 @@ def check_support(state, threshold):
     integrals and the right boundary rows remain honest. The stream
     function decays only algebraically (like R^{-2/alpha}), so the source
     deposits a genuine small tail out there; the guard flags levels that
-    would pollute the solves, not the tail's existence."""
+    would pollute the solves, not the tail's existence. Returns the
+    reach, the sup of the vorticity over the band."""
     rgrid = state.omega.rgrid
     band = rgrid.nodes >= 0.9 * rgrid.r_max
     reach = float(np.max(np.abs(state.omega.values[band, :])))
@@ -145,6 +150,7 @@ def check_support(state, threshold):
         raise SupportEscapeError(
             "vorticity reached the outer band at t=%g (%.3e > %.3e); "
             "enlarge r_max" % (state.t, reach, threshold))
+    return reach
 
 
 def step_linear(state, dt):
@@ -207,10 +213,13 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
                                  stage="remainder-study")
         return bound
 
+    peak_reach = 0.0
+
     def full_step(state, dt):
+        nonlocal peak_reach
         # dt already honors the advective bound just computed
         state = step_full(state, dt, enforce_cfl=False)
-        check_support(state, escape_threshold)
+        peak_reach = max(peak_reach, check_support(state, escape_threshold))
         return state
 
     rows = []
@@ -223,4 +232,5 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
         full_sup, full_l2, ls_inf, a_proxy = field_row(state.omega, j0)
         rows.append((rem_sup, rem_l2, full_sup, _model.sup_omega2(mstate),
                      full_l2, ls_inf, a_proxy))
-    return RemainderSeries(times, *zip(*rows))
+    return RemainderSeries(times, *zip(*rows), peak_reach=peak_reach,
+                           reach_threshold=escape_threshold)

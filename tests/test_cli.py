@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -323,6 +324,21 @@ def test_sweep_layout_and_scaling_report(tmp_path):
     assert "scaling_exponent" in manifest.checks
 
 
+def test_remainder_reports_measured_support_reach(tmp_path):
+    out = tmp_path / "rem"
+    manifest = cli.run(cli.parse_config(write_config(tmp_path, (
+        "alpha = 0.3\nrun.kind = remainder\ntime.sample_count = 4\n"
+        "grid.n_r = 96\ngrid.n_theta = 16\noutput.dir = %s\n" % out))))
+    status = load_manifest(out)["checks"]["support_containment"]
+    assert status == manifest.checks["support_containment"]
+    got = re.fullmatch(r"pass \(peak reach (\S+), threshold (\S+)\)", status)
+    reach, threshold = float(got.group(1)), float(got.group(2))
+    # the unit bump's Omega_2 has sup below 1, so the threshold is 1e-4
+    assert threshold == 1e-4
+    # the source deposits a small tail in the outer band, well inside it
+    assert 0.0 < reach < threshold
+
+
 def test_manifest_written_on_numerical_failure(tmp_path, capsys):
     out = tmp_path / "fail"
     path = write_config(tmp_path, (
@@ -351,6 +367,12 @@ def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
     assert load_manifest(out)["error"]["type"] == "NumericalError"
 
 
+def verify_margin(printed, name):
+    """The margin a verify suite printed on the line of check `name`."""
+    line = next(ln for ln in printed.splitlines() if ln.split()[1] == name)
+    return float(re.search(r"margin (\S+) to ", line).group(1))
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, "alpha = 7\n")
     assert cli.main(["run", bad]) == 2
@@ -360,6 +382,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["verify-elliptic"]) == 0
     printed = capsys.readouterr().out
     assert "ok" in printed and "FAIL" not in printed
+    assert 0.0 < verify_margin(printed, "split-remainder-bound") < 0.0625
+    assert cli.main(["verify-oracle"]) == 0
+    printed = capsys.readouterr().out
+    assert "FAIL" not in printed
+    assert 0.0 < verify_margin(printed, "closed-form-value") < 1e-6
     assert cli.main(["verify-kernel"]) == 0
     printed = capsys.readouterr().out
     assert "FAIL" not in printed and "memo-table" not in printed

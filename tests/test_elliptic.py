@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, trapz, project_mode)
 from rieszlab.kernels import profile_tail
 from rieszlab.errors import EllipticError
 from rieszlab import model as m
+from rieszlab import elliptic
 from rieszlab.elliptic import (solve_mode, apply_mode_operator, mode_residual,
                                exact_mode2, principal_remainder_split,
                                solve_full, velocity_from_psi)
@@ -83,6 +85,32 @@ def test_solve_then_apply_roundtrip():
     rhs[0] = 0.0
     rhs[-1] = 0.0
     assert np.max(np.abs(back - rhs)) <= 1e-10 * np.max(np.abs(f.values))
+
+
+def test_solve_mode_matches_banded_solve_bit_for_bit():
+    # LAPACK's gtsv behind solve_banded((1, 1), ...) and the factored
+    # gttrf + gttrs do the same elimination in the same order
+    g = aligned_grid(1025)
+    f = m.make_bump(g)
+    for n in (2, 3, 7):
+        rhs = f.values.copy()
+        if n != 2:
+            rhs[0] = 0.0
+        rhs[-1] = 0.0
+        ref = solve_banded((1, 1), elliptic._mode_bands(g, n, 0.3), rhs)
+        got = solve_mode(n, f, 0.3, boundary_tol=None).values
+        assert np.array_equal(got, ref), n
+
+
+def test_stacked_solve_names_the_mode_that_overflows():
+    # data near the largest double in mode 5's block only: the overflow
+    # spreads to every block of the stacked solve, and the error still
+    # names mode 5, as a solve of each mode alone would
+    g = aligned_grid(257)
+    rhs = np.zeros((2, 6, g.n))
+    rhs[1, 3, 100:110] = 1.7e308
+    with pytest.raises(EllipticError, match="mode 5 solve"):
+        elliptic._solve_stencil(g, 0.3, 2, elliptic._stencil_rhs(rhs, 2))
 
 
 def test_mode_residual_small_and_guarded():
@@ -212,6 +240,35 @@ def test_solve_full_band_limited_matches_mode_solves():
     above = max(float(np.max(np.abs(project_mode(psi, n, p).values)))
                 for n in range(11, agrid.n_theta // 2) for p in ("sin", "cos"))
     assert above <= 1e-12 * scale
+
+
+def test_solve_full_reuses_factors_across_grids_and_alphas():
+    agrid = AngularGrid(48)
+
+    def bump_field(n_r):
+        g = aligned_grid(n_r)
+        f = m.make_bump(g)
+        return Field2D(g, agrid, np.outer(f.values, np.sin(2.0 * agrid.nodes)
+                                          + 0.3 * np.cos(7.0 * agrid.nodes)))
+
+    elliptic._stacked_factor.cache_clear()
+    om = bump_field(513)
+    first = solve_full(om, 0.3).values
+    solve_full(bump_field(257), 0.2)
+    again = solve_full(om, 0.3).values
+    assert elliptic._stacked_factor.cache_info().hits == 1
+    assert np.array_equal(first, again)
+
+
+def test_cached_factors_are_read_only():
+    g = aligned_grid(257)
+    solve_full(Field2D(g, AngularGrid(24), np.zeros((g.n, 24))), 0.3)
+    h = float(np.log(g.nodes[1] / g.nodes[0]))
+    factors = elliptic._stacked_factor(g.n, h, 0.3, 2, 8)
+    assert len(factors) == 5
+    for a in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def test_velocity_zero_and_pure_rotation():

@@ -121,7 +121,12 @@ def test_check_support_quiet_field_passes():
     g = build_radial_grid(8e-3, 8.0, 128)
     agrid = AngularGrid(32)
     _, state = sine_state(0.2, g, agrid)
-    check_support(state, 1e-12)
+    assert check_support(state, 1e-12) == 0.0
+    # the reach it returns is the sup over the outer tenth of the grid
+    vals = state.omega.values.copy()
+    vals[-1, 5] = -4e-13
+    quiet = FullState(0.2, Field2D(g, agrid, vals), 0.0)
+    assert check_support(quiet, 1e-12) == 4e-13
 
 
 def test_step_linear_is_exact_in_one_step():
