@@ -102,6 +102,11 @@ class RunConfig:
         return validate_config(vals)
 
 
+def _member_dir_name(alpha):
+    """The directory a sweep member writes under the sweep's output.dir."""
+    return "alpha_%g" % alpha
+
+
 def validate_config(values):
     unknown = sorted(set(values) - set(_DEFAULTS))
     if unknown:
@@ -173,6 +178,11 @@ def validate_config(values):
     if merged["run.kind"] == "sweep" and not alphas:
         raise ConfigError("run.kind = sweep needs at least one run.alphas "
                           "member")
+    names = [_member_dir_name(a) for a in alphas]
+    if len(set(names)) < len(names):
+        raise ConfigError("run.alphas members must be distinct and give "
+                          "distinct member dirs alpha_<value>, got %s"
+                          % merged["run.alphas"])
     return RunConfig(merged)
 
 
@@ -412,7 +422,7 @@ def _run_sweep(config, out_dir, manifest):
     for alpha in config.alphas:
         member = config.replaced(alpha=alpha, **{
             "run.kind": "remainder",
-            "output.dir": os.path.join(out_dir, "alpha_%g" % alpha)})
+            "output.dir": os.path.join(out_dir, _member_dir_name(alpha))})
         jobs.append((member, alpha, member.output_dir))
     workers = min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -447,7 +457,12 @@ def _execute(config, body):
     """Call body(config, out_dir, manifest), which returns the files it
     wrote, and write manifest.json whether or not it raises."""
     out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        # no manifest can be written without the directory
+        raise ConfigError("cannot create output.dir %s: %s"
+                          % (out_dir, exc.strerror or exc))
     manifest = RunManifest(config.echo(), out_dir)
     t0 = time.perf_counter()
     try:

@@ -9,7 +9,6 @@ root law shows up as slope one half.
 """
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .grids import Field2D, l2_norm, r_ddr, theta_deriv
 from . import model as _model
@@ -73,6 +72,30 @@ def _line_rms(t, y):
     return float(np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2))), coef
 
 
+_INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
+
+
+def _golden_min(f, a, b, xtol):
+    """Golden-section search for a minimum of the unimodal f on [a, b],
+    narrowed until the bracket is at most xtol wide (each step keeps
+    _INV_PHI of it, so the step count is fixed up front); returns the
+    bracket's midpoint."""
+    n_steps = int(np.ceil(np.log(xtol / (b - a)) / np.log(_INV_PHI)))
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(n_steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def fit_linear_growth(curve):
     """Least-squares straight line through sup_norm(t)."""
     rms, coef = _line_rms(curve.t, curve.sup_norm)
@@ -84,9 +107,10 @@ def fit_log_growth(curve, alpha=None):
 
     For fixed c_rate the amplitude is a linear least-squares solve, so
     the search is one dimensional: a coarse sweep of c_rate over many
-    decades followed by a bounded local refinement. Raises ValueError
-    for fewer than 10 samples (insufficient-samples) or a curve with no
-    growth to fit (degenerate-curve)."""
+    decades followed by a golden-section refinement of log c_rate on the
+    sweep's bracket around its best point, down to a width of 1e-12.
+    Raises ValueError for fewer than 10 samples (insufficient-samples) or
+    a curve with no growth to fit (degenerate-curve)."""
     if alpha is None:
         alpha = curve.alpha
     if curve.n_samples < 10:
@@ -115,10 +139,9 @@ def fit_log_growth(curve, alpha=None):
     k = int(np.argmin(sses))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(lambda u: sse_and_amp(np.exp(u))[0],
-                          bounds=(np.log(lo), np.log(hi)), method="bounded",
-                          options={"xatol": 1e-12})
-    c_rate = float(np.exp(res.x))
+    u = _golden_min(lambda u: sse_and_amp(np.exp(u))[0], np.log(lo),
+                    np.log(hi), 1e-12)
+    c_rate = float(np.exp(u))
     sse, c_amp = sse_and_amp(c_rate)
     if c_amp <= 0.0:
         raise ValueError("degenerate-curve: fitted amplitude is not positive")
@@ -146,8 +169,8 @@ class ScalingReport:
 def alpha_scaling_study(results):
     """Fit values ~ C * alpha^p from (alpha, max remainder sup) pairs.
 
-    Requires at least three alphas in geometric progression (so the
-    per-pair ratios are comparable); reports the regression exponent,
+    Requires at least three distinct alphas in geometric progression (so
+    the per-pair ratios are comparable); reports the regression exponent,
     consecutive value ratios, and the running exponent through each
     prefix of the sweep."""
     pairs = [(float(a), float(v)) for a, v in results]
@@ -160,6 +183,9 @@ def alpha_scaling_study(results):
     steps = alphas[1:] / alphas[:-1]
     if np.max(np.abs(steps / steps[0] - 1.0)) > 1e-9:
         raise ValueError("alphas must form a geometric progression")
+    if abs(steps[0] - 1.0) <= 1e-9:
+        raise ValueError("alphas must be distinct: the progression has "
+                         "step ratio 1")
     la, lv = np.log(alphas), np.log(values)
     exponent = float(np.polyfit(la, lv, 1)[0])
     ratios = values[:-1] / values[1:]

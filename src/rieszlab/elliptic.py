@@ -31,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.signal import lfilter
 
 from .errors import EllipticError
 from .grids import RadialGrid, RadialProfile, Field2D, r_ddr, theta_deriv
@@ -54,12 +53,34 @@ def _exp_cell_weights(lam, h):
     return E, S - M1 / h, M1 / h
 
 
+@lru_cache(maxsize=16)
+def _recurrence_factor(n, E):
+    """LU factors (dgttrf) of the n lower-bidiagonal rows
+    y_k - E y_{k-1} = c_k. With 0 <= E <= 1 nothing pivots, so solving
+    against them runs y_k = c_k + E y_{k-1} left to right; the cached
+    arrays are shared by every caller and therefore read-only."""
+    *factors, info = dgttrf(np.full(n - 1, -E), np.ones(n), np.zeros(n - 1))
+    if info != 0:
+        raise EllipticError("recurrence factorization failed (dgttrf info "
+                            "%d)" % info)
+    for a in factors:
+        a.setflags(write=False)
+    return tuple(factors)
+
+
+def _recurrence(E, c):
+    """y with y_0 = 0 and y_{k+1} = E y_k + c_k."""
+    out = np.zeros(c.size + 1)
+    y, info = dgttrs(*_recurrence_factor(c.size, float(E)), c)
+    if info != 0:
+        raise EllipticError("recurrence solve failed (dgttrs info %d)" % info)
+    out[1:] = y
+    return out
+
+
 def _causal_single(w, lam, h):
     E, w_near, w_far = _exp_cell_weights(lam, h)
-    cells = w_near * w[1:] + w_far * w[:-1]
-    out = np.zeros(w.size)
-    out[1:] = lfilter([1.0], [1.0, -E], cells)
-    return out
+    return _recurrence(E, w_near * w[1:] + w_far * w[:-1])
 
 
 def _causal_double(w, lam, h):
@@ -71,11 +92,8 @@ def _causal_double(w, lam, h):
     M2 = (h * h * E - 2.0 * M1) / lam
     cp = w_near * w[1:] + w_far * w[:-1]
     cq = (M1 - M2 / h) * w[1:] + (M2 / h) * w[:-1]
-    P = np.zeros(w.size)
-    P[1:] = lfilter([1.0], [1.0, -E], cp)
-    Q = np.zeros(w.size)
-    Q[1:] = lfilter([1.0], [1.0, -E], E * h * P[:-1] + cq)
-    return Q
+    P = _recurrence(E, cp)
+    return _recurrence(E, E * h * P[:-1] + cq)
 
 
 def _solve_mode_low(omega_n, n, alpha):

@@ -68,21 +68,40 @@ def rhs_full(state, include_forcing=True):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
-    psi = -solve_full(state.omega, alpha, n_modes=nm).values
+    psi = solve_full(state.omega, alpha, n_modes=nm).values
+    np.negative(psi, out=psi)
     om = state.omega.values
     dth_psi = theta_deriv(psi, agrid)
     dx_psi = r_ddr(psi, rgrid, axis=0)
-    tend = (alpha * dth_psi * r_ddr(om, rgrid, axis=0)
-            - (2.0 * psi + alpha * dx_psi) * theta_deriv(om, agrid))
+    # tend = alpha dth_psi R d_R om - (2 psi + alpha dx_psi) d_theta om,
+    # built in place with one scratch array, in the same order of
+    # operations (products and sums commute exactly)
+    tend = np.multiply(2.0, psi)
+    scratch = np.multiply(alpha, dx_psi)
+    tend += scratch
+    tend *= theta_deriv(om, agrid)
+    np.multiply(alpha, dth_psi, out=scratch)
+    scratch *= r_ddr(om, rgrid, axis=0)
+    np.subtract(scratch, tend, out=tend)
     if include_forcing:
         theta = agrid.nodes
         sc = (np.sin(theta) * np.cos(theta))[None, :]
         c2 = np.cos(2.0 * theta)[None, :]
-        tend = tend + ((2.0 * alpha + alpha ** 2) * sc * dx_psi
-                       + c2 * dth_psi
-                       + alpha * c2 * r_ddr(dth_psi, rgrid, axis=0)
-                       + alpha ** 2 * sc * r2_d2dr2(psi, rgrid, axis=0)
-                       - sc * theta_deriv(psi, agrid, order=2))
+        # the forcing sum, term by term left to right in scratch; each
+        # derivative is a fresh array and is scaled where it lies
+        np.multiply((2.0 * alpha + alpha ** 2) * sc, dx_psi, out=scratch)
+        np.multiply(c2, dth_psi, out=dx_psi)
+        scratch += dx_psi
+        term = r_ddr(dth_psi, rgrid, axis=0)
+        term *= alpha * c2
+        scratch += term
+        term = r2_d2dr2(psi, rgrid, axis=0)
+        term *= alpha ** 2 * sc
+        scratch += term
+        term = theta_deriv(psi, agrid, order=2)
+        term *= sc
+        scratch -= term
+        tend += scratch
     return Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
 
 
@@ -125,10 +144,25 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True):
                                   Field2D(om.rgrid, om.agrid, values), t),
                         include_forcing=include_forcing).values
 
+    # v1 = v0 + dt r(v0), v2 = 0.75 v0 + 0.25 (v1 + dt r(v1)) and
+    # v3 = (v0 + 2 (v2 + dt r(v2))) / 3, each stage built in place in the
+    # tendency array it starts from (products and sums commute exactly)
     v0 = om.values
-    v1 = v0 + dt * rhs_of(v0, state.t)
-    v2 = 0.75 * v0 + 0.25 * (v1 + dt * rhs_of(v1, state.t + dt))
-    v3 = (v0 + 2.0 * (v2 + dt * rhs_of(v2, state.t + 0.5 * dt))) / 3.0
+    v1 = rhs_of(v0, state.t)
+    v1 *= dt
+    v1 += v0
+    stage = rhs_of(v1, state.t + dt)
+    stage *= dt
+    stage += v1
+    stage *= 0.25
+    v2 = np.multiply(0.75, v0, out=v1)
+    v2 += stage
+    v3 = rhs_of(v2, state.t + 0.5 * dt)
+    v3 *= dt
+    v3 += v2
+    v3 *= 2.0
+    v3 += v0
+    v3 /= 3.0
     if not np.all(np.isfinite(v3)):
         raise NumericalError("non-finite vorticity after step at t=%g"
                              % (state.t + dt), stage="step_full")

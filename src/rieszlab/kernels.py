@@ -16,7 +16,6 @@ closed form is checked against.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import RadialProfile, right_tail
 
@@ -54,7 +53,9 @@ def gamma_kernel(a, tol=1e-10):
     of gamma ~ e^a); that piece is integrated in log(pi/2 - phi), where
     the layer is O(1) wide for every a. Tolerances scale with e^-a so the
     result carries relative accuracy ~tol; err adds both error estimates.
+    scipy.integrate is imported on the first call: no run path needs it.
     """
+    from scipy.integrate import quad
     if a < 0:
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
     ea = np.exp(-a)

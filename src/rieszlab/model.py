@@ -132,13 +132,20 @@ def sup_theta_f(state):
 def reconstruct_Omega2(state, agrid):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
     theta = agrid.nodes[None, :]
-    R = state.f0.grid.nodes[:, None]
     f0R = state.f0.values[:, None]
     e = np.exp(-state.A.values)[:, None]
     s = np.sin(theta)
     c = np.cos(theta)
-    f = f0R * e * 2.0 * s * c / (c * c + e * e * s * s)
-    return Field2D(state.f0.grid, agrid, f + 0.5 * state.A.values[:, None])
+    # f0R * e * 2 s c / (c c + e e s s) + A/2, evaluated in that order in
+    # two grid-sized arrays (products and sums commute exactly)
+    f = f0R * e * 2.0 * s
+    f *= c
+    den = e * e * s
+    den *= s
+    den += c * c
+    f /= den
+    f += 0.5 * state.A.values[:, None]
+    return Field2D(state.f0.grid, agrid, f)
 
 
 def sup_omega2(state):

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -100,9 +102,13 @@ def test_validate_config_rejects_unknown_choices(values, message):
     "grid.n_theta = 4\nrun.kind = remainder\n",
     "run.kind = sweep\nrun.alphas = ,\n",
     "delta = nan\n",
+    # members sharing a dir would write over each other's files
+    "run.kind = sweep\nrun.alphas = 0.4,0.4,0.4\n",
+    "run.kind = sweep\nrun.alphas = 0.1,0.1000001,0.2\n",
 ], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
         "indicator-negative-width", "bump-zero-width", "n-theta-4-remainder",
-        "sweep-no-alphas", "delta-nan"])
+        "sweep-no-alphas", "delta-nan", "sweep-repeated-alpha",
+        "sweep-same-member-dir"])
 def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
     out = tmp_path / "out"
     path = write_config(tmp_path, (
@@ -111,6 +117,32 @@ def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
     assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
+    # a regular file where a parent directory should be: no manifest can
+    # be written, and the message names the dir
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    out = tmp_path / "afile" / "out"
+    path = write_config(tmp_path, (
+        "alpha = 0.2\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 3\noutput.dir = %s\n" % out))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err
+
+
+def test_import_loads_no_unused_scipy_subpackages():
+    # a fresh interpreter: importing the command line pulls in none of the
+    # scipy subpackages that only oracles use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import rieszlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'signal'], ['scipy', 'integrate'], "
+            "['scipy', 'optimize'])))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("rows, message", [

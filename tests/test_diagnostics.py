@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from rieszlab.grids import build_radial_grid, AngularGrid, RadialProfile
+from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
+                            l2_norm)
 from rieszlab.kernels import profile_tail
 from rieszlab import model as m
 from rieszlab.diagnostics import (GrowthCurve, fit_linear_growth,
@@ -63,6 +65,80 @@ def test_fit_log_growth_flags_linear_data():
     assert fit.linear_preferred
 
 
+def _brent_fit(curve):
+    """The log fit with scipy's bounded Brent search in place of the
+    golden-section refinement, on the same sweep bracket: the oracle.
+    Returns (rms, c_amp, c_rate)."""
+    t, alpha = curve.t, curve.alpha
+    y = curve.sup_norm - curve.sup_norm[0]
+
+    def sse_and_amp(c_rate):
+        m_ = np.log1p(c_rate * t / alpha)
+        amp = float(np.dot(y, m_)) / float(np.dot(m_, m_))
+        r = y - amp * m_
+        return float(np.dot(r, r)), amp
+
+    grid = np.logspace(-3.0, 6.0, 241) * alpha / float(t[-1])
+    k = int(np.argmin([sse_and_amp(c)[0] for c in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    res = minimize_scalar(lambda u: sse_and_amp(np.exp(u))[0],
+                          bounds=(np.log(lo), np.log(hi)), method="bounded",
+                          options={"xatol": 1e-12})
+    sse, c_amp = sse_and_amp(float(np.exp(res.x)))
+    return float(np.sqrt(sse / t.size)), c_amp, float(np.exp(res.x))
+
+
+def _acceptance_curve():
+    # the model curve of test_acceptance's log/linear separation test
+    alpha, delta = 0.1, 400.0
+    grid = build_radial_grid(8e-3, 8.0, 512)
+    agrid = AngularGrid(64)
+    f0 = m.make_indicator(grid, 1.0, 2.0, amplitude=delta)
+    L0max = float(np.max(profile_tail(f0).values))
+    dt = min(alpha / 200.0, (2.0 * alpha / L0max) / 20.0)
+    T = m.default_horizon(alpha)
+    times = np.linspace(0.0, T, 200)
+    state = m.init_state(f0, alpha)
+    sups, l2s = [], []
+    for ts in times:
+        while state.t < ts - 1e-14 * T:
+            state = m.step(state, min(dt, ts - state.t))
+        sups.append(m.sup_omega2(state))
+        l2s.append(l2_norm(m.reconstruct_Omega2(state, agrid)))
+    return GrowthCurve(times, sups, l2s, alpha, delta, "model")
+
+
+def _synthetic_log_curve():
+    t = np.linspace(0.0, 0.05, 50)
+    y = 1.0 + 0.7 * np.log1p(3.0 * t / 0.1)
+    return GrowthCurve(t, y, y, 0.1, 1.0, "model")
+
+
+def _linear_curve():
+    t = np.linspace(0.0, 1.0, 60)
+    y = 1.0 + 0.5 * t
+    return GrowthCurve(t, y, y, 0.1, 1.0, "linear")
+
+
+@pytest.mark.parametrize("make_curve, tol", [
+    (_acceptance_curve, 1e-7),
+    (_synthetic_log_curve, 1e-7),
+    # the SSE rises across the whole bracket, so the optimum is its lower
+    # edge: the golden section ends on it, Brent stops 1.8e-7 inside
+    (_linear_curve, 1e-6),
+], ids=["acceptance", "synthetic-log", "linear-data"])
+def test_fit_log_growth_matches_brent_oracle(make_curve, tol):
+    curve = make_curve()
+    fit = fit_log_growth(curve)
+    rms, c_amp, c_rate = _brent_fit(curve)
+    # never a worse fit than the oracle's
+    assert fit.rms <= rms * (1.0 + 1e-9)
+    assert fit.c_rate == pytest.approx(c_rate, rel=tol)
+    assert fit.c_amp == pytest.approx(c_amp, rel=tol)
+    if make_curve is _acceptance_curve:
+        assert fit.rms == pytest.approx(rms, rel=1e-9)
+
+
 def test_alpha_scaling_study_recovers_exponents():
     alphas = np.array([0.4, 0.2, 0.1])
     rep = alpha_scaling_study([(a, 0.3 * np.sqrt(a)) for a in alphas])
@@ -82,6 +158,12 @@ def test_alpha_scaling_study_guards():
         alpha_scaling_study([(0.4, 1.0), (0.2, 0.7), (0.15, 0.5)])
     with pytest.raises(ValueError, match="positive"):
         alpha_scaling_study([(0.4, 1.0), (0.2, 0.0), (0.1, 0.5)])
+
+
+def test_alpha_scaling_study_rejects_repeated_alphas():
+    # a step ratio of 1 is a geometric progression with nothing to fit
+    with pytest.raises(ValueError, match="distinct"):
+        alpha_scaling_study([(0.4, 1.0), (0.4, 0.7), (0.4, 0.5)])
 
 
 def test_norm_monitors_at_rest():

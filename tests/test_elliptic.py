@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.signal import lfilter
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, trapz, project_mode)
@@ -267,6 +268,24 @@ def test_cached_factors_are_read_only():
     factors = elliptic._stacked_factor(g.n, h, 0.3, 2, 8)
     assert len(factors) == 5
     for a in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+def test_recurrence_matches_lfilter_bit_for_bit():
+    # the causal low-mode recurrence y_{k+1} = E y_k + c_k, solved against
+    # cached bidiagonal factors, against the IIR filter that computed it
+    # before, on random lengths, decay factors in (e^-50, 1) and data
+    # spanning ten decades
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(8, 5001))
+        E = float(np.exp(-rng.uniform(0.0, 50.0)))
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        ref = np.zeros(n + 1)
+        ref[1:] = lfilter([1.0], [1.0, -E], c)
+        assert np.array_equal(elliptic._recurrence(E, c), ref)
+    for a in elliptic._recurrence_factor(n, E):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
 

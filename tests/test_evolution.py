@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, theta_deriv, sup_norm)
+                            Field2D, theta_deriv, sup_norm, r_ddr, r2_d2dr2)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
-from rieszlab.elliptic import exact_mode2
+from rieszlab.elliptic import exact_mode2, solve_full
 from rieszlab import model as m
 from rieszlab.evolution import (FullState, rhs_full, cfl_dt, step_full,
                                 step_linear, check_support,
@@ -27,6 +27,68 @@ def test_rhs_zero_field():
     assert cfl_dt(state) == np.inf
     out = step_full(state, 0.05)
     assert np.all(out.omega.values == 0.0) and out.t == pytest.approx(0.05)
+
+
+def _noisy_model_state(alpha):
+    # Omega_2 of a marched model state plus seeded noise on all modes
+    g = build_radial_grid(8e-3, 8.0, 256)
+    agrid = AngularGrid(64)
+    state = m.init_state(m.make_bump(g), alpha)
+    for _ in range(5):
+        state = m.step(state, 0.2 * alpha)
+    values = m.reconstruct_Omega2(state, agrid).values
+    values = values + 1e-3 * np.random.default_rng(3).standard_normal(
+        values.shape)
+    return FullState(alpha, Field2D(g, agrid, values), 0.0)
+
+
+def _rhs_out_of_place(state, include_forcing):
+    # rhs_full as plain expressions, one temporary per operation
+    rgrid, agrid = state.omega.rgrid, state.omega.agrid
+    alpha = state.alpha
+    nm = agrid.n_theta // 3
+    psi = -solve_full(state.omega, alpha, n_modes=nm).values
+    om = state.omega.values
+    dth_psi = theta_deriv(psi, agrid)
+    dx_psi = r_ddr(psi, rgrid, axis=0)
+    tend = (alpha * dth_psi * r_ddr(om, rgrid, axis=0)
+            - (2.0 * psi + alpha * dx_psi) * theta_deriv(om, agrid))
+    if include_forcing:
+        theta = agrid.nodes
+        sc = (np.sin(theta) * np.cos(theta))[None, :]
+        c2 = np.cos(2.0 * theta)[None, :]
+        tend = tend + ((2.0 * alpha + alpha ** 2) * sc * dx_psi
+                       + c2 * dth_psi
+                       + alpha * c2 * r_ddr(dth_psi, rgrid, axis=0)
+                       + alpha ** 2 * sc * r2_d2dr2(psi, rgrid, axis=0)
+                       - sc * theta_deriv(psi, agrid, order=2))
+    spec = np.fft.rfft(tend, axis=-1)
+    spec[:, nm + 1:] = 0.0
+    return np.fft.irfft(spec, n=agrid.n_theta, axis=-1)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.1])
+def test_rhs_and_step_match_out_of_place_formulas(alpha):
+    # the in-place tendency and SSP-RK3 stages keep the order of
+    # operations of the plain expressions, so they agree bit for bit
+    state = _noisy_model_state(alpha)
+    for forcing in (True, False):
+        assert np.array_equal(rhs_full(state, include_forcing=forcing).values,
+                              _rhs_out_of_place(state, forcing))
+    dt = 0.5 * cfl_dt(state)
+
+    def r(values, t):
+        return rhs_full(FullState(alpha, Field2D(state.omega.rgrid,
+                                                 state.omega.agrid, values),
+                                  t)).values
+
+    v0 = state.omega.values.copy()
+    v1 = v0 + dt * r(v0, 0.0)
+    v2 = 0.75 * v0 + 0.25 * (v1 + dt * r(v1, dt))
+    v3 = (v0 + 2.0 * (v2 + dt * r(v2, 0.5 * dt))) / 3.0
+    assert np.array_equal(step_full(state, dt).omega.values, v3)
+    # the stages never write into the state they start from
+    assert np.array_equal(state.omega.values, v0)
 
 
 def test_forcing_matches_mode2_groups():

@@ -144,6 +144,21 @@ def test_reconstruct_zero_time_and_sup_identity():
     assert got == pytest.approx(target, rel=1e-5)
 
 
+def test_reconstruct_matches_out_of_place_formula():
+    # the in-place evaluation keeps the order of operations of the plain
+    # expression, so the two agree bit for bit
+    g, f0, state = default_setup(alpha=0.1)
+    state = march(state, 0.05, 0.002)
+    agrid = AngularGrid(64)
+    theta = agrid.nodes[None, :]
+    e = np.exp(-state.A.values)[:, None]
+    s, c = np.sin(theta), np.cos(theta)
+    f = f0.values[:, None] * e * 2.0 * s * c / (c * c + e * e * s * s)
+    expect = f + 0.5 * state.A.values[:, None]
+    assert np.max(state.A.values) > 0
+    assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, expect)
+
+
 def test_reconstruct_zero_profile():
     g = build_radial_grid(8e-3, 8.0, 128)
     z = RadialProfile(g, np.zeros(g.n))
