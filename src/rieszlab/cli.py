@@ -235,11 +235,16 @@ def build_profile(config, rgrid):
             rgrid, config.center - 0.5 * config.width,
             config.center + 0.5 * config.width, config.amplitude)
     try:
-        table = np.loadtxt(config.table_path)
-    except OSError as exc:
-        raise ConfigError("cannot read initial.table_path: %s" % exc)
-    if table.ndim != 2 or table.shape[1] < 2:
+        table = np.loadtxt(config.table_path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        # ValueError: a header line, comma separators or ragged rows
+        raise ConfigError("cannot read initial table %s: %s"
+                          % (config.table_path, exc))
+    if table.shape[1] < 2:
         raise ConfigError("initial table needs two columns: R, value")
+    if table.shape[0] < 2:
+        raise ConfigError("initial table needs at least two rows, got %d"
+                          % table.shape[0])
     if not np.all(np.isfinite(table)):
         raise ConfigError("initial table entries must be finite")
     if np.any(table[:, 1] < 0):
@@ -578,8 +583,7 @@ def verify_oracle():
     nsteps = int(round(t_final / dt))
     for _ in range(nsteps):
         state = model_mod.step(state, dt)
-    L0 = apply_lf_kernel(f0, RadialProfile(grid, np.zeros(grid.n))).values
-    acc = 2.0 * alpha * np.log1p((t_final / (2.0 * alpha)) * L0)
+    _, acc = model_mod.closed_form_L(f0, alpha, t_final)
     got = alpha * state.A.values
     mask = acc > 1e-3 * acc.max()
     rel = float(np.max(np.abs(got[mask] - acc[mask]) / acc[mask]))

@@ -1,4 +1,4 @@
-"""Growth-curve fitting and norm monitors.
+"""Growth-curve fitting and the alpha scaling study.
 
 The headline measurement is the shape of sup_norm(t): the model grows
 like c_amp * log(1 + c_rate * t / alpha) while the transport-free
@@ -9,9 +9,6 @@ root law shows up as slope one half.
 """
 
 import numpy as np
-
-from .grids import Field2D, l2_norm, r_ddr, theta_deriv
-from . import model as _model
 
 
 class GrowthCurve:
@@ -102,17 +99,19 @@ def fit_linear_growth(curve):
     return FitResult("linear", rms, slope=float(coef[0]))
 
 
-def fit_log_growth(curve, alpha=None):
+def fit_log_growth(curve):
     """Fit sup_norm(t) - sup_norm(0) to c_amp * log(1 + c_rate*t/alpha).
 
     For fixed c_rate the amplitude is a linear least-squares solve, so
     the search is one dimensional: a coarse sweep of c_rate over many
     decades followed by a golden-section refinement of log c_rate on the
     sweep's bracket around its best point, down to a width of 1e-12.
+    When the sweep's best point is its first, c_rate comes back at the
+    sweep's lower edge 1e-3 * alpha / T, a search bound rather than a
+    fitted value; linear_preferred is then True.
     Raises ValueError for fewer than 10 samples (insufficient-samples) or
     a curve with no growth to fit (degenerate-curve)."""
-    if alpha is None:
-        alpha = curve.alpha
+    alpha = curve.alpha
     if curve.n_samples < 10:
         raise ValueError("insufficient-samples: need at least 10, got %d"
                          % curve.n_samples)
@@ -161,10 +160,6 @@ class ScalingReport:
         self.ratios = ratios
         self.cumulative = cumulative
 
-    def bound_coefficient(self, p=0.5):
-        """Smallest C with values <= C * alpha**p at every entry."""
-        return float(np.max(self.values / self.alphas ** p))
-
 
 def alpha_scaling_study(results):
     """Fit values ~ C * alpha^p from (alpha, max remainder sup) pairs.
@@ -194,37 +189,3 @@ def alpha_scaling_study(results):
         cumulative[k] = float(np.polyfit(la[:k + 1], lv[:k + 1], 1)[0])
     return ScalingReport(alphas, values, exponent, ratios, cumulative)
 
-
-def norm_monitors(states, agrid):
-    """Norm table for a sequence of model snapshots.
-
-    Columns: sup|psi2| and the theta- and R-weighted first derivatives
-    (all three should stay O(1/alpha), i.e. alpha times each is bounded
-    uniformly), plus a discrete first-order Sobolev norm of the
-    reconstructed vorticity and a finite-difference estimate of its
-    logarithmic growth rate."""
-    states = list(states)
-    t = np.array([s.t for s in states])
-    sup_psi = np.empty(t.size)
-    sup_dth = np.empty(t.size)
-    sup_rdr = np.empty(t.size)
-    h1 = np.empty(t.size)
-    for i, s in enumerate(states):
-        ls = _model.eval_Ls(s)
-        amp = ls.values / (4.0 * s.alpha)
-        sup_psi[i] = float(np.max(np.abs(amp)))
-        # d_theta of amp*sin(2 theta) peaks at twice the amplitude
-        sup_dth[i] = 2.0 * sup_psi[i]
-        sup_rdr[i] = float(np.max(np.abs(r_ddr(amp, ls.grid, axis=0))))
-        om = _model.reconstruct_Omega2(s, agrid)
-        h1[i] = float(np.sqrt(
-            l2_norm(om) ** 2
-            + l2_norm(Field2D(om.rgrid, agrid,
-                              theta_deriv(om.values, agrid))) ** 2
-            + l2_norm(Field2D(om.rgrid, agrid,
-                              r_ddr(om.values, om.rgrid, axis=0))) ** 2))
-    rate = np.full(t.size, np.nan)
-    if t.size >= 2 and np.all(h1 > 0):
-        rate = np.gradient(np.log(h1), t)
-    return {"t": t, "sup_psi2": sup_psi, "sup_dtheta_psi2": sup_dth,
-            "sup_rdr_psi2": sup_rdr, "h1_omega2": h1, "h1_rate": rate}

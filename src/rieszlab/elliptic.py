@@ -33,14 +33,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import EllipticError
-from .grids import RadialGrid, RadialProfile, Field2D, r_ddr, theta_deriv
+from .grids import RadialProfile, Field2D, r_ddr, theta_deriv
 from .kernels import profile_tail
-
-
-def _log_step(grid):
-    if grid.spacing_kind != "geometric":
-        raise ValueError("mode solves need a geometric radial grid")
-    return float(np.log(grid.nodes[1] / grid.nodes[0]))
 
 
 def _exp_cell_weights(lam, h):
@@ -98,7 +92,7 @@ def _causal_double(w, lam, h):
 
 def _solve_mode_low(omega_n, n, alpha):
     grid = omega_n.grid
-    h = _log_step(grid)
+    h = grid.log_step
     w = omega_n.values.astype(float)
     if n == 1:
         psi = (_causal_single(w, -1.0 / alpha, h)
@@ -132,13 +126,11 @@ def _bands(n_r, h, n, alpha):
 
 
 def _mode_bands(grid, n, alpha):
-    return _bands(grid.n, _log_step(grid), n, alpha)
+    return _bands(grid.n, grid.log_step, n, alpha)
 
 
 def _apply_bands(ab, v):
-    """The rows in ab applied to v, whose leading axis is radial; a
-    trailing parity axis broadcasts."""
-    ab = ab.reshape(ab.shape + (1,) * (v.ndim - 1))
+    """The rows in ab applied to the radial vector v."""
     out = ab[1] * v
     out[:-1] += ab[0, 1:] * v[1:]
     out[1:] += ab[2, :-1] * v[:-1]
@@ -180,7 +172,7 @@ def _solve_stencil(grid, alpha, n_lo, rhs):
     rhs comes from _stencil_rhs with shape (columns, modes, n_r); the
     solution has the same shape."""
     cols, blocks, n_r = rhs.shape
-    factors = _stacked_factor(n_r, _log_step(grid), alpha, n_lo,
+    factors = _stacked_factor(n_r, grid.log_step, alpha, n_lo,
                               n_lo + blocks - 1)
     # the transpose is the Fortran-ordered (rows, columns) matrix that
     # dgttrs takes and returns, so the solution reshapes without a copy
@@ -218,12 +210,8 @@ def _check_boundary_decay(psi, n, tol):
             "grid end; enlarge the grid" % (n, edge / peak))
 
 
-def solve_mode(n, omega_n, alpha, boundary_tol=0.05, check_resolution=False):
-    """Radial coefficient of psi for one angular mode, on the same grid.
-
-    check_resolution re-solves on every other node and Richardson-
-    estimates the discretization error; it exists for the self-check
-    paths and is off on the hot path."""
+def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
+    """Radial coefficient of psi for one angular mode, on the same grid."""
     if n < 0 or n != int(n):
         raise ValueError("mode index must be a nonnegative integer")
     n = int(n)
@@ -235,16 +223,6 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05, check_resolution=False):
         psi = _solve_stencil(grid, alpha, n, rhs)[0, 0]
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
-    if check_resolution:
-        coarse = RadialGrid(grid.nodes[::2], grid.spacing_kind)
-        sub = RadialProfile(coarse, omega_n.values[::2])
-        psi_c = solve_mode(n, sub, alpha, boundary_tol=None).values
-        est = float(np.max(np.abs(psi[::2] - psi_c))) / 3.0
-        peak = max(float(np.max(np.abs(psi))), 1e-300)
-        if est > 1e-3 * peak:
-            raise EllipticError(
-                "grid-too-coarse: mode %d error estimate %.2e of sup %.2e"
-                % (n, est, peak))
     return RadialProfile(grid, psi)
 
 
@@ -349,7 +327,7 @@ def velocity_from_psi(psi, alpha):
     2 psi + alpha R d_R psi and radial speed -alpha R d_theta psi.
     The theta derivative is spectral, the radial one is the centered
     log-grid stencil."""
-    angular = 2.0 * psi.values + alpha * r_ddr(psi.values, psi.rgrid, axis=0)
+    angular = 2.0 * psi.values + alpha * r_ddr(psi.values, psi.rgrid)
     radial = -alpha * psi.rgrid.nodes[:, None] * theta_deriv(psi.values,
                                                              psi.agrid)
     return (Field2D(psi.rgrid, psi.agrid, angular),

@@ -72,7 +72,7 @@ def rhs_full(state, include_forcing=True):
     np.negative(psi, out=psi)
     om = state.omega.values
     dth_psi = theta_deriv(psi, agrid)
-    dx_psi = r_ddr(psi, rgrid, axis=0)
+    dx_psi = r_ddr(psi, rgrid)
     # tend = alpha dth_psi R d_R om - (2 psi + alpha dx_psi) d_theta om,
     # built in place with one scratch array, in the same order of
     # operations (products and sums commute exactly)
@@ -81,7 +81,7 @@ def rhs_full(state, include_forcing=True):
     tend += scratch
     tend *= theta_deriv(om, agrid)
     np.multiply(alpha, dth_psi, out=scratch)
-    scratch *= r_ddr(om, rgrid, axis=0)
+    scratch *= r_ddr(om, rgrid)
     np.subtract(scratch, tend, out=tend)
     if include_forcing:
         theta = agrid.nodes
@@ -92,10 +92,10 @@ def rhs_full(state, include_forcing=True):
         np.multiply((2.0 * alpha + alpha ** 2) * sc, dx_psi, out=scratch)
         np.multiply(c2, dth_psi, out=dx_psi)
         scratch += dx_psi
-        term = r_ddr(dth_psi, rgrid, axis=0)
+        term = r_ddr(dth_psi, rgrid)
         term *= alpha * c2
         scratch += term
-        term = r2_d2dr2(psi, rgrid, axis=0)
+        term = r2_d2dr2(psi, rgrid)
         term *= alpha ** 2 * sc
         scratch += term
         term = theta_deriv(psi, agrid, order=2)
@@ -112,7 +112,7 @@ def cfl_dt(state):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     psi = solve_full(state.omega, state.alpha)
     angular, radial = velocity_from_psi(psi, state.alpha)
-    hx = float(np.log(rgrid.nodes[1] / rgrid.nodes[0]))
+    hx = rgrid.log_step
     vmax_x = float(np.max(np.abs(radial.values / rgrid.nodes[:, None])))
     vmax_t = float(np.max(np.abs(angular.values)))
     dt = np.inf

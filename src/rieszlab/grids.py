@@ -53,6 +53,14 @@ class RadialGrid:
     def log_nodes(self):
         return np.log(self.nodes)
 
+    @property
+    def log_step(self):
+        """The uniform step in x = log R of a geometric grid."""
+        if self.spacing_kind != "geometric":
+            raise ValueError("log-grid derivatives and mode solves need a "
+                             "geometric radial grid")
+        return np.log(self.nodes[1] / self.nodes[0])
+
     def same_nodes(self, other):
         return self.n == other.n and np.array_equal(self.nodes, other.nodes)
 
@@ -154,52 +162,25 @@ def project_mode(field, n, parity):
     return RadialProfile(field.rgrid, coeff)
 
 
-def assemble_modes(rgrid, agrid, modes):
-    """Inverse of project_mode: modes maps (n, parity) -> coefficient array."""
-    theta = agrid.nodes
-    values = np.zeros((rgrid.n, agrid.n_theta))
-    for (n, parity), coeff in modes.items():
-        w = np.sin(n * theta) if parity == "sin" else np.cos(n * theta)
-        values += np.outer(np.asarray(coeff, dtype=float), w)
-    return Field2D(rgrid, agrid, values)
-
-
-def _d1_uniform(values, h, axis=0):
-    return np.gradient(values, h, axis=axis, edge_order=2)
-
-
-def _d2_uniform(values, h, axis=0):
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+def _d2_uniform(values, h):
+    v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
     out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h ** 2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
-def r_ddr(values, rgrid, axis=0):
-    """R dF/dR with second-order stencils; on geometric grids this is the
-    x-derivative on the uniform log grid, avoiding any division by R."""
-    if rgrid.spacing_kind == "geometric":
-        h = np.log(rgrid.nodes[1] / rgrid.nodes[0])
-        return _d1_uniform(values, h, axis=axis)
-    h = rgrid.nodes[1] - rgrid.nodes[0]
-    d = _d1_uniform(values, h, axis=axis)
-    shape = [1] * np.ndim(values)
-    shape[axis] = rgrid.n
-    return d * rgrid.nodes.reshape(shape)
+def r_ddr(values, rgrid):
+    """R dF/dR = dF/dx along the leading (radial) axis of a geometric
+    grid, second order on the uniform log grid, with no division by R."""
+    return np.gradient(values, rgrid.log_step, axis=0, edge_order=2)
 
 
-def r2_d2dr2(values, rgrid, axis=0):
-    """R^2 d2F/dR2; equals d2/dx2 - d/dx on geometric grids."""
-    if rgrid.spacing_kind == "geometric":
-        h = np.log(rgrid.nodes[1] / rgrid.nodes[0])
-        return _d2_uniform(values, h, axis=axis) - _d1_uniform(values, h, axis=axis)
-    h = rgrid.nodes[1] - rgrid.nodes[0]
-    d2 = _d2_uniform(values, h, axis=axis)
-    shape = [1] * np.ndim(values)
-    shape[axis] = rgrid.n
-    return d2 * rgrid.nodes.reshape(shape) ** 2
+def r2_d2dr2(values, rgrid):
+    """R^2 d2F/dR2 = d2F/dx2 - dF/dx along the leading axis of a
+    geometric grid."""
+    return _d2_uniform(values, rgrid.log_step) - r_ddr(values, rgrid)
 
 
 def theta_deriv(values, agrid, order=1):

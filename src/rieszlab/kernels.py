@@ -1,7 +1,7 @@
 """Tail-integral operators and the angular-average kernel of the reduced model.
 
 The operator L(f)(R) = integral of f(s)/s over s in [R, infinity) and its
-sin(2 theta) / cos(2 theta) projections L_s, L_c drive all growth estimates.
+sin(2 theta) projection L_s drive all growth estimates.
 The gamma-kernel K(a) is the angular average that turns the accumulated
 exponent A into the current value of L_s: with the full-circle convention
 used throughout, K(0) = 1 and
@@ -42,7 +42,7 @@ def _layer_integrand(w, ea):
     return psi * ea * s2 * c2 / (s2 + ea * ea * c2)
 
 
-def gamma_kernel(a, tol=1e-10):
+def gamma_kernel(a):
     """K(a) = (16/pi) * integral over gamma in [0, inf) of
     [e^-a / (1 + gamma^2 e^-2a)] * [gamma^2 / (1 + gamma^2)^2] d gamma.
 
@@ -52,14 +52,15 @@ def gamma_kernel(a, tol=1e-10):
     This leaves a boundary layer of width ~e^-a at phi = pi/2 (the image
     of gamma ~ e^a); that piece is integrated in log(pi/2 - phi), where
     the layer is O(1) wide for every a. Tolerances scale with e^-a so the
-    result carries relative accuracy ~tol; err adds both error estimates.
+    result carries relative accuracy ~1e-10; err adds both error
+    estimates.
     scipy.integrate is imported on the first call: no run path needs it.
     """
     from scipy.integrate import quad
     if a < 0:
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
     ea = np.exp(-a)
-    eps = 0.5 * tol * ea + 1e-300
+    eps = 0.5 * 1e-10 * ea + 1e-300
     v1, e1 = quad(_integrand, 0.0, 0.5 * np.pi - 0.7, args=(ea,),
                   epsabs=eps, epsrel=1e-11, limit=200)
     # below psi = e^-a * 1e-6 the integrand is under e^-2a * 1e-18: ignorable
@@ -113,11 +114,6 @@ def op_L(profile, R):
 def op_Ls(field):
     from .grids import project_mode
     return profile_tail(project_mode(field, 2, "sin"))
-
-
-def op_Lc(field):
-    from .grids import project_mode
-    return profile_tail(project_mode(field, 2, "cos"))
 
 
 def apply_lf_kernel(f0, A, kernel=None):

@@ -7,9 +7,8 @@ State is the accumulated exponent A(t, R) = (1/alpha) * integral over
     dA/dt (R) = (1/alpha) * apply_lf_kernel(f0, A)(R),      A(0) = 0.
 
 Everything else is reconstructed from A in closed form: the transported
-profile f_t through the angular flow gamma -> gamma e^A, the odd vorticity
-mode Omega_2 = f_t + A/2, and the stream function mode
-Psi_2 = (1/4 alpha) L_s(f_t) sin(2 theta).
+profile f_t through the angular flow gamma -> gamma e^A and the odd
+vorticity mode Omega_2 = f_t + A/2.
 
 Sandwich bounds. With the kernel pinched as c1 e^-a <= K(a) <= c2 e^-a
 (c1 = 1, c2 = 4 in this module's convention), alpha * A is pinched between
@@ -32,7 +31,7 @@ c1-Riccati rate initially; numerics confirm the violation).
 import numpy as np
 
 from .grids import RadialProfile, Field2D
-from .kernels import apply_lf_kernel, profile_tail, op_L
+from .kernels import apply_lf_kernel, profile_tail
 
 C1 = 1.0
 C2 = 4.0
@@ -123,12 +122,6 @@ def eval_f(state, R, theta):
     return out if out.ndim else float(out)
 
 
-def sup_theta_f(state):
-    """sup over theta of f_t(R, .), exact: the gamma e^-A = 1 characteristic
-    passes through every R, so the sup equals f0(R) for all t."""
-    return RadialProfile(state.f0.grid, state.f0.values.copy())
-
-
 def reconstruct_Omega2(state, agrid):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
     theta = agrid.nodes[None, :]
@@ -154,19 +147,11 @@ def sup_omega2(state):
     return float(np.max(state.f0.values + 0.5 * state.A.values))
 
 
-def psi2_from_state(state, agrid):
-    """Psi_2 = (1/(4 alpha)) L_s(f_t)(R) sin(2 theta); the cos projection
-    vanishes identically for odd data."""
-    ls = eval_Ls(state).values
-    values = np.outer(ls / (4.0 * state.alpha), np.sin(2.0 * agrid.nodes))
-    return Field2D(state.f0.grid, agrid, values)
-
-
-def closed_form_L(f0, alpha, t, R):
-    """Exact solution of the comparison dynamics with kernel e^-a:
-    value = L(f0)(R) / (1 + (t/2 alpha) L(f0)(R)) and its time integral
-    accumulated = 2 alpha log(1 + (t/2 alpha) L(f0)(R))."""
-    L0 = op_L(f0, R)
+def closed_form_L(f0, alpha, t):
+    """Exact solution of the comparison dynamics with kernel e^-a at every
+    node: value = L(f0) / (1 + (t/2 alpha) L(f0)) and its time integral
+    accumulated = 2 alpha log(1 + (t/2 alpha) L(f0))."""
+    L0 = profile_tail(f0).values
     x = 0.5 * t / alpha * L0
     return L0 / (1.0 + x), 2.0 * alpha * np.log1p(x)
 

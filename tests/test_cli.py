@@ -150,7 +150,10 @@ def test_import_loads_no_unused_scipy_subpackages():
     ("1.5 1.0\n2.0 nan\n2.5 1.0\n", "finite"),
     # np.interp needs increasing R; unsorted it returns zeros here
     ("3.0 0.0\n1.5 1.0\n2.0 1.0\n2.5 1.0\n", "strictly increasing"),
-], ids=["negative", "nan", "unsorted"])
+    ("R v\n1.5 1.0\n2.0 1.0\n", "cannot read initial table"),
+    ("1.5,1.0\n2.0,1.0\n", "cannot read initial table"),
+    ("1.5 1.0\n", "at least two rows"),
+], ids=["negative", "nan", "unsorted", "header", "comma", "one-row"])
 def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, rows,
                                                message):
     table = tmp_path / "profile.txt"
@@ -246,6 +249,24 @@ def _tiny_configs(draw):
     return values, table
 
 
+def _main_on(tmp, values, table=None):
+    """Write values (and table, if given) as a config under tmp, run it
+    through main into tmp/out, and return (exit code, output dir)."""
+    out = os.path.join(tmp, "out")
+    path = os.path.join(tmp, "run.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in sorted(values.items()):
+            fh.write("%s = %s\n" % (key, value))
+        fh.write("output.dir = %s\n" % out)
+        if table is not None:
+            table_path = os.path.join(tmp, "table.txt")
+            with open(table_path, "w", encoding="utf-8") as tf:
+                for row in table:
+                    tf.write("%r %r\n" % tuple(row))
+            fh.write("initial.table_path = %s\n" % table_path)
+    return cli.main(["run", path]), out
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=_tiny_configs())
 def test_every_config_exits_cleanly_with_manifest(case):
@@ -253,22 +274,37 @@ def test_every_config_exits_cleanly_with_manifest(case):
     # traceback, and a run that started leaves its manifest
     values, table = case
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        path = os.path.join(tmp, "run.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, value in sorted(values.items()):
-                fh.write("%s = %s\n" % (key, value))
-            fh.write("output.dir = %s\n" % out)
-            if table is not None:
-                table_path = os.path.join(tmp, "table.txt")
-                with open(table_path, "w", encoding="utf-8") as tf:
-                    for row in table:
-                        tf.write("%r %r\n" % tuple(row))
-                fh.write("initial.table_path = %s\n" % table_path)
-        code = cli.main(["run", path])
-        assert code in (0, 2, 3, 4)
+        code, out = _main_on(tmp, values, table)
+        assert code in (0, 2, 3)
         if code in (0, 3):
             assert os.path.isfile(os.path.join(out, "manifest.json"))
+
+
+_TINY_SWEEPS = st.fixed_dictionaries({
+    "run.kind": st.just("sweep"),
+    "run.alphas": st.lists(st.floats(min_value=0.05, max_value=0.6),
+                           min_size=1, max_size=3).map(
+        lambda alphas: ",".join("%g" % a for a in alphas)),
+    "grid.spacing": st.sampled_from(["geometric", "uniform"]),
+    "grid.n_r": st.sampled_from([33, 64]),
+    "grid.n_theta": st.sampled_from([8, 12]),
+    "time.sample_count": st.integers(min_value=2, max_value=3),
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(values=_TINY_SWEEPS)
+def test_every_sweep_exits_cleanly_with_manifests(values):
+    # a sweep that started leaves its own manifest and one per member,
+    # whether or not a member failed
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _main_on(tmp, values)
+        assert code in (0, 2, 3)
+        if code in (0, 3):
+            assert os.path.isfile(os.path.join(out, "manifest.json"))
+            for alpha in values["run.alphas"].split(","):
+                assert os.path.isfile(os.path.join(
+                    out, "alpha_" + alpha, "manifest.json"))
 
 
 def test_model_run_with_zero_amplitude(tmp_path):

@@ -131,17 +131,6 @@ def test_boundary_guard_raises():
         solve_mode(3, f, 0.3, boundary_tol=1e-6)
 
 
-def test_resolution_guard_raises_on_coarse_grid():
-    g = build_radial_grid(0.5, 8.0, 33)
-    f = m.make_indicator(g, 1.0, 2.0)
-    with pytest.raises(EllipticError, match="grid-too-coarse"):
-        solve_mode(2, f, 0.5, check_resolution=True)
-    fine = aligned_grid(1025)
-    ok = solve_mode(2, m.make_indicator(fine, 1.0, 2.0), 0.5,
-                    check_resolution=True)
-    assert np.all(np.isfinite(ok.values))
-
-
 def test_exact_mode2_degenerate_and_origin_limit():
     g = aligned_grid(1025)
     z = RadialProfile(g, np.zeros(g.n))

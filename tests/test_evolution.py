@@ -50,8 +50,8 @@ def _rhs_out_of_place(state, include_forcing):
     psi = -solve_full(state.omega, alpha, n_modes=nm).values
     om = state.omega.values
     dth_psi = theta_deriv(psi, agrid)
-    dx_psi = r_ddr(psi, rgrid, axis=0)
-    tend = (alpha * dth_psi * r_ddr(om, rgrid, axis=0)
+    dx_psi = r_ddr(psi, rgrid)
+    tend = (alpha * dth_psi * r_ddr(om, rgrid)
             - (2.0 * psi + alpha * dx_psi) * theta_deriv(om, agrid))
     if include_forcing:
         theta = agrid.nodes
@@ -59,8 +59,8 @@ def _rhs_out_of_place(state, include_forcing):
         c2 = np.cos(2.0 * theta)[None, :]
         tend = tend + ((2.0 * alpha + alpha ** 2) * sc * dx_psi
                        + c2 * dth_psi
-                       + alpha * c2 * r_ddr(dth_psi, rgrid, axis=0)
-                       + alpha ** 2 * sc * r2_d2dr2(psi, rgrid, axis=0)
+                       + alpha * c2 * r_ddr(dth_psi, rgrid)
+                       + alpha ** 2 * sc * r2_d2dr2(psi, rgrid)
                        - sc * theta_deriv(psi, agrid, order=2))
     spec = np.fft.rfft(tend, axis=-1)
     spec[:, nm + 1:] = 0.0

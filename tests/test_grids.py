@@ -3,7 +3,7 @@ import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, trapz, right_tail, sup_norm, l2_norm,
-                            project_mode, assemble_modes, r_ddr, r2_d2dr2,
+                            project_mode, r_ddr, r2_d2dr2,
                             theta_deriv)
 
 
@@ -95,7 +95,7 @@ def test_project_mode_orthogonality():
                        atol=1e-13)
 
 
-def test_assemble_modes_roundtrip():
+def test_project_mode_recovers_random_modes():
     rng = np.random.default_rng(7)
     rgrid = build_radial_grid(0.5, 8.0, 33)
     agrid = AngularGrid(64)
@@ -109,8 +109,10 @@ def test_assemble_modes_roundtrip():
             s = rng.standard_normal(33)
             values += np.outer(s, np.sin(n * agrid.nodes))
             modes[(n, "sin")] = s
-    field = assemble_modes(rgrid, agrid, modes)
-    assert np.allclose(field.values, values, atol=1e-12)
+    field = Field2D(rgrid, agrid, values)
+    for (n, parity), coeff in modes.items():
+        assert np.allclose(project_mode(field, n, parity).values, coeff,
+                           atol=1e-12)
 
 
 def test_trapz_and_right_tail():
@@ -130,6 +132,16 @@ def test_radial_derivatives_power_law():
     assert np.allclose(d1[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-5)
     d2 = r2_d2dr2(v, g)
     assert np.allclose(d2[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-4)
+
+
+def test_radial_derivatives_need_a_geometric_grid():
+    g = build_radial_grid(0.5, 8.0, 65, "uniform")
+    with pytest.raises(ValueError, match="geometric"):
+        r_ddr(g.nodes ** 2, g)
+    with pytest.raises(ValueError, match="geometric"):
+        r2_d2dr2(g.nodes ** 2, g)
+    geo = build_radial_grid(0.5, 8.0, 65)
+    assert geo.log_step == pytest.approx(np.log(16.0) / 64.0, rel=1e-14)
 
 
 def test_theta_deriv_spectral():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rieszlab.grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
+from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
+                            Field2D, project_mode)
 from rieszlab.kernels import (gamma_kernel, kernel_values, profile_tail,
-                              op_L, op_Ls, op_Lc, apply_lf_kernel)
+                              op_L, op_Ls, apply_lf_kernel)
 from rieszlab.model import make_indicator
 
 
@@ -84,6 +85,10 @@ def test_profile_tail_matches_op_L_at_nodes():
 
 
 def test_op_Ls_op_Lc_orthogonality():
+    # L_c, the tail of the cos(2 theta) projection; only this test needs it
+    def op_Lc(field):
+        return profile_tail(project_mode(field, 2, "cos"))
+
     g = aligned_grid(513)
     agrid = AngularGrid(32)
     f = make_indicator(g, 1.0, 2.0)
