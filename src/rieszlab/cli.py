@@ -15,9 +15,11 @@ found a failing check.
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -35,66 +37,43 @@ from .evolution import (FullState, step_linear, run_remainder_study, march,
 from .diagnostics import alpha_scaling_study
 
 
-_DEFAULTS = {
-    "alpha": 0.1,
-    "delta": 1.0,
-    "grid.r_max": 8.0,
-    "grid.n_r": 512,
-    "grid.spacing": "geometric",
-    "grid.n_theta": 256,
-    "time.dt_factor": 1.0 / 50.0,
-    "time.horizon_factor": 0.1,
-    "time.sample_count": 200,
-    "initial.kind": "bump",
-    "initial.center": 2.0,
-    "initial.width": 1.0,
-    "initial.amplitude": None,
-    "initial.table_path": "",
-    "run.kind": "model",
-    "run.alphas": "0.4,0.2,0.1",
-    "output.dir": "rieszlab-out",
+# each key's RunConfig attribute, default, and type (int, float, str) or
+# the tuple of values it may take
+_KEYS = {
+    "alpha": ("alpha", 0.1, float),
+    "delta": ("delta", 1.0, float),
+    "grid.r_max": ("r_max", 8.0, float),
+    "grid.n_r": ("n_r", 512, int),
+    "grid.spacing": ("spacing", "geometric", ("geometric", "uniform")),
+    "grid.n_theta": ("n_theta", 256, int),
+    "time.dt_factor": ("dt_factor", 1.0 / 50.0, float),
+    "time.horizon_factor": ("horizon_factor", 0.1, float),
+    "time.sample_count": ("sample_count", 200, int),
+    "initial.kind": ("initial_kind", "bump", ("bump", "indicator", "table")),
+    "initial.center": ("center", 2.0, float),
+    "initial.width": ("width", 1.0, float),
+    # None stands for delta
+    "initial.amplitude": ("amplitude", None, float),
+    "initial.table_path": ("table_path", "", str),
+    "run.kind": ("run_kind", "model",
+                 ("model", "linear", "full", "remainder", "sweep")),
+    "run.alphas": ("alphas", "0.4,0.2,0.1", str),
+    "output.dir": ("output_dir", "rieszlab-out", str),
 }
 
-_INT_KEYS = {"grid.n_r", "grid.n_theta", "time.sample_count"}
-_FLOAT_KEYS = {"alpha", "delta", "grid.r_max", "time.dt_factor",
-               "time.horizon_factor", "initial.center", "initial.width",
-               "initial.amplitude"}
-_CHOICES = {
-    "grid.spacing": ("geometric", "uniform"),
-    "initial.kind": ("bump", "indicator", "table"),
-    "run.kind": ("model", "linear", "full", "remainder", "sweep"),
-}
+# the values validate_config accepts for each type of the table
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 class RunConfig:
-    """Resolved, validated run parameters."""
+    """Resolved, validated run parameters: each key as the attribute _KEYS
+    names, but alphas is run.alphas split into floats."""
 
-    def __init__(self, values):
+    def __init__(self, values, alphas):
         self.values = dict(values)
-        self.alpha = values["alpha"]
-        self.delta = values["delta"]
-        self.r_max = values["grid.r_max"]
-        self.n_r = values["grid.n_r"]
-        self.spacing = values["grid.spacing"]
-        self.n_theta = values["grid.n_theta"]
-        self.dt_factor = values["time.dt_factor"]
-        self.horizon_factor = values["time.horizon_factor"]
-        self.sample_count = values["time.sample_count"]
-        self.initial_kind = values["initial.kind"]
-        self.center = values["initial.center"]
-        self.width = values["initial.width"]
-        amp = values["initial.amplitude"]
-        self.amplitude = self.delta if amp is None else amp
-        self.table_path = values["initial.table_path"]
-        self.run_kind = values["run.kind"]
-        self.alphas = tuple(float(a) for a in
-                            str(values["run.alphas"]).split(",") if a != "")
-        self.output_dir = values["output.dir"]
-
-    def echo(self):
-        out = dict(self.values)
-        out["initial.amplitude"] = self.amplitude
-        return out
+        for key, (attr, _, _) in _KEYS.items():
+            setattr(self, attr, values[key])
+        self.alphas = alphas
 
     def replaced(self, **overrides):
         vals = dict(self.values)
@@ -108,18 +87,24 @@ def _member_dir_name(alpha):
 
 
 def validate_config(values):
-    unknown = sorted(set(values) - set(_DEFAULTS))
+    unknown = sorted(set(values) - set(_KEYS))
     if unknown:
         raise ConfigError("unknown key %s" % ", ".join(map(repr, unknown)))
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _KEYS.items()}
     merged.update(values)
-    for key, allowed in sorted(_CHOICES.items()):
-        if merged[key] not in allowed:
-            raise ConfigError("%s must be one of %s, got %r"
-                              % (key, "|".join(allowed), merged[key]))
-    for key in sorted(_FLOAT_KEYS):
-        if merged[key] is not None and not np.isfinite(merged[key]):
-            raise ConfigError("%s must be finite, got %g" % (key, merged[key]))
+    if merged["initial.amplitude"] is None:
+        merged["initial.amplitude"] = merged["delta"]
+    for key, (_, _, kind) in _KEYS.items():
+        value = merged[key]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError("%s must be one of %s, got %r"
+                                  % (key, "|".join(kind), value))
+        elif not isinstance(value, _ACCEPTS[kind]):
+            raise ConfigError("%s must be of type %s, got %r"
+                              % (key, kind.__name__, value))
+        elif kind is float and not np.isfinite(value):
+            raise ConfigError("%s must be finite, got %g" % (key, value))
     alpha = merged["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha ∈ (0,1) is required, got %g" % alpha)
@@ -143,8 +128,7 @@ def validate_config(values):
         raise ConfigError("time factors must be positive")
     if merged["time.sample_count"] < 2:
         raise ConfigError("time.sample_count must be at least 2")
-    amp = merged["initial.amplitude"]
-    if amp is not None and amp < 0:
+    if merged["initial.amplitude"] < 0:
         raise ConfigError("initial.amplitude must be nonnegative")
     kind = merged["initial.kind"]
     if kind in ("bump", "indicator") and merged["initial.width"] <= 0:
@@ -168,8 +152,8 @@ def validate_config(values):
             raise ConfigError("support must end inside 0.8*r_max = %g, "
                               "got %g" % (0.8 * merged["grid.r_max"], hi))
     try:
-        alphas = [float(a) for a in str(merged["run.alphas"]).split(",")
-                  if a != ""]
+        alphas = tuple(float(a) for a in merged["run.alphas"].split(",")
+                       if a != "")
     except ValueError:
         raise ConfigError("run.alphas must be comma-separated numbers")
     if not all(0.0 < a < 1.0 for a in alphas):
@@ -183,7 +167,7 @@ def validate_config(values):
         raise ConfigError("run.alphas members must be distinct and give "
                           "distinct member dirs alpha_<value>, got %s"
                           % merged["run.alphas"])
-    return RunConfig(merged)
+    return RunConfig(merged, alphas)
 
 
 def parse_config(path):
@@ -204,15 +188,11 @@ def parse_config(path):
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError("%s:%d: unknown key %r" % (path, ln, key))
+        kind = _KEYS[key][2]
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            else:
-                values[key] = val
+            values[key] = val if isinstance(kind, tuple) else kind(val)
         except ValueError:
             raise ConfigError("%s:%d: bad value %r for %s"
                               % (path, ln, val, key))
@@ -235,11 +215,17 @@ def build_profile(config, rgrid):
             rgrid, config.center - 0.5 * config.width,
             config.center + 0.5 * config.width, config.amplitude)
     try:
-        table = np.loadtxt(config.table_path, ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no data rows warns; the check below reports it
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(config.table_path, ndmin=2)
     except (OSError, ValueError) as exc:
         # ValueError: a header line, comma separators or ragged rows
         raise ConfigError("cannot read initial table %s: %s"
                           % (config.table_path, exc))
+    if table.shape[0] == 0:
+        raise ConfigError("initial table %s has no data rows"
+                          % config.table_path)
     if table.shape[1] < 2:
         raise ConfigError("initial table needs two columns: R, value")
     if table.shape[0] < 2:
@@ -287,8 +273,8 @@ class RunManifest:
     """What a run did: resolved config, code version, wall time, named
     checks, emitted files with digests, and the error if one stopped it."""
 
-    def __init__(self, config_echo, out_dir):
-        self.config_echo = config_echo
+    def __init__(self, config_values, out_dir):
+        self.config_values = config_values
         self.out_dir = out_dir
         self.version = __version__
         self.wall_time = 0.0
@@ -304,7 +290,7 @@ class RunManifest:
     def write(self):
         path = os.path.join(self.out_dir, "manifest.json")
         payload = {
-            "config": self.config_echo,
+            "config": self.config_values,
             "version": self.version,
             "wall_time_s": self.wall_time,
             "checks": self.checks,
@@ -468,7 +454,7 @@ def _execute(config, body):
         # no manifest can be written without the directory
         raise ConfigError("cannot create output.dir %s: %s"
                           % (out_dir, exc.strerror or exc))
-    manifest = RunManifest(config.echo(), out_dir)
+    manifest = RunManifest(config.values, out_dir)
     t0 = time.perf_counter()
     try:
         manifest.add_files(body(config, out_dir, manifest))

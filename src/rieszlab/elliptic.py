@@ -90,16 +90,12 @@ def _causal_double(w, lam, h):
     return _recurrence(E, E * h * P[:-1] + cq)
 
 
-def _solve_mode_low(omega_n, n, alpha):
-    grid = omega_n.grid
-    h = grid.log_step
-    w = omega_n.values.astype(float)
+def _solve_mode_low(w, h, n, alpha):
+    """Mode 0 or 1 of psi from its data w on a log grid of step h."""
     if n == 1:
-        psi = (_causal_single(w, -1.0 / alpha, h)
-               - _causal_single(w, -3.0 / alpha, h)) / (2.0 * alpha)
-    else:
-        psi = _causal_double(w, -2.0 / alpha, h) / (alpha * alpha)
-    return RadialProfile(grid, psi)
+        return (_causal_single(w, -1.0 / alpha, h)
+                - _causal_single(w, -3.0 / alpha, h)) / (2.0 * alpha)
+    return _causal_double(w, -2.0 / alpha, h) / (alpha * alpha)
 
 
 def _bands(n_r, h, n, alpha):
@@ -123,10 +119,6 @@ def _bands(n_r, h, n, alpha):
     ab[1, -1] = 1.0
     ab[2, -2] = 0.0
     return ab
-
-
-def _mode_bands(grid, n, alpha):
-    return _bands(grid.n, grid.log_step, n, alpha)
 
 
 def _apply_bands(ab, v):
@@ -217,7 +209,7 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
     n = int(n)
     grid = omega_n.grid
     if n < 2:
-        psi = _solve_mode_low(omega_n, n, alpha).values
+        psi = _solve_mode_low(omega_n.values, grid.log_step, n, alpha)
     else:
         rhs = _stencil_rhs(omega_n.values[None, None], n)
         psi = _solve_stencil(grid, alpha, n, rhs)[0, 0]
@@ -231,8 +223,8 @@ def apply_mode_operator(psi_n, n, alpha):
     boundary rows included, so for n >= 2 solve-then-apply returns the
     (boundary-modified) right-hand side to machine precision."""
     grid = psi_n.grid
-    return RadialProfile(grid, _apply_bands(_mode_bands(grid, int(n), alpha),
-                                            psi_n.values))
+    ab = _bands(grid.n, grid.log_step, int(n), alpha)
+    return RadialProfile(grid, _apply_bands(ab, psi_n.values))
 
 
 def mode_residual(psi_n, omega_n, n, alpha):
@@ -308,13 +300,11 @@ def solve_full(omega, alpha, n_modes=None):
     spec = np.fft.rfft(omega.values, axis=-1)
     scale = 2.0 / N
     psi_spec = np.zeros_like(spec)
-    p0 = _solve_mode_low(RadialProfile(rgrid, spec[:, 0].real / N), 0, alpha)
-    psi_spec[:, 0] = N * p0.values
-    p1s = _solve_mode_low(RadialProfile(rgrid, -scale * spec[:, 1].imag), 1,
-                          alpha)
-    p1c = _solve_mode_low(RadialProfile(rgrid, scale * spec[:, 1].real), 1,
-                          alpha)
-    psi_spec[:, 1] = 0.5 * N * (p1c.values - 1j * p1s.values)
+    h = rgrid.log_step
+    psi_spec[:, 0] = N * _solve_mode_low(spec[:, 0].real / N, h, 0, alpha)
+    p1s = _solve_mode_low(-scale * spec[:, 1].imag, h, 1, alpha)
+    p1c = _solve_mode_low(scale * spec[:, 1].real, h, 1, alpha)
+    psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, 2:n_modes + 1].T
     om_n = np.stack([-scale * stencil.imag, scale * stencil.real])
     sin, cos = _solve_stencil(rgrid, alpha, 2, _stencil_rhs(om_n, 2))

@@ -85,11 +85,42 @@ def test_validate_rejects_out_of_range(tmp_path):
     ({"grid.spacing": "foo"}, "grid.spacing must be one of"),
     ({"initial.kind": "nope"}, "initial.kind must be one of"),
     ({"alhpa": 0.2}, "unknown key 'alhpa'"),
-], ids=["run-kind", "spacing", "initial-kind", "unknown-key"])
+    ({"alpha": "0.2"}, "alpha must be of type float, got '0.2'"),
+    ({"grid.n_r": 64.0}, "grid.n_r must be of type int, got 64.0"),
+    ({"initial.table_path": 3}, "initial.table_path must be of type str"),
+], ids=["run-kind", "spacing", "initial-kind", "unknown-key", "alpha-str",
+        "n-r-float", "table-path-int"])
 def test_validate_config_rejects_unknown_choices(values, message):
     # library callers reach validate_config without parse_config
     with pytest.raises(ConfigError, match=message):
         cli.validate_config(values)
+
+
+def test_readme_config_table_matches_keys():
+    # every key with its default, and every value a choice key may take
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Config files")[1].split("\n#")[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells[1:]
+    assert sorted(rows) == sorted(cli._KEYS)
+    for key, (_, default, kind) in cli._KEYS.items():
+        shown, meaning = rows[key]
+        if default is None:
+            assert shown == "`delta`", key
+        elif default == "":
+            assert shown == "", key
+        elif isinstance(default, str):
+            assert shown == "`%s`" % default, key
+        else:
+            assert shown == "`%g`" % default, key
+        if isinstance(kind, tuple):
+            for value in kind:
+                assert "`%s`" % value in meaning, (key, value)
 
 
 @pytest.mark.parametrize("body", [
@@ -153,7 +184,10 @@ def test_import_loads_no_unused_scipy_subpackages():
     ("R v\n1.5 1.0\n2.0 1.0\n", "cannot read initial table"),
     ("1.5,1.0\n2.0,1.0\n", "cannot read initial table"),
     ("1.5 1.0\n", "at least two rows"),
-], ids=["negative", "nan", "unsorted", "header", "comma", "one-row"])
+    ("", "has no data rows"),
+    ("# R value\n\n# none yet\n", "has no data rows"),
+], ids=["negative", "nan", "unsorted", "header", "comma", "one-row", "empty",
+        "comments-only"])
 def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, rows,
                                                message):
     table = tmp_path / "profile.txt"

@@ -98,7 +98,8 @@ def test_solve_mode_matches_banded_solve_bit_for_bit():
         if n != 2:
             rhs[0] = 0.0
         rhs[-1] = 0.0
-        ref = solve_banded((1, 1), elliptic._mode_bands(g, n, 0.3), rhs)
+        ref = solve_banded((1, 1), elliptic._bands(g.n, g.log_step, n, 0.3),
+                           rhs)
         got = solve_mode(n, f, 0.3, boundary_tol=None).values
         assert np.array_equal(got, ref), n
 

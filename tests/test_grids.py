@@ -33,6 +33,13 @@ def test_grid_rejects_bad_range():
         build_radial_grid(1.0, 2.0, 5, "uniform")
     with pytest.raises(ValueError):
         build_radial_grid(0.0, 1.0, 16, "geometric")
+    for kind in ("uniform", "geometric"):
+        # rejected before any node is built, so no overflow warning
+        with pytest.raises(ValueError, match="invalid-range"):
+            build_radial_grid(1.0, np.inf, 16, kind)
+        # bounds within rounding of each other give repeated nodes
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_radial_grid(1.0, 1.0 + 1e-15, 16, kind)
 
 
 def test_angular_grid_multiple_of_four():
