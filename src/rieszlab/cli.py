@@ -28,7 +28,8 @@ from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError
 from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
                     l2_norm)
-from .kernels import gamma_kernel, kernel_values, op_L, op_Ls, apply_lf_kernel
+from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
+                      apply_lf_kernel)
 from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
                        mode_residual)
@@ -75,11 +76,6 @@ class RunConfig:
             setattr(self, attr, values[key])
         self.alphas = alphas
 
-    def replaced(self, **overrides):
-        vals = dict(self.values)
-        vals.update(overrides)
-        return validate_config(vals)
-
 
 def _member_dir_name(alpha):
     """The directory a sweep member writes under the sweep's output.dir."""
@@ -100,11 +96,14 @@ def validate_config(values):
             if value not in kind:
                 raise ConfigError("%s must be one of %s, got %r"
                                   % (key, "|".join(kind), value))
-        elif not isinstance(value, _ACCEPTS[kind]):
+        elif (isinstance(value, bool)
+              or not isinstance(value, _ACCEPTS[kind])):
+            # bool is an Integral, but True is no count or size
             raise ConfigError("%s must be of type %s, got %r"
                               % (key, kind.__name__, value))
-        elif kind is float and not np.isfinite(value):
-            raise ConfigError("%s must be finite, got %g" % (key, value))
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            # compared exactly, so an int past the float range fails too
+            raise ConfigError("%s must be finite and fit a float" % key)
     alpha = merged["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha ∈ (0,1) is required, got %g" % alpha)
@@ -175,7 +174,7 @@ def parse_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     values = {}
     for ln, raw in enumerate(lines, start=1):
@@ -269,39 +268,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-class RunManifest:
-    """What a run did: resolved config, code version, wall time, named
-    checks, emitted files with digests, and the error if one stopped it."""
-
-    def __init__(self, config_values, out_dir):
-        self.config_values = config_values
-        self.out_dir = out_dir
-        self.version = __version__
-        self.wall_time = 0.0
-        self.checks = {}
-        self.files = {}
-        self.error = None
-
-    def add_files(self, paths):
-        for p in paths:
-            rel = os.path.relpath(p, self.out_dir)
-            self.files[rel] = _sha256(p)
-
-    def write(self):
-        path = os.path.join(self.out_dir, "manifest.json")
-        payload = {
-            "config": self.config_values,
-            "version": self.version,
-            "wall_time_s": self.wall_time,
-            "checks": self.checks,
-            "files": self.files,
-            "error": self.error,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _sample_times(config):
     t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
     return np.linspace(0.0, t_final, config.sample_count)
@@ -313,7 +279,7 @@ def _write_growth(out_dir, columns):
     return path
 
 
-def _run_model(config, out_dir, manifest):
+def _run_model(config, out_dir, checks):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     state = model_mod.init_state(f0, config.alpha)
@@ -329,15 +295,15 @@ def _run_model(config, out_dir, manifest):
                      float(np.max(state.A.values))))
         violations += model_mod.check_sandwich(state).n_violations
     sup, l2, ls_inf, a_max = zip(*rows)
-    manifest.checks["sandwich"] = ("pass" if violations == 0
-                                   else "fail: %d node-times" % violations)
-    manifest.checks["finite_norms"] = (
+    checks["sandwich"] = ("pass" if violations == 0
+                          else "fail: %d node-times" % violations)
+    checks["finite_norms"] = (
         "pass" if np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))
         else "fail")
     return [_write_growth(out_dir, [times, sup, l2, ls_inf, a_max])]
 
 
-def _run_linear(config, out_dir, manifest):
+def _run_linear(config, out_dir, checks):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     omega0 = Field2D(rgrid, agrid,
@@ -356,12 +322,12 @@ def _run_linear(config, out_dir, manifest):
         scale = max(float(np.max(np.abs(exact))), 1e-300)
         worst = max(worst, float(np.max(np.abs(state.omega.values - exact)))
                     / scale)
-    manifest.checks["closed_form"] = ("pass (%.2e)" % worst if worst <= 1e-10
-                                      else "fail: %.2e" % worst)
+    checks["closed_form"] = ("pass (%.2e)" % worst if worst <= 1e-10
+                             else "fail: %.2e" % worst)
     return [_write_growth(out_dir, [times] + list(zip(*rows)))]
 
 
-def _run_remainder(config, out_dir, manifest):
+def _run_remainder(config, out_dir, checks):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
@@ -377,16 +343,16 @@ def _run_remainder(config, out_dir, manifest):
                 series.model_sup])
     # check_support raises on any step past the threshold, so a series
     # that came back passed; the status carries how close it came
-    manifest.checks["support_containment"] = (
+    checks["support_containment"] = (
         "pass (peak reach %.2e, threshold %.2e)"
         % (series.peak_reach, series.reach_threshold))
-    manifest.checks["finite_norms"] = (
+    checks["finite_norms"] = (
         "pass" if np.all(np.isfinite(series.full_sup)) else "fail")
     return [growth, rem]
 
 
-def _run_full(config, out_dir, manifest):
-    growth, rem = _run_remainder(config, out_dir, manifest)
+def _run_full(config, out_dir, checks):
+    growth, rem = _run_remainder(config, out_dir, checks)
     # full kind reports the same growth history without the model columns
     os.remove(rem)
     return [growth]
@@ -394,26 +360,27 @@ def _run_full(config, out_dir, manifest):
 
 def _sweep_member(args):
     """One sweep alpha in a worker process; args is (member config, alpha,
-    member output dir). Returns (alpha, peak rem_sup, files, error)."""
+    member output dir). Returns (alpha, peak rem_sup, output files,
+    error). The member's manifest is not among the files: its wall time
+    differs between identical runs."""
     config, alpha, member_dir = args
-    mpath = os.path.join(member_dir, "manifest.json")
     try:
         manifest = _execute(config, _run_remainder)
     except (RieszlabError, ValueError) as exc:
-        return alpha, float("nan"), [mpath], exc
+        return alpha, float("nan"), [], exc
     # %.17g round-trips, so the peak read back is the marched one
     rem = np.loadtxt(os.path.join(member_dir, "remainder.csv"),
                      delimiter=",", skiprows=1, ndmin=2)
-    files = [os.path.join(member_dir, rel) for rel in manifest.files]
-    return alpha, float(np.max(rem[:, 1])), files + [mpath], None
+    files = [os.path.join(member_dir, rel) for rel in manifest["files"]]
+    return alpha, float(np.max(rem[:, 1])), files, None
 
 
-def _run_sweep(config, out_dir, manifest):
+def _run_sweep(config, out_dir, checks):
     jobs = []
     for alpha in config.alphas:
-        member = config.replaced(alpha=alpha, **{
+        member = validate_config(dict(config.values, alpha=alpha, **{
             "run.kind": "remainder",
-            "output.dir": os.path.join(out_dir, _member_dir_name(alpha))})
+            "output.dir": os.path.join(out_dir, _member_dir_name(alpha))}))
         jobs.append((member, alpha, member.output_dir))
     workers = min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -430,10 +397,10 @@ def _run_sweep(config, out_dir, manifest):
     try:
         report = alpha_scaling_study(list(zip(alphas, peaks)))
         cumulative = report.cumulative
-        manifest.checks["scaling_exponent"] = "%.6f" % report.exponent
+        checks["scaling_exponent"] = "%.6f" % report.exponent
     except ValueError as exc:
         cumulative = np.full(alphas.size, np.nan)
-        manifest.checks["scaling_exponent"] = "unavailable: %s" % exc
+        checks["scaling_exponent"] = "unavailable: %s" % exc
     spath = os.path.join(out_dir, "scaling_report.csv")
     _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative",
                [alphas, peaks, cumulative])
@@ -445,8 +412,11 @@ _BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,
 
 
 def _execute(config, body):
-    """Call body(config, out_dir, manifest), which returns the files it
-    wrote, and write manifest.json whether or not it raises."""
+    """Call body(config, out_dir, checks), which fills the checks dict and
+    returns the files it wrote, and write manifest.json whether or not it
+    raises: the resolved config, code version, wall time, named checks,
+    emitted files with digests, and the error if one stopped the run.
+    Returns the manifest dict."""
     out_dir = config.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -454,24 +424,30 @@ def _execute(config, body):
         # no manifest can be written without the directory
         raise ConfigError("cannot create output.dir %s: %s"
                           % (out_dir, exc.strerror or exc))
-    manifest = RunManifest(config.values, out_dir)
+    manifest = {"config": config.values, "version": __version__,
+                "wall_time_s": 0.0, "checks": {}, "files": {}, "error": None}
     t0 = time.perf_counter()
     try:
-        manifest.add_files(body(config, out_dir, manifest))
+        for path in body(config, out_dir, manifest["checks"]):
+            manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
     except Exception as exc:
         # recorded whatever it is; main maps RieszlabError and ValueError
         # to exit codes
-        manifest.error = {"type": type(exc).__name__, "message": str(exc),
-                          "stage": getattr(exc, "stage", "")}
+        manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
+                             "stage": getattr(exc, "stage", "")}
         raise
     finally:
-        manifest.wall_time = time.perf_counter() - t0
-        manifest.write()
+        manifest["wall_time_s"] = time.perf_counter() - t0
+        with open(os.path.join(out_dir, "manifest.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return manifest
 
 
 def run(config):
-    """Execute a validated config; always writes manifest.json."""
+    """Execute a validated config; always writes manifest.json and returns
+    its contents."""
     return _execute(config, _BODIES[config.run_kind])
 
 
@@ -521,7 +497,7 @@ def verify_kernel():
     f0 = model_mod.make_indicator(grid, 1.0, 2.0)
     A0 = RadialProfile(grid, np.zeros(grid.n))
     lf = apply_lf_kernel(f0, A0).values
-    tails = np.array([op_L(f0, R) for R in grid.nodes[::256]])
+    tails = profile_tail(f0).values[::256]
     diff = float(np.max(np.abs(lf[::256] - tails)))
     good &= _report_bound(lines, "zero-exponent-reduction", "max abs", diff,
                           1e-12)
@@ -614,7 +590,8 @@ def main(argv=None):
 
     if args.command == "run":
         try:
-            manifest = run(parse_config(args.config))
+            config = parse_config(args.config)
+            manifest = run(config)
         except ConfigError as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 2
@@ -625,9 +602,9 @@ def main(argv=None):
                   file=sys.stderr)
             return 3
         print("wrote %s (%d files, %.1f s)"
-              % (os.path.join(manifest.out_dir, "manifest.json"),
-                 len(manifest.files), manifest.wall_time))
-        for name, status in sorted(manifest.checks.items()):
+              % (os.path.join(config.output_dir, "manifest.json"),
+                 len(manifest["files"]), manifest["wall_time_s"]))
+        for name, status in sorted(manifest["checks"].items()):
             print("  %-20s %s" % (name, status))
         return 0
 

@@ -153,21 +153,17 @@ def fit_log_growth(curve):
 class ScalingReport:
     """Log-log regression of peak remainder against alpha."""
 
-    def __init__(self, alphas, values, exponent, ratios, cumulative):
-        self.alphas = alphas
-        self.values = values
+    def __init__(self, exponent, cumulative):
         self.exponent = exponent
-        self.ratios = ratios
         self.cumulative = cumulative
 
 
 def alpha_scaling_study(results):
     """Fit values ~ C * alpha^p from (alpha, max remainder sup) pairs.
 
-    Requires at least three distinct alphas in geometric progression (so
-    the per-pair ratios are comparable); reports the regression exponent,
-    consecutive value ratios, and the running exponent through each
-    prefix of the sweep."""
+    Requires at least three distinct alphas in geometric progression;
+    reports the running exponent through each prefix of the sweep, whose
+    last entry is the regression exponent over all of it."""
     pairs = [(float(a), float(v)) for a, v in results]
     if len(pairs) < 3:
         raise ValueError("insufficient-points: need at least 3 alphas")
@@ -182,10 +178,7 @@ def alpha_scaling_study(results):
         raise ValueError("alphas must be distinct: the progression has "
                          "step ratio 1")
     la, lv = np.log(alphas), np.log(values)
-    exponent = float(np.polyfit(la, lv, 1)[0])
-    ratios = values[:-1] / values[1:]
     cumulative = np.full(alphas.size, np.nan)
     for k in range(1, alphas.size):
         cumulative[k] = float(np.polyfit(la[:k + 1], lv[:k + 1], 1)[0])
-    return ScalingReport(alphas, values, exponent, ratios, cumulative)
-
+    return ScalingReport(float(cumulative[-1]), cumulative)

@@ -121,14 +121,6 @@ def _bands(n_r, h, n, alpha):
     return ab
 
 
-def _apply_bands(ab, v):
-    """The rows in ab applied to the radial vector v."""
-    out = ab[1] * v
-    out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[2, :-1] * v[:-1]
-    return out
-
-
 def _stencil_rhs(w, n_lo):
     """Right-hand sides of the stencil rows of modes n_lo, n_lo + 1, ...:
     the data, with modes along the next-to-last axis and the radial nodes
@@ -218,48 +210,36 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
     return RadialProfile(grid, psi)
 
 
-def apply_mode_operator(psi_n, n, alpha):
-    """The exact matrix rows of the stencil solve applied to a coefficient,
-    boundary rows included, so for n >= 2 solve-then-apply returns the
-    (boundary-modified) right-hand side to machine precision."""
-    grid = psi_n.grid
-    ab = _bands(grid.n, grid.log_step, int(n), alpha)
-    return RadialProfile(grid, _apply_bands(ab, psi_n.values))
-
-
 def mode_residual(psi_n, omega_n, n, alpha):
-    """Max-norm residual of the discrete system solved by solve_mode.
-    Only the stencil modes qualify: the marched modes 0 and 1 satisfy the
-    stencil to truncation order, not to machine precision."""
+    """Max-norm residual of the discrete system solved by solve_mode: its
+    exact matrix rows, boundary rows included, applied to psi_n against
+    the right-hand side. Only the stencil modes qualify: the marched modes
+    0 and 1 satisfy the stencil to truncation order, not to machine
+    precision."""
     if n < 2:
         raise ValueError("residual is defined for the stencil modes, n >= 2")
-    applied = apply_mode_operator(psi_n, n, alpha).values
+    grid, v = psi_n.grid, psi_n.values
+    ab = _bands(grid.n, grid.log_step, int(n), alpha)
+    applied = ab[1] * v
+    applied[:-1] += ab[0, 1:] * v[1:]
+    applied[1:] += ab[2, :-1] * v[:-1]
     rhs = _stencil_rhs(omega_n.values[None], n)[0]
     return float(np.max(np.abs(applied - rhs)))
 
 
 def exact_mode2(f, alpha, R=None):
     """Quadrature form of the mode-2 solution. The history integral I is
-    accumulated left to right as I_{j+1} = E_j I_j + cell_j with
-    E_j = (R_j / R_{j+1})^{4/alpha} <= 1, so no large power is ever formed
-    no matter how small alpha is, and each cell integrates the linear
-    interpolant of f (in log R) exactly. Assumes f vanishes at and below
-    the first node.
+    mode 1's causal convolution (_causal_single) at rate -4/alpha,
+    accumulated left to right as I_{j+1} = E I_j + cell_j with
+    E = e^{-4h/alpha} <= 1, so no large power is ever formed no matter how
+    small alpha is, and each cell integrates the linear interpolant of f
+    (in log R) exactly. Assumes f vanishes at and below the first node.
 
     Returns the profile on f's grid, or the value at R (interpolated in
     log R, constant below the grid where the solution is its own limit)
     when R is given."""
     grid = f.grid
-    nodes = grid.nodes
-    p = 4.0 / alpha
-    hx = np.diff(np.log(nodes))
-    E, w_near, w_far = _exp_cell_weights(-p, hx)
-    cells = w_near * f.values[1:] + w_far * f.values[:-1]
-    hist = np.zeros(grid.n)
-    acc = 0.0
-    for j in range(grid.n - 1):
-        acc = E[j] * acc + cells[j]
-        hist[j + 1] = acc
+    hist = _causal_single(f.values, -4.0 / alpha, grid.log_step)
     tail = profile_tail(f).values
     prof = RadialProfile(grid, -(tail + hist) / (4.0 * alpha))
     if R is None:

@@ -22,8 +22,7 @@ from .grids import RadialProfile, right_tail
 
 class KernelEval:
 
-    def __init__(self, a, value, err):
-        self.a = a
+    def __init__(self, value, err):
         self.value = value
         self.err = err
 
@@ -67,7 +66,7 @@ def gamma_kernel(a):
     v2, e2 = quad(_layer_integrand, -a - 14.0, np.log(0.7), args=(ea,),
                   epsabs=eps, epsrel=1e-11, limit=200)
     scale = 16.0 / np.pi
-    return KernelEval(a, scale * (v1 + v2), scale * (e1 + e2))
+    return KernelEval(scale * (v1 + v2), scale * (e1 + e2))
 
 
 def kernel_values(a):
@@ -90,25 +89,6 @@ def profile_tail(profile):
     """L(f) as a profile: tail integrals of f(s)/s at every node."""
     c = _tail_integrand(profile)
     return RadialProfile(profile.grid, right_tail(c, profile.grid.nodes))
-
-
-def op_L(profile, R):
-    """Trapezoid approximation of the tail integral of f(s)/s from R."""
-    nodes = profile.grid.nodes
-    if R < nodes[0] or R > nodes[-1] * (1.0 + 1e-12):
-        raise ValueError("unsupported-R: %g is outside the grid [%g, %g]"
-                         % (R, nodes[0], nodes[-1]))
-    c = _tail_integrand(profile)
-    tails = right_tail(c, nodes)
-    j = int(np.searchsorted(nodes, R, side="left"))
-    if j >= nodes.size or R >= nodes[-1]:
-        return 0.0
-    if nodes[j] == R:
-        return float(tails[j])
-    # partial cell [R, nodes[j]] with the integrand interpolated linearly
-    t = (R - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
-    c_at_R = c[j - 1] + t * (c[j] - c[j - 1])
-    return float(tails[j] + 0.5 * (c_at_R + c[j]) * (nodes[j] - R))
 
 
 def op_Ls(field):

@@ -53,9 +53,6 @@ class SandwichReport:
     both bounds meet the value exactly at t = 0."""
 
     def __init__(self, lower, value, upper):
-        self.lower = lower
-        self.value = value
-        self.upper = upper
         self.margin_lower = float(np.min(value - lower))
         self.margin_upper = float(np.min(upper - value))
         tol = 1e-12 * np.maximum(1.0, np.abs(value))

@@ -88,8 +88,10 @@ def test_validate_rejects_out_of_range(tmp_path):
     ({"alpha": "0.2"}, "alpha must be of type float, got '0.2'"),
     ({"grid.n_r": 64.0}, "grid.n_r must be of type int, got 64.0"),
     ({"initial.table_path": 3}, "initial.table_path must be of type str"),
+    ({"delta": 10 ** 400}, "delta must be finite and fit a float"),
+    ({"delta": True}, "delta must be of type float, got True"),
 ], ids=["run-kind", "spacing", "initial-kind", "unknown-key", "alpha-str",
-        "n-r-float", "table-path-int"])
+        "n-r-float", "table-path-int", "delta-huge-int", "delta-bool"])
 def test_validate_config_rejects_unknown_choices(values, message):
     # library callers reach validate_config without parse_config
     with pytest.raises(ConfigError, match=message):
@@ -205,7 +207,7 @@ def test_bad_table_values_exit_2_with_manifest(tmp_path, capsys, rows,
 
 def test_stray_value_error_exits_3_with_manifest(tmp_path, capsys,
                                                  monkeypatch):
-    def body(config, out_dir, manifest):
+    def body(config, out_dir, checks):
         raise ValueError("broken precondition")
 
     monkeypatch.setitem(cli._BODIES, "model", body)
@@ -347,8 +349,8 @@ def test_model_run_with_zero_amplitude(tmp_path):
         "alpha = 0.2\ninitial.amplitude = 0\ntime.sample_count = 5\n"
         "grid.n_r = 64\ngrid.n_theta = 16\noutput.dir = %s\n" % out)))
     manifest = cli.run(cfg)
-    assert manifest.error is None
-    assert manifest.checks["sandwich"].startswith("pass")
+    assert manifest["error"] is None
+    assert manifest["checks"]["sandwich"].startswith("pass")
     rows = np.genfromtxt(os.path.join(str(out), "growth.csv"),
                          delimiter=",", names=True)
     assert list(rows.dtype.names) == ["t", "sup_norm", "l2_norm",
@@ -367,7 +369,7 @@ def test_linear_run_matches_row_formula(tmp_path):
         "initial.center = 1.5\ninitial.width = 1.0\n"
         "time.sample_count = 40\noutput.dir = %s\n" % out)))
     manifest = cli.run(cfg)
-    assert manifest.checks["closed_form"].startswith("pass")
+    assert manifest["checks"]["closed_form"].startswith("pass")
     rows = np.genfromtxt(os.path.join(str(out), "growth.csv"),
                          delimiter=",", names=True)
     t = rows["t"]
@@ -382,19 +384,29 @@ def test_linear_run_matches_row_formula(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        cfg = cli.parse_config(write_config(tmp_path, (
-            "alpha = 0.3\ntime.sample_count = 6\ngrid.n_r = 96\n"
-            "grid.n_theta = 16\noutput.dir = %s\n" % out),
-            name="cfg_%s.txt" % name))
-        cli.run(cfg)
-        outs.append(out)
-    a = (outs[0] / "growth.csv").read_bytes()
-    b = (outs[1] / "growth.csv").read_bytes()
-    assert a == b
-    assert load_manifest(outs[0])["files"] == load_manifest(outs[1])["files"]
+    # the files map digests every output, a sweep member's too, and no
+    # manifest: a manifest carries its own wall time
+    bodies = {
+        "model": "alpha = 0.3\ntime.sample_count = 6\ngrid.n_r = 96\n",
+        "sweep": "run.kind = sweep\nrun.alphas = 0.4,0.2,0.1\n"
+                 "time.sample_count = 4\ngrid.n_r = 64\n",
+    }
+    for kind, body in bodies.items():
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / kind / name
+            cfg = cli.parse_config(write_config(tmp_path, (
+                body + "grid.n_theta = 16\noutput.dir = %s\n" % out),
+                name="cfg_%s_%s.txt" % (kind, name)))
+            cli.run(cfg)
+            outs.append(out)
+        files = load_manifest(outs[0])["files"]
+        assert files == load_manifest(outs[1])["files"]
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+        assert not any(rel.endswith("manifest.json") for rel in files)
+    # three members' growth.csv and remainder.csv, and scaling_report.csv
+    assert len(files) == 7
 
 
 def test_sweep_layout_and_scaling_report(tmp_path):
@@ -404,7 +416,7 @@ def test_sweep_layout_and_scaling_report(tmp_path):
         "grid.n_r = 128\ngrid.n_theta = 24\ntime.sample_count = 5\n"
         "output.dir = %s\n" % out)))
     manifest = cli.run(cfg)
-    assert manifest.error is None
+    assert manifest["error"] is None
     for a in ("0.4", "0.2", "0.1"):
         member = out / ("alpha_" + a)
         assert (member / "remainder.csv").exists()
@@ -423,7 +435,7 @@ def test_sweep_layout_and_scaling_report(tmp_path):
     assert body[0].endswith("nan")
     peaks = [float(line.split(",")[1]) for line in body]
     assert all(p > 0 for p in peaks)
-    assert "scaling_exponent" in manifest.checks
+    assert "scaling_exponent" in manifest["checks"]
 
 
 def test_remainder_reports_measured_support_reach(tmp_path):
@@ -432,7 +444,7 @@ def test_remainder_reports_measured_support_reach(tmp_path):
         "alpha = 0.3\nrun.kind = remainder\ntime.sample_count = 4\n"
         "grid.n_r = 96\ngrid.n_theta = 16\noutput.dir = %s\n" % out))))
     status = load_manifest(out)["checks"]["support_containment"]
-    assert status == manifest.checks["support_containment"]
+    assert status == manifest["checks"]["support_containment"]
     got = re.fullmatch(r"pass \(peak reach (\S+), threshold (\S+)\)", status)
     reach, threshold = float(got.group(1)), float(got.group(2))
     # the unit bump's Omega_2 has sup below 1, so the threshold is 1e-4
@@ -481,6 +493,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert cli.main(["run", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+    # a file that is not UTF-8 is a config the run cannot read
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"alpha = 0.2\n# \xff\n")
+    assert cli.main(["run", str(undecodable)]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
     assert cli.main(["verify-elliptic"]) == 0
     printed = capsys.readouterr().out
     assert "ok" in printed and "FAIL" not in printed
@@ -508,7 +525,7 @@ def test_table_initial_kind(tmp_path):
         "time.sample_count = 4\ngrid.n_r = 96\ngrid.n_theta = 16\n"
         "output.dir = %s\n" % (table, out))))
     manifest = cli.run(cfg)
-    assert manifest.error is None
+    assert manifest["error"] is None
     rows = np.genfromtxt(os.path.join(str(out), "growth.csv"),
                          delimiter=",", names=True)
     assert rows["sup_norm"][0] == pytest.approx(1.0, rel=1e-3)

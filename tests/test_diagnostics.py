@@ -144,7 +144,6 @@ def test_alpha_scaling_study_recovers_exponents():
     alphas = np.array([0.4, 0.2, 0.1])
     rep = alpha_scaling_study([(a, 0.3 * np.sqrt(a)) for a in alphas])
     assert rep.exponent == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(rep.ratios, np.sqrt(2.0), rtol=1e-12)
     assert np.isnan(rep.cumulative[0])
     assert np.allclose(rep.cumulative[1:], 0.5, atol=1e-12)
     rep = alpha_scaling_study([(a, 2.0 * a) for a in alphas])

@@ -4,7 +4,7 @@ import pytest
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, project_mode)
 from rieszlab.kernels import (gamma_kernel, kernel_values, profile_tail,
-                              op_L, op_Ls, apply_lf_kernel)
+                              op_Ls, apply_lf_kernel)
 from rieszlab.model import make_indicator
 
 
@@ -54,7 +54,7 @@ def test_kernel_values_match_quadrature_oracle():
     assert np.max(np.abs(kernel_values(a) - ref) / ref) < 1e-9
 
 
-def test_op_L_indicator_values():
+def test_profile_tail_indicator_values():
     # the tail starting exactly at the jump node sees half a cell of the
     # half-value sample, an O(h) effect local to the jump; assert the
     # analytic values with h-scaled tolerance and improvement on refining
@@ -62,26 +62,18 @@ def test_op_L_indicator_values():
     for n in (4097, 16385):
         g = aligned_grid(n)
         f = make_indicator(g, 1.0, 2.0)
-        errs.append(abs(op_L(f, 1.0) - np.log(2.0)))
-        # R = 1.5 is not a node: exercises the partial first cell
-        assert op_L(f, 1.5) == pytest.approx(np.log(4.0 / 3.0), rel=1e-5)
-        assert op_L(f, 5.0) == 0.0
+        tail = profile_tail(f).values
+        errs.append(abs(tail[g.nodes == 1.0][0] - np.log(2.0)))
+        inside = (g.nodes > 1.2) & (g.nodes < 1.8)
+        assert np.allclose(tail[inside], np.log(2.0 / g.nodes[inside]),
+                           rtol=1e-5, atol=0.0)
+        assert np.all(tail[g.nodes > 2.0] == 0.0)
     h = np.log(16.0) / 4096.0
     assert errs[0] < h
     assert errs[1] < 0.3 * errs[0]
     g = aligned_grid(513)
     z = RadialProfile(g, np.zeros(g.n))
-    assert op_L(z, 1.0) == 0.0
-
-
-def test_profile_tail_matches_op_L_at_nodes():
-    g = aligned_grid(513)
-    f = make_indicator(g, 1.0, 2.0)
-    tail = profile_tail(f)
-    picks = [0, 128, 256, 400, 512]
-    for k in picks:
-        assert tail.values[k] == pytest.approx(op_L(f, g.nodes[k]),
-                                               abs=1e-12)
+    assert np.all(profile_tail(z).values == 0.0)
 
 
 def test_op_Ls_op_Lc_orthogonality():

@@ -200,14 +200,16 @@ def test_closed_form_L_values():
 
 def test_check_sandwich_degenerate_cases():
     g, f0, state = default_setup()
+    # at t = 0 both bounds and the value are 0 at every node
     rep = m.check_sandwich(state)
-    assert np.all(rep.lower == 0.0) and np.all(rep.upper == 0.0)
     assert rep.margin_lower == 0.0 and rep.margin_upper == 0.0
     assert rep.n_violations == 0
     z = m.init_state(RadialProfile(g, np.zeros(g.n)), 0.2)
     z = m.step(z, 0.05)
     rep = m.check_sandwich(z)
-    assert np.all(rep.value == 0.0) and rep.n_violations == 0
+    assert np.all(z.A.values == 0.0)
+    assert rep.margin_lower == 0.0 and rep.margin_upper == 0.0
+    assert rep.n_violations == 0
 
 
 def test_check_sandwich_holds_at_horizon():
@@ -221,11 +223,16 @@ def test_check_sandwich_holds_at_horizon():
     rep = m.check_sandwich(fine)
     assert rep.n_violations == 0
     assert rep.margin_lower > -1e-12 and rep.margin_upper > -1e-12
-    # strictly inside the envelope wherever the tail is not negligible
+    # strictly inside the envelope wherever the tail is not negligible:
+    # the two logarithms of the module docstring at alpha = 0.1, c1 = 1
+    # and c2 = 4, in x = t L(f0) / alpha
     tail = profile_tail(f0).values
     core = tail > 1e-3 * np.max(tail)
-    assert np.all(rep.value[core] > rep.lower[core])
-    assert np.all(rep.value[core] < rep.upper[core])
+    value = 0.1 * fine.A.values[core]
+    x = fine.t * tail[core] / 0.1
+    lower = 0.05 * np.log1p(2.0 * x)
+    upper = 0.8 * np.log1p(0.5 * x)
+    assert np.all(value > lower) and np.all(value < upper)
 
 
 def test_default_horizon_formula():
