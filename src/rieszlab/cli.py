@@ -33,8 +33,9 @@ from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
 from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
                        mode_residual)
-from .evolution import (FullState, step_linear, run_remainder_study, march,
-                        field_row, support_edge_index)
+from .evolution import (FullState, FullMarch, step_linear,
+                        run_remainder_study, march, field_row,
+                        support_edge_index)
 from .diagnostics import alpha_scaling_study
 
 
@@ -279,7 +280,7 @@ def _write_growth(out_dir, columns):
     return path
 
 
-def _run_model(config, out_dir, checks):
+def _run_model(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     state = model_mod.init_state(f0, config.alpha)
@@ -295,6 +296,7 @@ def _run_model(config, out_dir, checks):
                      float(np.max(state.A.values))))
         violations += model_mod.check_sandwich(state).n_violations
     sup, l2, ls_inf, a_max = zip(*rows)
+    checks = manifest["checks"]
     checks["sandwich"] = ("pass" if violations == 0
                           else "fail: %d node-times" % violations)
     checks["finite_norms"] = (
@@ -303,7 +305,7 @@ def _run_model(config, out_dir, checks):
     return [_write_growth(out_dir, [times, sup, l2, ls_inf, a_max])]
 
 
-def _run_linear(config, out_dir, checks):
+def _run_linear(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     omega0 = Field2D(rgrid, agrid,
@@ -322,12 +324,24 @@ def _run_linear(config, out_dir, checks):
         scale = max(float(np.max(np.abs(exact))), 1e-300)
         worst = max(worst, float(np.max(np.abs(state.omega.values - exact)))
                     / scale)
-    checks["closed_form"] = ("pass (%.2e)" % worst if worst <= 1e-10
-                             else "fail: %.2e" % worst)
+    manifest["checks"]["closed_form"] = (
+        "pass (%.2e)" % worst if worst <= 1e-10 else "fail: %.2e" % worst)
     return [_write_growth(out_dir, [times] + list(zip(*rows)))]
 
 
-def _run_remainder(config, out_dir, checks):
+def _report_full(manifest, full, full_sup):
+    """The checks and stats of a FullMarch that ran to its last sample."""
+    # check_support raises on any step past the threshold, so a march
+    # that came back passed; the status carries how close it came
+    manifest["checks"]["support_containment"] = (
+        "pass (peak reach %.2e, threshold %.2e)"
+        % (full.peak_reach, full.reach_threshold))
+    manifest["checks"]["finite_norms"] = (
+        "pass" if np.all(np.isfinite(full_sup)) else "fail")
+    manifest["stats"] = full.stats()
+
+
+def _run_remainder(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
     t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
@@ -341,21 +355,20 @@ def _run_remainder(config, out_dir, checks):
     _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup",
                [series.t, series.rem_sup, series.rem_l2, series.full_sup,
                 series.model_sup])
-    # check_support raises on any step past the threshold, so a series
-    # that came back passed; the status carries how close it came
-    checks["support_containment"] = (
-        "pass (peak reach %.2e, threshold %.2e)"
-        % (series.peak_reach, series.reach_threshold))
-    checks["finite_norms"] = (
-        "pass" if np.all(np.isfinite(series.full_sup)) else "fail")
+    _report_full(manifest, series.full, series.full_sup)
     return [growth, rem]
 
 
-def _run_full(config, out_dir, checks):
-    growth, rem = _run_remainder(config, out_dir, checks)
-    # full kind reports the same growth history without the model columns
-    os.remove(rem)
-    return [growth]
+def _run_full(config, out_dir, manifest):
+    rgrid, agrid = build_grids(config)
+    f0 = build_profile(config, rgrid)
+    full = FullMarch(f0, config.alpha, agrid)
+    times = _sample_times(config)
+    j0 = support_edge_index(f0)
+    rows = [field_row(state.omega, j0) for state in full.samples(times)]
+    columns = list(zip(*rows))
+    _report_full(manifest, full, columns[0])
+    return [_write_growth(out_dir, [times] + columns)]
 
 
 def _sweep_member(args):
@@ -375,7 +388,7 @@ def _sweep_member(args):
     return alpha, float(np.max(rem[:, 1])), files, None
 
 
-def _run_sweep(config, out_dir, checks):
+def _run_sweep(config, out_dir, manifest):
     jobs = []
     for alpha in config.alphas:
         member = validate_config(dict(config.values, alpha=alpha, **{
@@ -394,6 +407,7 @@ def _run_sweep(config, out_dir, checks):
                                  stage=getattr(err, "stage", "sweep"))
     alphas = np.array([r[0] for r in results])
     peaks = np.array([r[1] for r in results])
+    checks = manifest["checks"]
     try:
         report = alpha_scaling_study(list(zip(alphas, peaks)))
         cumulative = report.cumulative
@@ -412,11 +426,12 @@ _BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,
 
 
 def _execute(config, body):
-    """Call body(config, out_dir, checks), which fills the checks dict and
-    returns the files it wrote, and write manifest.json whether or not it
-    raises: the resolved config, code version, wall time, named checks,
-    emitted files with digests, and the error if one stopped the run.
-    Returns the manifest dict."""
+    """Call body(config, out_dir, manifest), which fills the manifest's
+    checks dict, may add its stats dict, and returns the files it wrote;
+    write manifest.json whether or not it raises: the resolved config,
+    code version, wall time, named checks, stats, emitted files with
+    digests, and the error if one stopped the run. Returns the manifest
+    dict."""
     out_dir = config.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -428,7 +443,7 @@ def _execute(config, body):
                 "wall_time_s": 0.0, "checks": {}, "files": {}, "error": None}
     t0 = time.perf_counter()
     try:
-        for path in body(config, out_dir, manifest["checks"]):
+        for path in body(config, out_dir, manifest):
             manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
     except Exception as exc:
         # recorded whatever it is; main maps RieszlabError and ValueError

@@ -25,23 +25,25 @@ from . import model as _model
 
 
 class FullState:
-    """Immutable snapshot of the full evolution."""
+    """Immutable snapshot of the full evolution. local_error is the
+    embedded error estimate of the step_full step that made it, None for
+    a state no step_full made."""
 
-    def __init__(self, alpha, omega, t):
+    def __init__(self, alpha, omega, t, local_error=None):
         self.alpha = alpha
         self.omega = omega
         self.t = t
+        self.local_error = local_error
 
 
 class RemainderSeries:
     """Sampled distance between the full evolution and the model, plus
     the full run's own norm history (l2, the tail value at the support
     inf, and twice the peak angular mean as the exponent proxy), and the
-    largest outer-band reach of any step against the threshold that
-    check_support held it to."""
+    FullMarch that marched the full side, with its reach and stats."""
 
     def __init__(self, t, rem_sup, rem_l2, full_sup, model_sup, full_l2,
-                 ls_inf, a_proxy, peak_reach, reach_threshold):
+                 ls_inf, a_proxy, full):
         self.t = np.asarray(t, dtype=float)
         self.rem_sup = np.asarray(rem_sup, dtype=float)
         self.rem_l2 = np.asarray(rem_l2, dtype=float)
@@ -50,8 +52,7 @@ class RemainderSeries:
         self.full_l2 = np.asarray(full_l2, dtype=float)
         self.ls_inf = np.asarray(ls_inf, dtype=float)
         self.a_proxy = np.asarray(a_proxy, dtype=float)
-        self.peak_reach = float(peak_reach)
-        self.reach_threshold = float(reach_threshold)
+        self.full = full
 
     def max_rem_sup(self):
         return float(np.max(self.rem_sup))
@@ -63,8 +64,11 @@ def _band_limit(values, agrid, n_modes):
     return np.fft.irfft(spec, n=agrid.n_theta, axis=-1)
 
 
-def rhs_full(state, include_forcing=True):
-    """Tendency of the vorticity field at one instant."""
+def rhs_full(state, include_forcing=True, with_bound=False):
+    """Tendency of the vorticity field at one instant. with_bound returns
+    (tendency, cfl_dt(state)), the bound read off the stream function the
+    tendency solves for: the speeds are linear in psi and the modes the
+    same, so it is cfl_dt's bit for bit without cfl_dt's own solve."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
@@ -79,6 +83,12 @@ def rhs_full(state, include_forcing=True):
     tend = np.multiply(2.0, psi)
     scratch = np.multiply(alpha, dx_psi)
     tend += scratch
+    if with_bound:
+        # tend is the angular speed of velocity_from_psi for -psi, and the
+        # radial speed is built as there, in scratch; the bound sees
+        # magnitudes only
+        np.multiply(-alpha * rgrid.nodes[:, None], dth_psi, out=scratch)
+        bound = _step_bound(tend, scratch, rgrid, agrid)
     tend *= theta_deriv(om, agrid)
     np.multiply(alpha, dth_psi, out=scratch)
     scratch *= r_ddr(om, rgrid)
@@ -102,33 +112,43 @@ def rhs_full(state, include_forcing=True):
         term *= sc
         scratch -= term
         tend += scratch
-    return Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
+    tend = Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
+    return (tend, bound) if with_bound else tend
 
 
-def cfl_dt(state):
+def _step_bound(angular, radial, rgrid, agrid):
     """Advective step bound (Courant number 0.5) on the (log R, theta)
-    grid, from the speeds of velocity_from_psi; infinite for a quiescent
-    field."""
-    rgrid, agrid = state.omega.rgrid, state.omega.agrid
-    psi = solve_full(state.omega, state.alpha)
-    angular, radial = velocity_from_psi(psi, state.alpha)
-    hx = rgrid.log_step
-    vmax_x = float(np.max(np.abs(radial.values / rgrid.nodes[:, None])))
-    vmax_t = float(np.max(np.abs(angular.values)))
+    grid from the angular and radial speeds; infinite when both vanish.
+    It overwrites radial and makes no grid-sized temporary."""
+    radial /= rgrid.nodes[:, None]
+    vmax_x = float(np.max(np.abs(radial, out=radial)))
+    vmax_t = float(max(np.max(angular), -np.min(angular)))
     dt = np.inf
     if vmax_x > 0:
-        dt = min(dt, 0.5 * hx / vmax_x)
+        dt = min(dt, 0.5 * rgrid.log_step / vmax_x)
     if vmax_t > 0:
         dt = min(dt, 0.5 * agrid.dtheta / vmax_t)
     return dt
 
 
-def step_full(state, dt, include_forcing=True, enforce_cfl=True):
+def cfl_dt(state):
+    """Advective step bound from the speeds of velocity_from_psi."""
+    psi = solve_full(state.omega, state.alpha)
+    angular, radial = velocity_from_psi(psi, state.alpha)
+    return _step_bound(angular.values, radial.values, psi.rgrid, psi.agrid)
+
+
+def step_full(state, dt, include_forcing=True, enforce_cfl=True,
+              rate=None):
     """One strong-stability-preserving third-order step.
 
     enforce_cfl rechecks the advective bound at the cost of one extra
     elliptic solve; drivers that already sized dt from cfl_dt switch it
-    off."""
+    off. rate is the first stage when the caller already has it:
+    rhs_full's values at state, with the same include_forcing; it is read,
+    never written. The new state's local_error is max|v3 - (2 v2 - v0)|,
+    the gap to the embedded second-order (Heun) solution 2 v2 - v0
+    (Conde, Fekete and Shadid)."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
     if enforce_cfl:
@@ -148,8 +168,11 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True):
     # v3 = (v0 + 2 (v2 + dt r(v2))) / 3, each stage built in place in the
     # tendency array it starts from (products and sums commute exactly)
     v0 = om.values
-    v1 = rhs_of(v0, state.t)
-    v1 *= dt
+    if rate is None:
+        v1 = rhs_of(v0, state.t)
+        v1 *= dt
+    else:
+        v1 = np.multiply(rate, dt)
     v1 += v0
     stage = rhs_of(v1, state.t + dt)
     stage *= dt
@@ -157,6 +180,7 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True):
     stage *= 0.25
     v2 = np.multiply(0.75, v0, out=v1)
     v2 += stage
+    del stage  # freed before the third tendency's temporaries
     v3 = rhs_of(v2, state.t + 0.5 * dt)
     v3 *= dt
     v3 += v2
@@ -166,8 +190,13 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True):
     if not np.all(np.isfinite(v3)):
         raise NumericalError("non-finite vorticity after step at t=%g"
                              % (state.t + dt), stage="step_full")
+    # v3 - (2 v2 - v0) up to sign, in v2's array
+    v2 *= 2.0
+    v2 -= v0
+    v2 -= v3
+    local_error = float(np.max(np.abs(v2, out=v2)))
     return FullState(state.alpha, Field2D(om.rgrid, om.agrid, v3),
-                     state.t + dt)
+                     state.t + dt, local_error)
 
 
 def check_support(state, threshold):
@@ -200,15 +229,114 @@ def step_linear(state, dt):
                      state.t + dt)
 
 
-def march(state, times, step, max_dt):
+def march(state, times, step, max_dt, interpolate=None):
     """Yield `state` advanced to each of `times` in turn. Each step is
     min(max_dt(state), time left to the sample); a sample within
-    1e-14 * max(times[-1], 1) counts as reached."""
+    1e-14 * max(times[-1], 1) counts as reached.
+
+    With interpolate, the steps run on to times[-1] without stopping at
+    the samples in between: a sample on a step end yields that state, and
+    one inside a step yields interpolate(start, end, t) of the step's two
+    end states."""
     tol = 1e-14 * max(times[-1], 1.0)
     for ts in times:
+        target = ts if interpolate is None else times[-1]
         while state.t < ts - tol:
-            state = step(state, min(max_dt(state), ts - state.t))
-        yield state
+            start = state
+            state = step(state, min(max_dt(state), target - state.t))
+        if interpolate is None or state.t - ts <= tol:
+            yield state
+        else:
+            yield interpolate(start, state, ts)
+
+
+class FullMarch:
+    """The full system from the model's initial data f0 sin(2 theta),
+    marched at min(cfl_dt, 0.05 alpha) and read at the sample times by
+    cubic Hermite interpolation between step ends, from the end values
+    and end tendencies (Hairer, Norsett and Wanner, Solving ODEs I,
+    II.6).
+
+    A step end's tendency is the next step's first stage, and the bound
+    that sizes that step comes from the same stream function, so n steps
+    cost 3 n + 1 rhs_full calls and one elliptic solve each. Every step
+    end must pass check_support at reach_threshold; peak_reach is the
+    largest reach seen."""
+
+    def __init__(self, f0, alpha, agrid):
+        self.alpha = alpha
+        self.omega0 = _model.reconstruct_Omega2(_model.init_state(f0, alpha),
+                                                agrid)
+        self.reach_threshold = 1e-4 * max(sup_norm(self.omega0), 1.0)
+        self.peak_reach = 0.0
+        self._dts, self._utilisation, self._local_errors = [], [], []
+        # tendencies at the start and the end of the latest step, and the
+        # advective bound at its end
+        self._start_rate = self._rate = self._bound = None
+        self._sample = np.empty_like(self.omega0.values)
+
+    def samples(self, times):
+        """Yield the full state at each of times, from t = 0. A state
+        inside a step lives in one scratch array that the next sample
+        overwrites."""
+        state = FullState(self.alpha, self.omega0, 0.0)
+        rate, self._bound = rhs_full(state, with_bound=True)
+        self._rate = rate.values
+        return march(state, times, self._step, self._max_dt,
+                     self._interpolate)
+
+    def _max_dt(self, state):
+        dt = min(self._bound, 0.05 * self.alpha)
+        if dt < 1e-12:
+            raise NumericalError("time step collapsed at t=%g" % state.t,
+                                 stage="full-march")
+        return dt
+
+    def _step(self, state, dt):
+        # the last step's start tendency is spent; dt already honors the
+        # bound of this state's own first stage
+        self._start_rate = None
+        state = step_full(state, dt, enforce_cfl=False, rate=self._rate)
+        self.peak_reach = max(self.peak_reach,
+                              check_support(state, self.reach_threshold))
+        self._dts.append(float(dt))
+        self._utilisation.append(float(dt / self._bound))
+        self._local_errors.append(state.local_error)
+        self._start_rate = self._rate
+        rate, self._bound = rhs_full(state, with_bound=True)
+        self._rate = rate.values
+        return state
+
+    def _interpolate(self, start, end, t):
+        h = end.t - start.t
+        s = (t - start.t) / h
+        # the Hermite sum a y0 + b y1 + c f0 + d f1 with weights
+        # a = (1 + 2 s)(1 - s)^2, b = s^2 (3 - 2 s), c = h s (1 - s)^2 and
+        # d = h s^2 (s - 1), none zero for 0 < s < 1, nested as
+        # a (y0 + b/a (y1 + c/b (f0 + d/c f1))) to build it in one array
+        a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+        b = s * s * (3.0 - 2.0 * s)
+        c = h * s * (1.0 - s) ** 2
+        out = np.multiply(self._rate, -s / (1.0 - s), out=self._sample)
+        out += self._start_rate
+        out *= c / b
+        out += end.omega.values
+        out *= b / a
+        out += start.omega.values
+        out *= a
+        return FullState(self.alpha, Field2D(end.omega.rgrid,
+                                             end.omega.agrid, out), t)
+
+    def stats(self):
+        """What the march did so far: steps, the dt range, the range of dt
+        over the advective bound of the step's own first stage, and the
+        largest embedded local error estimate of step_full."""
+        return {"steps": len(self._dts),
+                "dt_min": min(self._dts, default=0.0),
+                "dt_max": max(self._dts, default=0.0),
+                "cfl_utilisation_min": min(self._utilisation, default=0.0),
+                "cfl_utilisation_max": max(self._utilisation, default=0.0),
+                "local_error_max": max(self._local_errors, default=0.0)}
 
 
 def support_edge_index(f0):
@@ -233,38 +361,24 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
         t_final = _model.default_horizon(alpha)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    mstate = _model.init_state(f0, alpha)
-    omega0 = _model.reconstruct_Omega2(mstate, agrid)
-    escape_threshold = 1e-4 * max(sup_norm(omega0), 1.0)
+    full = FullMarch(f0, alpha, agrid)
     dt_model = alpha * model_dt_factor
     times = np.linspace(0.0, t_final, n_samples)
     j0 = support_edge_index(f0)
+    rows = [_remainder_row(state, mstate, agrid, j0)
+            for state, mstate in zip(
+                full.samples(times),
+                march(_model.init_state(f0, alpha), times, _model.step,
+                      lambda _: dt_model))]
+    return RemainderSeries(times, *zip(*rows), full=full)
 
-    def full_dt(state):
-        bound = min(cfl_dt(state), 0.05 * alpha)
-        if bound < 1e-12:
-            raise NumericalError("time step collapsed at t=%g" % state.t,
-                                 stage="remainder-study")
-        return bound
 
-    peak_reach = 0.0
-
-    def full_step(state, dt):
-        nonlocal peak_reach
-        # dt already honors the advective bound just computed
-        state = step_full(state, dt, enforce_cfl=False)
-        peak_reach = max(peak_reach, check_support(state, escape_threshold))
-        return state
-
-    rows = []
-    for state, mstate in zip(
-            march(FullState(alpha, omega0, 0.0), times, full_step, full_dt),
-            march(mstate, times, _model.step, lambda _: dt_model)):
-        om_model = _model.reconstruct_Omega2(mstate, agrid)
-        diff = Field2D(f0.grid, agrid, state.omega.values - om_model.values)
-        rem_sup, rem_l2 = sup_norm(diff), l2_norm(diff)
-        full_sup, full_l2, ls_inf, a_proxy = field_row(state.omega, j0)
-        rows.append((rem_sup, rem_l2, full_sup, _model.sup_omega2(mstate),
-                     full_l2, ls_inf, a_proxy))
-    return RemainderSeries(times, *zip(*rows), peak_reach=peak_reach,
-                           reach_threshold=escape_threshold)
+def _remainder_row(state, mstate, agrid, j0):
+    """A sample's row: rem_sup, rem_l2, full_sup, model_sup, full_l2,
+    ls_inf, a_proxy. The model field and the difference share one array,
+    made here and dropped before the march takes its next step."""
+    diff = _model.reconstruct_Omega2(mstate, agrid)
+    np.subtract(state.omega.values, diff.values, out=diff.values)
+    full_sup, full_l2, ls_inf, a_proxy = field_row(state.omega, j0)
+    return (sup_norm(diff), l2_norm(diff), full_sup,
+            _model.sup_omega2(mstate), full_l2, ls_inf, a_proxy)

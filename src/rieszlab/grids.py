@@ -146,7 +146,12 @@ def project_mode(field, n, parity):
 def _d2_uniform(values, h):
     v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h ** 2
+    # (v[:-2] - 2 v[1:-1] + v[2:]) / h^2 in the interior rows of out,
+    # the same operations in the same order without temporaries
+    mid = np.multiply(2.0, v[1:-1], out=out[1:-1])
+    np.subtract(v[:-2], mid, out=mid)
+    mid += v[2:]
+    mid /= h ** 2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
     return out
@@ -161,14 +166,16 @@ def r_ddr(values, rgrid):
 def r2_d2dr2(values, rgrid):
     """R^2 d2F/dR2 = d2F/dx2 - dF/dx along the leading axis of a
     geometric grid."""
-    return _d2_uniform(values, rgrid.log_step) - r_ddr(values, rgrid)
+    out = _d2_uniform(values, rgrid.log_step)
+    out -= r_ddr(values, rgrid)
+    return out
 
 
 def theta_deriv(values, agrid, order=1):
     """Spectral theta-derivative along the last axis of a (n_r, n_theta) array."""
     coeff = np.fft.rfft(values, axis=-1)
     k = np.arange(coeff.shape[-1])
-    coeff = coeff * (1j * k) ** order
+    coeff *= (1j * k) ** order
     if agrid.n_theta % 2 == 0 and order % 2 == 1:
         coeff[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(coeff, n=agrid.n_theta, axis=-1)

@@ -453,6 +453,37 @@ def test_remainder_reports_measured_support_reach(tmp_path):
     assert 0.0 < reach < threshold
 
 
+def test_full_and_remainder_manifests_report_march_stats(tmp_path):
+    # both kinds march the same full system, so they report the same
+    # stats and write the same growth.csv; a model run has no stats
+    stats = {}
+    for kind in ("remainder", "full", "model"):
+        out = tmp_path / kind
+        manifest = cli.run(cli.parse_config(write_config(tmp_path, (
+            "alpha = 0.3\nrun.kind = %s\ntime.sample_count = 6\n"
+            "grid.n_r = 96\ngrid.n_theta = 16\noutput.dir = %s\n"
+            % (kind, out)), name=kind + ".txt")))
+        on_disk = load_manifest(out)
+        if kind == "model":
+            assert "stats" not in manifest and "stats" not in on_disk
+            continue
+        assert on_disk["stats"] == manifest["stats"]
+        stats[kind] = got = on_disk["stats"]
+        assert sorted(got) == ["cfl_utilisation_max", "cfl_utilisation_min",
+                               "dt_max", "dt_min", "local_error_max",
+                               "steps"]
+        # fewer steps than the 5 sample intervals, each within its bound
+        assert 1 <= got["steps"] < 5
+        assert 0.0 < got["dt_min"] <= got["dt_max"] <= 0.05 * 0.3
+        assert (0.0 < got["cfl_utilisation_min"]
+                <= got["cfl_utilisation_max"] <= 1.0)
+        assert 0.0 < got["local_error_max"] < 1e-3
+    assert stats["full"] == stats["remainder"]
+    assert ((tmp_path / "full" / "growth.csv").read_bytes()
+            == (tmp_path / "remainder" / "growth.csv").read_bytes())
+    assert not (tmp_path / "full" / "remainder.csv").exists()
+
+
 def test_manifest_written_on_numerical_failure(tmp_path, capsys):
     out = tmp_path / "fail"
     path = write_config(tmp_path, (

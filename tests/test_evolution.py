@@ -5,11 +5,12 @@ from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, theta_deriv, sup_norm, r_ddr, r2_d2dr2)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
-from rieszlab.elliptic import exact_mode2, solve_full
+from rieszlab.elliptic import exact_mode2, solve_full, velocity_from_psi
 from rieszlab import model as m
-from rieszlab.evolution import (FullState, rhs_full, cfl_dt, step_full,
-                                step_linear, check_support,
-                                run_remainder_study)
+from rieszlab import evolution
+from rieszlab.evolution import (FullState, FullMarch, rhs_full, cfl_dt,
+                                step_full, step_linear, check_support,
+                                run_remainder_study, march)
 
 
 def sine_state(alpha, grid, agrid, f0=None):
@@ -86,9 +87,118 @@ def test_rhs_and_step_match_out_of_place_formulas(alpha):
     v1 = v0 + dt * r(v0, 0.0)
     v2 = 0.75 * v0 + 0.25 * (v1 + dt * r(v1, dt))
     v3 = (v0 + 2.0 * (v2 + dt * r(v2, 0.5 * dt))) / 3.0
-    assert np.array_equal(step_full(state, dt).omega.values, v3)
+    stepped = step_full(state, dt)
+    assert np.array_equal(stepped.omega.values, v3)
+    # the embedded estimate is the gap to Heun's solution 2 v2 - v0
+    assert stepped.local_error == np.max(np.abs(v3 - (2.0 * v2 - v0)))
     # the stages never write into the state they start from
     assert np.array_equal(state.omega.values, v0)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.1])
+def test_supplied_first_stage_and_bound_are_bit_identical(alpha):
+    # rhs_full's bound comes from the psi its tendency solves for, and a
+    # step handed that tendency as its first stage is the same step
+    state = _noisy_model_state(alpha)
+    g, agrid = state.omega.rgrid, state.omega.agrid
+    # the bound as plain expressions of the two speeds
+    ang, rad = velocity_from_psi(solve_full(state.omega, alpha), alpha)
+    assert cfl_dt(state) == min(
+        0.5 * g.log_step / np.max(np.abs(rad.values / g.nodes[:, None])),
+        0.5 * agrid.dtheta / np.max(np.abs(ang.values)))
+    for forcing in (True, False):
+        tend, bound = rhs_full(state, include_forcing=forcing,
+                               with_bound=True)
+        assert np.array_equal(
+            tend.values, rhs_full(state, include_forcing=forcing).values)
+        assert bound == cfl_dt(state)
+        rate = tend.values.copy()
+        dt = 0.5 * bound
+        given = step_full(state, dt, include_forcing=forcing,
+                          rate=tend.values)
+        own = step_full(state, dt, include_forcing=forcing)
+        assert np.array_equal(given.omega.values, own.omega.values)
+        assert given.local_error == own.local_error
+        assert given.t == own.t
+        # the supplied stage is read, never written
+        assert np.array_equal(tend.values, rate)
+    zero = FullState(alpha, Field2D(g, agrid,
+                                    np.zeros(state.omega.values.shape)), 0.0)
+    assert rhs_full(zero, with_bound=True)[1] == np.inf == cfl_dt(zero)
+
+
+def test_dense_samples_on_step_ends_are_the_marched_states():
+    # at amplitude 1e-3 the advective bound is far above 0.05 alpha, so
+    # every step is 0.05 alpha and the step ends are known in advance;
+    # samples on them are the states a plain loop of step_full reaches,
+    # bit for bit, and samples between them do not move the steps
+    alpha = 0.2
+    g = build_radial_grid(8e-3, 8.0, 64)
+    agrid = AngularGrid(16)
+    h = 0.05 * alpha
+    full = FullMarch(m.make_bump(g, amplitude=1e-3), alpha, agrid)
+    times = np.array([0.0, 0.5 * h, h, 2.0 * h, 2.25 * h, 2.75 * h, 4.0 * h])
+    got = [(s.t, s.omega.values.copy()) for s in full.samples(times)]
+    assert full.stats()["steps"] == 4
+    assert full.stats()["dt_min"] == full.stats()["dt_max"] == h
+    state = FullState(alpha, full.omega0, 0.0)
+    ends = {0: state}
+    for k in range(1, 5):
+        state = step_full(state, h, enforce_cfl=False)
+        ends[k] = state
+    for (t, values), ts in zip(got, times):
+        k = ts / h
+        if k == int(k):
+            assert np.array_equal(values, ends[int(k)].omega.values)
+            assert t == ends[int(k)].t
+        else:
+            assert t == ts
+            lo, hi = ends[int(k)].omega.values, ends[int(k) + 1].omega.values
+            # a cubic through two nearby states stays near their chord
+            assert np.max(np.abs(values - lo - (k - int(k)) * (hi - lo))) \
+                <= 1e-3 * np.max(np.abs(hi - lo))
+
+
+def test_remainder_study_solves_once_per_tendency(monkeypatch):
+    # the march spends one elliptic solve per rhs_full call, 3 per step
+    # plus the first, takes fewer steps than sample intervals, and its
+    # Hermite samples match a march clipped to every sample interval to
+    # 2e-6 of the field's sup (measured: 2e-7; a linear fill or swapped
+    # end tendencies miss by 4e-5 to 9e-5)
+    calls = {"rhs_full": 0, "solve_full": 0}
+
+    def counted(name):
+        fn = getattr(evolution, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    g = build_radial_grid(8e-3, 8.0, 128)
+    agrid = AngularGrid(32)
+    f0 = m.make_bump(g)
+    alpha, n_samples = 0.2, 20
+    times = np.linspace(0.0, m.default_horizon(alpha), n_samples)
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(evolution, name, counted(name))
+        series = run_remainder_study(f0, alpha, agrid, n_samples=n_samples)
+    steps = series.full.stats()["steps"]
+    assert 0 < steps < n_samples - 1
+    assert calls["solve_full"] == calls["rhs_full"] == 3 * steps + 1
+    full = FullMarch(f0, alpha, agrid)
+    dense = [s.omega.values.copy() for s in full.samples(times)]
+    clipped = march(FullState(alpha, full.omega0, 0.0), times,
+                    lambda s, dt: step_full(s, dt, enforce_cfl=False),
+                    lambda s: min(cfl_dt(s), 0.05 * alpha))
+    ref = [s.omega.values for s in clipped]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    assert max(np.max(np.abs(d - r)) for d, r in zip(dense, ref)) \
+        <= 2e-6 * scale
+    # the study's full side is this march, sample for sample
+    assert list(series.full_sup) == [float(np.max(np.abs(d))) for d in dense]
 
 
 def test_forcing_matches_mode2_groups():
