@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError
-from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
-                    l2_norm)
+from .grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
@@ -281,17 +280,26 @@ def _write_growth(out_dir, columns):
 
 
 def _run_model(config, out_dir, manifest):
-    rgrid, agrid = build_grids(config)
+    rgrid, _ = build_grids(config)
     f0 = build_profile(config, rgrid)
     state = model_mod.init_state(f0, config.alpha)
     times = _sample_times(config)
     dt = config.alpha * config.dt_factor
+    manifest["stats"] = {"steps": 0, "dt": dt,
+                         "step_ratio": model_mod.step_ratio(state, dt),
+                         "step_ratio_rule": model_mod.STEP_RATIO_RULE}
+
+    def counted_step(state, h):
+        manifest["stats"]["steps"] += 1
+        return model_mod.step(state, h)
+
     j0 = support_edge_index(f0)
     rows = []
     violations = 0
-    for state in march(state, times, model_mod.step, lambda _: dt):
+    # both norms are exact in the angle: no angular grid is sampled
+    for state in march(state, times, counted_step, lambda _: dt):
         rows.append((model_mod.sup_omega2(state),
-                     l2_norm(model_mod.reconstruct_Omega2(state, agrid)),
+                     model_mod.l2_omega2(state),
                      float(model_mod.eval_Ls(state).values[j0]),
                      float(np.max(state.A.values))))
         violations += model_mod.check_sandwich(state).n_violations

@@ -107,10 +107,16 @@ def trapz(values, nodes):
 def right_tail(values, nodes):
     """Trapezoid tail integrals: out[j] approximates the integral of the
     sampled function from nodes[j] to nodes[-1]. out[-1] is 0."""
-    seg = (values[:-1] + values[1:]) * 0.5 * np.diff(nodes)
+    return tail_sums(values, 0.5 * np.diff(nodes))
+
+
+def tail_sums(values, half_widths):
+    """right_tail on the half cell widths 0.5 * diff(nodes), for callers
+    that integrate many functions on one grid."""
+    seg = (values[:-1] + values[1:]) * half_widths
     out = np.empty_like(values)
     out[-1] = 0.0
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    out[:-1] = seg[::-1].cumsum()[::-1]
     return out
 
 

@@ -17,7 +17,7 @@ closed form is checked against.
 
 import numpy as np
 
-from .grids import RadialProfile, right_tail
+from .grids import RadialProfile, right_tail, tail_sums
 
 
 class KernelEval:
@@ -73,13 +73,16 @@ def kernel_values(a):
     """Vectorized K(a) = 4b/(1+b)^2 with b = e^-a, the closed form of the
     average gamma_kernel integrates; it underflows cleanly to 0."""
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
+    # the method form skips np.any's dispatch: each model step calls this
+    # four times
+    if (a < 0).any():
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
     b = np.exp(-a)
     return 4.0 * b / (1.0 + b) ** 2
 
 
-def _tail_integrand(profile):
+def tail_integrand(profile):
+    """f(R)/R, the integrand of the tail operator L."""
     nodes = profile.grid.nodes
     return np.divide(profile.values, nodes,
                      out=np.zeros_like(profile.values), where=profile.values != 0)
@@ -87,13 +90,23 @@ def _tail_integrand(profile):
 
 def profile_tail(profile):
     """L(f) as a profile: tail integrals of f(s)/s at every node."""
-    c = _tail_integrand(profile)
+    c = tail_integrand(profile)
     return RadialProfile(profile.grid, right_tail(c, profile.grid.nodes))
 
 
 def op_Ls(field):
     from .grids import project_mode
     return profile_tail(project_mode(field, 2, "sin"))
+
+
+def lf_tail(c, half_widths, A, kernel=None):
+    """The array form of apply_lf_kernel, and its one implementation:
+    the trapezoid tail sums of c K(A), with c = tail_integrand(f0) and
+    half_widths = 0.5 * diff(nodes), both fixed for a model march."""
+    if (A < 0).any():
+        raise ValueError("negative-A: the accumulated exponent is nonnegative")
+    kv = kernel(A) if kernel is not None else kernel_values(A)
+    return tail_sums(c * kv, half_widths)
 
 
 def apply_lf_kernel(f0, A, kernel=None):
@@ -104,8 +117,6 @@ def apply_lf_kernel(f0, A, kernel=None):
     induced dynamics integrate in closed form)."""
     if not f0.grid.same_nodes(A.grid):
         raise ValueError("f0 and A must live on the same radial grid")
-    if np.any(A.values < 0):
-        raise ValueError("negative-A: the accumulated exponent is nonnegative")
-    kv = kernel(A.values) if kernel is not None else kernel_values(A.values)
-    c = _tail_integrand(f0) * kv
-    return RadialProfile(f0.grid, right_tail(c, f0.grid.nodes))
+    return RadialProfile(f0.grid, lf_tail(tail_integrand(f0),
+                                          0.5 * np.diff(f0.grid.nodes),
+                                          A.values, kernel))

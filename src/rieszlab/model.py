@@ -30,22 +30,35 @@ c1-Riccati rate initially; numerics confirm the violation).
 
 import numpy as np
 
-from .grids import RadialProfile, Field2D
-from .kernels import apply_lf_kernel, profile_tail
+from .grids import RadialProfile, Field2D, tail_sums, trapz
+from .kernels import (profile_tail, kernel_values, lf_tail,
+                      tail_integrand)
 
 C1 = 1.0
 C2 = 4.0
+# the acceptance test's step rule: dt * max L(f0) / (2 alpha) at most 1/20
+STEP_RATIO_RULE = 0.05
 
 
 class ModelState:
-    """Immutable snapshot: step() returns a new state."""
+    """Immutable snapshot: step() returns a new state.
 
-    def __init__(self, alpha, f0, A, t, kernel=None):
+    c, half_widths and L0 depend on f0 alone: the tail integrand f0/R,
+    the half cell widths 0.5 * diff(nodes) and L(f0). A state made from
+    f0 computes them, and step() hands them on, so a march computes them
+    once."""
+
+    def __init__(self, alpha, f0, A, t, kernel=None, f0_arrays=None):
         self.alpha = alpha
         self.f0 = f0
         self.A = A
         self.t = t
         self.kernel = kernel
+        if f0_arrays is None:
+            c = tail_integrand(f0)
+            half_widths = 0.5 * np.diff(f0.grid.nodes)
+            f0_arrays = c, half_widths, tail_sums(c, half_widths)
+        self.c, self.half_widths, self.L0 = f0_arrays
 
 
 class SandwichReport:
@@ -75,27 +88,37 @@ def init_state(f0, alpha, kernel=None):
     return ModelState(alpha, f0, A, 0.0, kernel)
 
 
-def _rhs(state, A_values):
-    A = RadialProfile(state.f0.grid, A_values)
-    return apply_lf_kernel(state.f0, A, kernel=state.kernel).values / state.alpha
-
-
 def step(state, dt):
-    """Classical 4th-order one-step advance of A at all nodes."""
+    """Classical 4th-order one-step advance of A at all nodes. Each stage
+    is one lf_tail on plain arrays; only the new A is checked finite."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
+    c, half_widths, kernel, alpha = (state.c, state.half_widths,
+                                     state.kernel, state.alpha)
+
+    def rate(a):
+        return lf_tail(c, half_widths, a, kernel) / alpha
+
     a = state.A.values
-    k1 = _rhs(state, a)
-    k2 = _rhs(state, a + 0.5 * dt * k1)
-    k3 = _rhs(state, a + 0.5 * dt * k2)
-    k4 = _rhs(state, a + dt * k3)
+    k1 = rate(a)
+    k2 = rate(a + 0.5 * dt * k1)
+    k3 = rate(a + 0.5 * dt * k2)
+    k4 = rate(a + dt * k3)
     a_new = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     A_new = RadialProfile(state.f0.grid, a_new)
-    return ModelState(state.alpha, state.f0, A_new, state.t + dt, state.kernel)
+    return ModelState(alpha, state.f0, A_new, state.t + dt, kernel,
+                      (c, half_widths, state.L0))
 
 
 def eval_Ls(state):
-    return apply_lf_kernel(state.f0, state.A, kernel=state.kernel)
+    return RadialProfile(state.f0.grid, lf_tail(state.c, state.half_widths,
+                                                state.A.values, state.kernel))
+
+
+def step_ratio(state, dt):
+    """dt * max L(f0) / (2 alpha): how far a step of dt moves alpha A
+    against the 2 alpha scale of the closed-form logarithm."""
+    return float(dt * np.max(state.L0) / (2.0 * state.alpha))
 
 
 def _interp_profile(profile, R):
@@ -144,6 +167,21 @@ def sup_omega2(state):
     return float(np.max(state.f0.values + 0.5 * state.A.values))
 
 
+def l2_omega2(state):
+    """The l2 norm of Omega_2, exact in theta. With b = e^-A, t = tan theta
+    turns the angular integral of f_t^2 into a rational one, and
+
+        integral over [0, 2 pi) of f_t^2 d theta = pi f0^2 K(A)
+
+    with K = kernel_values, the true angular average whatever kernel the
+    state marches with. f_t is odd in theta, so the cross term with A/2
+    vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2 / 2) dR,
+    taken by the trapezoid rule on the radial nodes like l2_norm."""
+    f0, A = state.f0.values, state.A.values
+    per_r = np.pi * (f0 * f0 * kernel_values(A) + 0.5 * A * A)
+    return float(np.sqrt(trapz(per_r, state.f0.grid.nodes)))
+
+
 def closed_form_L(f0, alpha, t):
     """Exact solution of the comparison dynamics with kernel e^-a at every
     node: value = L(f0) / (1 + (t/2 alpha) L(f0)) and its time integral
@@ -156,8 +194,7 @@ def closed_form_L(f0, alpha, t):
 def check_sandwich(state):
     """Pinch alpha * A_t(R) between the two closed-form logarithms (module
     docstring); violations are reported in the margins, never raised."""
-    alpha, t = state.alpha, state.t
-    L0 = profile_tail(state.f0).values
+    alpha, t, L0 = state.alpha, state.t, state.L0
     value = alpha * state.A.values
     lower = (2.0 * alpha / C2) * np.log1p((0.5 * C2 / alpha) * t * L0)
     upper = (2.0 * alpha * C2 / C1) * np.log1p((0.5 * C1 / alpha) * t * L0)

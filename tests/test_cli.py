@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rieszlab.errors import ConfigError
 from rieszlab import cli
+from rieszlab.kernels import profile_tail
 
 
 def write_config(tmp_path, body, name="run.txt"):
@@ -455,20 +456,31 @@ def test_remainder_reports_measured_support_reach(tmp_path):
 
 def test_full_and_remainder_manifests_report_march_stats(tmp_path):
     # both kinds march the same full system, so they report the same
-    # stats and write the same growth.csv; a model run has no stats
+    # stats and write the same growth.csv; a model run reports its own
     stats = {}
     for kind in ("remainder", "full", "model"):
         out = tmp_path / kind
-        manifest = cli.run(cli.parse_config(write_config(tmp_path, (
+        config = cli.parse_config(write_config(tmp_path, (
             "alpha = 0.3\nrun.kind = %s\ntime.sample_count = 6\n"
             "grid.n_r = 96\ngrid.n_theta = 16\noutput.dir = %s\n"
-            % (kind, out)), name=kind + ".txt")))
+            % (kind, out)), name=kind + ".txt"))
+        manifest = cli.run(config)
         on_disk = load_manifest(out)
-        if kind == "model":
-            assert "stats" not in manifest and "stats" not in on_disk
-            continue
         assert on_disk["stats"] == manifest["stats"]
         stats[kind] = got = on_disk["stats"]
+        if kind == "model":
+            assert sorted(got) == ["dt", "step_ratio", "step_ratio_rule",
+                                   "steps"]
+            # dt = 0.3 * 0.02 = 0.006 takes two steps, the second cut
+            # short, in each of the 5 sample intervals of 0.00722
+            assert got["steps"] == 10
+            assert got["dt"] == 0.3 * 0.02
+            f0 = cli.build_profile(config, cli.build_grids(config)[0])
+            L0max = float(np.max(profile_tail(f0).values))
+            assert got["step_ratio"] == pytest.approx(
+                0.006 * L0max / 0.6, rel=1e-14)
+            assert got["step_ratio_rule"] == 0.05
+            continue
         assert sorted(got) == ["cfl_utilisation_max", "cfl_utilisation_min",
                                "dt_max", "dt_min", "local_error_max",
                                "steps"]

@@ -1,8 +1,14 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from rieszlab.grids import build_radial_grid, AngularGrid, RadialProfile
-from rieszlab.kernels import profile_tail, kernel_values
+from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
+                            l2_norm)
+from rieszlab.kernels import profile_tail, kernel_values, apply_lf_kernel
+from rieszlab import cli
+from rieszlab import evolution
 from rieszlab import model as m
 
 
@@ -251,3 +257,137 @@ def test_make_bump_and_indicator_shapes():
     assert ind.values[g.nodes == 2.0] == pytest.approx(1.0)
     inside = (g.nodes > 1.0) & (g.nodes < 2.0)
     assert np.all(ind.values[inside] == 2.0)
+
+
+def large_data_setup(alpha, n=512):
+    # the growth benchmark's data: an indicator of [1, 2] at delta = 400,
+    # marched at the acceptance step rule, where A reaches about 400
+    g = build_radial_grid(8e-3, 8.0, n)
+    f0 = m.make_indicator(g, 1.0, 2.0, amplitude=400.0)
+    return g, f0, m.init_state(f0, alpha)
+
+
+@pytest.mark.parametrize("A", [0.0, 0.5, 3.0, 10.0])
+def test_angular_integral_of_f_squared_is_pi_f0_squared_K(A):
+    # integral over [0, 2 pi) of f_t^2 = pi f0^2 K(A) for the model's own
+    # characteristic profile; f_t^2 has period pi and is even about
+    # pi/2, so the full circle is 4 times [0, pi/2], split at the peak
+    # tan theta = e^A of the angular layer of width e^-A
+    from scipy.integrate import quad
+    g = build_radial_grid(8e-3, 8.0, 64)
+    f0 = RadialProfile(g, np.full(g.n, 3.0))
+    state = m.ModelState(0.1, f0, RadialProfile(g, np.full(g.n, A)), 0.0)
+    peak = np.arctan(np.exp(A))
+    total = 0.0
+    for lo, hi in ((0.0, peak), (peak, 0.5 * np.pi)):
+        v, _ = quad(lambda th: m.eval_f(state, 2.0, th) ** 2, lo, hi,
+                    epsabs=0.0, epsrel=1e-13, limit=500)
+        total += 4.0 * v
+    expect = np.pi * 9.0 * kernel_values(A)
+    assert total == pytest.approx(expect, rel=1e-12)
+
+
+def test_model_l2_against_a_fine_angular_grid_at_large_data():
+    # the trapezoid rule in theta reads low while A resolves the layer of
+    # width e^-A: at alpha = 0.05 the 16384-angle grid gives 148.09
+    # against the closed form 148.23, and coarser grids read lower
+    alpha = 0.05
+    g, f0, state = large_data_setup(alpha)
+    state = march(state, m.default_horizon(alpha), alpha * 3.6e-4)
+    exact = m.l2_omega2(state)
+    assert exact == pytest.approx(148.23, abs=0.01)
+    grid_values = [l2_norm(m.reconstruct_Omega2(state, AngularGrid(n)))
+                   for n in (1024, 16384)]
+    assert grid_values[0] < grid_values[1] < exact
+    assert grid_values[1] == pytest.approx(148.09, abs=0.01)
+    assert exact - grid_values[1] < 2e-3 * exact
+
+
+def test_model_run_l2_column_is_the_closed_form(tmp_path):
+    # a run of the growth benchmark's data at alpha = 0.1: the l2_norm
+    # column is sqrt of the trapezoid integral of
+    # pi (f0^2 sech^2(A/2) + A^2/2) at each sample (64 angles read 6.7%
+    # low at the horizon), and the manifest reports the step it took
+    alpha = 0.1
+    values = {"alpha": alpha, "delta": 400.0, "initial.kind": "indicator",
+              "initial.center": 1.5, "initial.width": 1.0,
+              "time.dt_factor": 3.6e-4, "grid.n_theta": 64,
+              "time.sample_count": 9, "output.dir": str(tmp_path)}
+    cli.run(cli.validate_config(values))
+    with open(tmp_path / "growth.csv", encoding="utf-8") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    got = np.array(rows)
+    g, f0, state = large_data_setup(alpha)
+    dt = alpha * 3.6e-4
+    for row, sample in zip(got, evolution.march(state, got[:, 0], m.step,
+                                                lambda _: dt)):
+        A = sample.A.values
+        per_r = np.pi * (f0.values ** 2 / np.cosh(0.5 * A) ** 2
+                         + 0.5 * A ** 2)
+        expect = np.sqrt(np.sum((per_r[1:] + per_r[:-1]) * 0.5
+                                * np.diff(g.nodes)))
+        assert row[2] == pytest.approx(expect, rel=1e-12)
+        assert row[4] == np.max(A)
+    assert got[-1, 2] == pytest.approx(167.83, abs=0.01)
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        stats = json.load(fh)["stats"]
+    # dt * max L(f0) / (2 alpha), just inside the acceptance rule's 0.05
+    L0max = float(np.max(profile_tail(f0).values))
+    assert stats["step_ratio"] == pytest.approx(3.6e-4 * L0max / 2.0,
+                                                rel=1e-14)
+    assert 0.049 < stats["step_ratio"] < stats["step_ratio_rule"] == 0.05
+
+
+def _reference_step(state, dt):
+    """RK4 as model.step took it before its array form: each stage a
+    RadialProfile and one apply_lf_kernel."""
+    def rhs(a):
+        A = RadialProfile(state.f0.grid, a)
+        return (apply_lf_kernel(state.f0, A, kernel=state.kernel).values
+                / state.alpha)
+    a = state.A.values
+    k1 = rhs(a)
+    k2 = rhs(a + 0.5 * dt * k1)
+    k3 = rhs(a + 0.5 * dt * k2)
+    k4 = rhs(a + dt * k3)
+    return a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("kernel", [None, lambda a: np.exp(-a)],
+                         ids=["sech2", "exp"])
+def test_array_step_is_bit_identical_to_the_profile_step(kernel):
+    alpha = 0.1
+    g, f0, state = large_data_setup(alpha)
+    state = m.init_state(f0, alpha, kernel=kernel)
+    nodes = g.nodes
+    c = np.divide(f0.values, nodes, out=np.zeros(g.n),
+                  where=f0.values != 0)
+    for _ in range(60):
+        # long steps, so A passes 10 in 60 of them
+        expect = _reference_step(state, 0.02 * alpha)
+        state = m.step(state, 0.02 * alpha)
+        assert np.array_equal(state.A.values, expect)
+        # apply_lf_kernel keeps the arithmetic it had before it shared
+        # its core with the step: products, then ((c + c) * 0.5) * dR
+        ck = (kernel or kernel_values)(state.A.values) * c
+        seg = (ck[:-1] + ck[1:]) * 0.5 * np.diff(nodes)
+        tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+        assert np.array_equal(m.eval_Ls(state).values, tail)
+        assert np.array_equal(
+            apply_lf_kernel(f0, state.A, kernel=kernel).values, tail)
+    assert np.max(state.A.values) > 10.0
+
+
+def test_step_guards_negative_and_nonfinite_exponents():
+    g, f0, state = large_data_setup(0.1)
+    negative = m.ModelState(0.1, f0, RadialProfile(g, np.full(g.n, -1.0)),
+                            0.0)
+    with pytest.raises(ValueError, match="negative-A"):
+        m.step(negative, 1e-3)
+    # a negative rate drives A below zero at the second stage
+    pulled = m.init_state(f0, 0.1, kernel=lambda a: -np.ones_like(a))
+    with pytest.raises(ValueError, match="negative-A"):
+        m.step(pulled, 1e-3)
+    broken = m.init_state(f0, 0.1, kernel=lambda a: np.full_like(a, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        m.step(broken, 1e-3)
