@@ -151,11 +151,14 @@ def fit_log_growth(curve):
 
 
 class ScalingReport:
-    """Log-log regression of peak remainder against alpha."""
+    """Log-log regression of peak remainder against alpha: the exponent,
+    the running exponent through each prefix, and the local slope
+    log(p_i / p_(i+1)) / log(a_i / a_(i+1)) between consecutive members."""
 
-    def __init__(self, exponent, cumulative):
+    def __init__(self, exponent, cumulative, local):
         self.exponent = exponent
         self.cumulative = cumulative
+        self.local = local
 
 
 def alpha_scaling_study(results):
@@ -163,7 +166,8 @@ def alpha_scaling_study(results):
 
     Requires at least three distinct alphas in geometric progression;
     reports the running exponent through each prefix of the sweep, whose
-    last entry is the regression exponent over all of it."""
+    last entry is the regression exponent over all of it, and the local
+    slope between each pair of consecutive alphas."""
     pairs = [(float(a), float(v)) for a, v in results]
     if len(pairs) < 3:
         raise ValueError("insufficient-points: need at least 3 alphas")
@@ -181,4 +185,6 @@ def alpha_scaling_study(results):
     cumulative = np.full(alphas.size, np.nan)
     for k in range(1, alphas.size):
         cumulative[k] = float(np.polyfit(la[:k + 1], lv[:k + 1], 1)[0])
-    return ScalingReport(float(cumulative[-1]), cumulative)
+    local = np.log(values[:-1] / values[1:]) / np.log(alphas[:-1]
+                                                     / alphas[1:])
+    return ScalingReport(float(cumulative[-1]), cumulative, local)
