@@ -386,6 +386,7 @@ def _run_remainder(config, out_dir, manifest):
                [series.t, series.rem_sup, series.rem_l2, series.full_sup,
                 series.model_sup])
     _report_full(manifest, series.full, series.full_sup)
+    manifest["stats"]["peak_rem_sup"] = series.max_rem_sup()
     return [growth, rem]
 
 
@@ -411,11 +412,8 @@ def _sweep_member(args):
         manifest = _execute(config, _run_remainder)
     except (RieszlabError, ValueError) as exc:
         return alpha, float("nan"), [], exc
-    # %.17g round-trips, so the peak read back is the marched one
-    rem = np.loadtxt(os.path.join(member_dir, "remainder.csv"),
-                     delimiter=",", skiprows=1, ndmin=2)
     files = [os.path.join(member_dir, rel) for rel in manifest["files"]]
-    return alpha, float(np.max(rem[:, 1])), files, None
+    return alpha, manifest["stats"]["peak_rem_sup"], files, None
 
 
 def _run_sweep(config, out_dir, manifest):

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import EllipticError
-from .grids import RadialProfile, Field2D, r_ddr, theta_deriv
+from .grids import RadialProfile, Field2D
 from .kernels import profile_tail
 
 
@@ -95,6 +95,9 @@ def _solve_mode_low(w, h, n, alpha):
     if n == 1:
         return (_causal_single(w, -1.0 / alpha, h)
                 - _causal_single(w, -3.0 / alpha, h)) / (2.0 * alpha)
+    if alpha * alpha == 0.0:
+        raise EllipticError("mode 0 cannot be solved: alpha^2 underflows "
+                            "to zero at alpha=%g" % alpha)
     return _causal_double(w, -2.0 / alpha, h) / (alpha * alpha)
 
 
@@ -291,14 +294,3 @@ def solve_full(omega, alpha, n_modes=None):
     psi_spec[:, 2:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
     return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
 
-
-def velocity_from_psi(psi, alpha):
-    """Advecting speeds of the stream function: angular speed
-    2 psi + alpha R d_R psi and radial speed -alpha R d_theta psi.
-    The theta derivative is spectral, the radial one is the centered
-    log-grid stencil."""
-    angular = 2.0 * psi.values + alpha * r_ddr(psi.values, psi.rgrid)
-    radial = -alpha * psi.rgrid.nodes[:, None] * theta_deriv(psi.values,
-                                                             psi.agrid)
-    return (Field2D(psi.rgrid, psi.agrid, angular),
-            Field2D(psi.rgrid, psi.agrid, radial))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError, SupportEscapeError, CflViolationError
 from .grids import (Field2D, r_ddr, r2_d2dr2, theta_deriv, sup_norm,
                     l2_norm, project_mode)
-from .elliptic import solve_full, velocity_from_psi
+from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
 
@@ -66,9 +66,11 @@ def _band_limit(values, agrid, n_modes):
 
 def rhs_full(state, include_forcing=True, with_bound=False):
     """Tendency of the vorticity field at one instant. with_bound returns
-    (tendency, cfl_dt(state)), the bound read off the stream function the
-    tendency solves for: the speeds are linear in psi and the modes the
-    same, so it is cfl_dt's bit for bit without cfl_dt's own solve."""
+    (tendency, bound), with the advective step bound (Courant number 0.5
+    on the (log R, theta) grid, infinite when both speeds vanish) read
+    off the stream function the tendency solves for: the one place where
+    the angular speed 2 psi + alpha R d_R psi and the radial speed
+    -alpha R d_theta psi are formed."""
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
@@ -84,11 +86,18 @@ def rhs_full(state, include_forcing=True, with_bound=False):
     scratch = np.multiply(alpha, dx_psi)
     tend += scratch
     if with_bound:
-        # tend is the angular speed of velocity_from_psi for -psi, and the
-        # radial speed is built as there, in scratch; the bound sees
-        # magnitudes only
+        # tend is the angular speed of -psi and scratch takes the radial
+        # speed over R; the bound sees magnitudes only, and no grid-sized
+        # temporary is made
         np.multiply(-alpha * rgrid.nodes[:, None], dth_psi, out=scratch)
-        bound = _step_bound(tend, scratch, rgrid, agrid)
+        scratch /= rgrid.nodes[:, None]
+        vmax_x = float(np.max(np.abs(scratch, out=scratch)))
+        vmax_t = float(max(np.max(tend), -np.min(tend)))
+        bound = np.inf
+        if vmax_x > 0:
+            bound = 0.5 * rgrid.log_step / vmax_x
+        if vmax_t > 0:
+            bound = min(bound, 0.5 * agrid.dtheta / vmax_t)
     tend *= theta_deriv(om, agrid)
     np.multiply(alpha, dth_psi, out=scratch)
     scratch *= r_ddr(om, rgrid)
@@ -116,47 +125,35 @@ def rhs_full(state, include_forcing=True, with_bound=False):
     return (tend, bound) if with_bound else tend
 
 
-def _step_bound(angular, radial, rgrid, agrid):
-    """Advective step bound (Courant number 0.5) on the (log R, theta)
-    grid from the angular and radial speeds; infinite when both vanish.
-    It overwrites radial and makes no grid-sized temporary."""
-    radial /= rgrid.nodes[:, None]
-    vmax_x = float(np.max(np.abs(radial, out=radial)))
-    vmax_t = float(max(np.max(angular), -np.min(angular)))
-    dt = np.inf
-    if vmax_x > 0:
-        dt = min(dt, 0.5 * rgrid.log_step / vmax_x)
-    if vmax_t > 0:
-        dt = min(dt, 0.5 * agrid.dtheta / vmax_t)
-    return dt
-
-
 def cfl_dt(state):
-    """Advective step bound from the speeds of velocity_from_psi."""
-    psi = solve_full(state.omega, state.alpha)
-    angular, radial = velocity_from_psi(psi, state.alpha)
-    return _step_bound(angular.values, radial.values, psi.rgrid, psi.agrid)
+    """Advective step bound of state's own stream function, rhs_full's."""
+    return rhs_full(state, include_forcing=False, with_bound=True)[1]
 
 
 def step_full(state, dt, include_forcing=True, enforce_cfl=True,
               rate=None):
     """One strong-stability-preserving third-order step.
 
-    enforce_cfl rechecks the advective bound at the cost of one extra
-    elliptic solve; drivers that already sized dt from cfl_dt switch it
-    off. rate is the first stage when the caller already has it:
-    rhs_full's values at state, with the same include_forcing; it is read,
-    never written. The new state's local_error is max|v3 - (2 v2 - v0)|,
-    the gap to the embedded second-order (Heun) solution 2 v2 - v0
-    (Conde, Fekete and Shadid)."""
+    enforce_cfl rechecks the advective bound; drivers that already sized
+    dt from it switch it off. rate is the first stage when the caller
+    already has it: rhs_full's values at state, with the same
+    include_forcing; it is read, never written. Without it the first
+    stage and the bound come from one rhs_full call. The new state's
+    local_error is max|v3 - (2 v2 - v0)|, the gap to the embedded
+    second-order (Heun) solution 2 v2 - v0 (Conde, Fekete and Shadid)."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
-    if enforce_cfl:
+    made = rate is None
+    if made:
+        rate, bound = rhs_full(state, include_forcing=include_forcing,
+                               with_bound=True)
+        rate = rate.values
+    elif enforce_cfl:
         bound = cfl_dt(state)
-        if dt > bound * (1.0 + 1e-12):
-            raise CflViolationError(
-                "dt=%g exceeds the advective bound %g at t=%g"
-                % (dt, bound, state.t), stage="step_full")
+    if enforce_cfl and dt > bound * (1.0 + 1e-12):
+        raise CflViolationError(
+            "dt=%g exceeds the advective bound %g at t=%g"
+            % (dt, bound, state.t), stage="step_full")
     om = state.omega
 
     def rhs_of(values, t):
@@ -166,13 +163,10 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True,
 
     # v1 = v0 + dt r(v0), v2 = 0.75 v0 + 0.25 (v1 + dt r(v1)) and
     # v3 = (v0 + 2 (v2 + dt r(v2))) / 3, each stage built in place in the
-    # tendency array it starts from (products and sums commute exactly)
+    # tendency array it starts from but for a supplied first stage, which
+    # is only read (products and sums commute exactly)
     v0 = om.values
-    if rate is None:
-        v1 = rhs_of(v0, state.t)
-        v1 *= dt
-    else:
-        v1 = np.multiply(rate, dt)
+    v1 = np.multiply(rate, dt, out=rate if made else None)
     v1 += v0
     stage = rhs_of(v1, state.t + dt)
     stage *= dt

@@ -17,7 +17,7 @@ closed form is checked against.
 
 import numpy as np
 
-from .grids import RadialProfile, right_tail, tail_sums
+from .grids import RadialProfile, right_tail, tail_sums, project_mode
 
 
 class KernelEval:
@@ -73,10 +73,15 @@ def kernel_values(a):
     """Vectorized K(a) = 4b/(1+b)^2 with b = e^-a, the closed form of the
     average gamma_kernel integrates; it underflows cleanly to 0."""
     a = np.asarray(a, dtype=float)
-    # the method form skips np.any's dispatch: each model step calls this
-    # four times
+    # the method form skips np.any's dispatch, as in lf_tail, which each
+    # model step calls four times
     if (a < 0).any():
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
+    return _sech2_half(a)
+
+
+def _sech2_half(a):
+    """kernel_values without its sign check, for callers that made it."""
     b = np.exp(-a)
     return 4.0 * b / (1.0 + b) ** 2
 
@@ -95,7 +100,6 @@ def profile_tail(profile):
 
 
 def op_Ls(field):
-    from .grids import project_mode
     return profile_tail(project_mode(field, 2, "sin"))
 
 
@@ -105,7 +109,7 @@ def lf_tail(c, half_widths, A, kernel=None):
     half_widths = 0.5 * diff(nodes), both fixed for a model march."""
     if (A < 0).any():
         raise ValueError("negative-A: the accumulated exponent is nonnegative")
-    kv = kernel(A) if kernel is not None else kernel_values(A)
+    kv = kernel(A) if kernel is not None else _sech2_half(A)
     return tail_sums(c * kv, half_widths)
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,11 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
                 0.006 * L0max / 0.6, rel=1e-14)
             assert got["step_ratio_rule"] == 0.05
             continue
+        if kind == "remainder":
+            # the peak of remainder.csv's rem_sup column, as marched
+            rem = np.loadtxt(os.path.join(str(out), "remainder.csv"),
+                             delimiter=",", skiprows=1, ndmin=2)
+            assert got.pop("peak_rem_sup") == float(np.max(rem[:, 1])) > 0.0
         assert sorted(got) == ["cfl_utilisation_max", "cfl_utilisation_min",
                                "dt_max", "dt_min", "local_error_max",
                                "steps"]
@@ -567,6 +573,23 @@ def test_manifest_written_on_numerical_failure(tmp_path, capsys):
     on_disk = load_manifest(out)
     assert on_disk["error"]["type"] == "SupportEscapeError"
     assert "enlarge r_max" in on_disk["error"]["message"]
+
+
+@pytest.mark.parametrize("kind", ["full", "remainder"])
+def test_underflowing_alpha_exits_3_with_manifest(tmp_path, capsys, kind):
+    # at alpha = 1e-300, alpha^2 underflows to zero and the mode-0 solve
+    # would divide by it; the solver says so before numpy can warn
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = 1e-300\nrun.kind = %s\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 4\noutput.dir = %s\n" % (kind, out)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 3
+    assert "alpha^2 underflows" in capsys.readouterr().err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "EllipticError"
+    assert "alpha^2 underflows" in error["message"]
 
 
 def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):

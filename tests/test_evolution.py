@@ -5,7 +5,7 @@ from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, theta_deriv, sup_norm, r_ddr, r2_d2dr2)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
-from rieszlab.elliptic import exact_mode2, solve_full, velocity_from_psi
+from rieszlab.elliptic import exact_mode2, solve_full
 from rieszlab import model as m
 from rieszlab import evolution
 from rieszlab.evolution import (FullState, FullMarch, rhs_full, cfl_dt,
@@ -102,10 +102,12 @@ def test_supplied_first_stage_and_bound_are_bit_identical(alpha):
     state = _noisy_model_state(alpha)
     g, agrid = state.omega.rgrid, state.omega.agrid
     # the bound as plain expressions of the two speeds
-    ang, rad = velocity_from_psi(solve_full(state.omega, alpha), alpha)
+    psi = solve_full(state.omega, alpha).values
+    ang = 2.0 * psi + alpha * r_ddr(psi, g)
+    rad = -alpha * g.nodes[:, None] * theta_deriv(psi, agrid)
     assert cfl_dt(state) == min(
-        0.5 * g.log_step / np.max(np.abs(rad.values / g.nodes[:, None])),
-        0.5 * agrid.dtheta / np.max(np.abs(ang.values)))
+        0.5 * g.log_step / np.max(np.abs(rad / g.nodes[:, None])),
+        0.5 * agrid.dtheta / np.max(np.abs(ang)))
     for forcing in (True, False):
         tend, bound = rhs_full(state, include_forcing=forcing,
                                with_bound=True)
@@ -159,6 +161,42 @@ def test_dense_samples_on_step_ends_are_the_marched_states():
                 <= 1e-3 * np.max(np.abs(hi - lo))
 
 
+def count_calls(patch, calls):
+    # route each evolution function named in calls through a counter
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        patch.setattr(evolution, name, counted(name, getattr(evolution, name)))
+
+
+def test_default_step_solves_once_per_tendency(monkeypatch):
+    # a step that makes its own first stage takes the advective bound
+    # from the same rhs_full call, so enforce_cfl costs no elliptic solve;
+    # cfl_dt is one rhs_full call, and a step handed its first stage
+    # that keeps enforce_cfl pays exactly that one
+    g = build_radial_grid(8e-3, 8.0, 128)
+    agrid = AngularGrid(32)
+    _, state = sine_state(0.2, g, agrid)
+    rate, bound = rhs_full(state, with_bound=True)
+    calls = {"rhs_full": 0, "solve_full": 0}
+    with monkeypatch.context() as patch:
+        count_calls(patch, calls)
+        step_full(state, 0.5 * bound)
+        assert calls == {"rhs_full": 3, "solve_full": 3}
+        with pytest.raises(CflViolationError):
+            step_full(state, 2.1 * bound)
+        assert calls == {"rhs_full": 4, "solve_full": 4}
+        assert cfl_dt(state) == bound
+        assert calls == {"rhs_full": 5, "solve_full": 5}
+        step_full(state, 0.5 * bound, rate=rate.values)
+        assert calls == {"rhs_full": 8, "solve_full": 8}
+
+
 def test_remainder_study_solves_once_per_tendency(monkeypatch):
     # the march spends one elliptic solve per rhs_full call, 3 per step
     # plus the first, takes fewer steps than sample intervals, and its
@@ -166,24 +204,13 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     # 2e-6 of the field's sup (measured: 2e-7; a linear fill or swapped
     # end tendencies miss by 4e-5 to 9e-5)
     calls = {"rhs_full": 0, "solve_full": 0}
-
-    def counted(name):
-        fn = getattr(evolution, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     g = build_radial_grid(8e-3, 8.0, 128)
     agrid = AngularGrid(32)
     f0 = m.make_bump(g)
     alpha, n_samples = 0.2, 20
     times = np.linspace(0.0, m.default_horizon(alpha), n_samples)
     with monkeypatch.context() as patch:
-        for name in calls:
-            patch.setattr(evolution, name, counted(name))
+        count_calls(patch, calls)
         series = run_remainder_study(f0, alpha, agrid, n_samples=n_samples)
     steps = series.full.stats()["steps"]
     assert 0 < steps < n_samples - 1
