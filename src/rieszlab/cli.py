@@ -250,15 +250,12 @@ def build_profile(config, rgrid):
     return RadialProfile(rgrid, vals)
 
 
-def _format_row(row):
-    return ",".join("%.17g" % v for v in row)
-
-
-def _write_csv(path, header, columns):
+def _write_csv(path, header, keys, rows):
+    """The header, then per key (a sample time or an alpha) key and row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(_format_row(row) + "\n")
+        for key, row in zip(keys, rows):
+            fh.write(",".join("%.17g" % v for v in (key, *row)) + "\n")
 
 
 def _sha256(path):
@@ -274,9 +271,14 @@ def _sample_times(config):
     return np.linspace(0.0, t_final, config.sample_count)
 
 
-def _write_growth(out_dir, columns):
+def _write_growth(out_dir, manifest, times, rows):
+    """Write growth.csv, one (sup, l2, Ls_at_support_inf, A_max) row per
+    sample time, and check that every sup and l2 norm is finite."""
     path = os.path.join(out_dir, "growth.csv")
-    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", columns)
+    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", times,
+               rows)
+    manifest["checks"]["finite_norms"] = (
+        "pass" if np.all(np.isfinite([row[:2] for row in rows])) else "fail")
     return path
 
 
@@ -304,14 +306,9 @@ def _run_model(config, out_dir, manifest):
                      float(model_mod.eval_Ls(state).values[j0]),
                      float(np.max(state.A.values))))
         violations += model_mod.check_sandwich(state).n_violations
-    sup, l2, ls_inf, a_max = zip(*rows)
-    checks = manifest["checks"]
-    checks["sandwich"] = ("pass" if violations == 0
-                          else "fail: %d node-times" % violations)
-    checks["finite_norms"] = (
-        "pass" if np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))
-        else "fail")
-    return [_write_growth(out_dir, [times, sup, l2, ls_inf, a_max])]
+    manifest["checks"]["sandwich"] = (
+        "pass" if violations == 0 else "fail: %d node-times" % violations)
+    return [_write_growth(out_dir, manifest, times, rows)]
 
 
 def _run_linear(config, out_dir, manifest):
@@ -329,20 +326,22 @@ def _run_linear(config, out_dir, manifest):
     n = agrid.n_theta
     sum1, sum2 = float(np.sum(sin2)), float(np.sum(sin2 ** 2))
     hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
-    sq0 = (agrid.dtheta * sum2) * f ** 2
-    sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
-    sq2 = (agrid.dtheta * n) * ls0 ** 2
     mean0 = f * (sum1 / n)
-    rows = []
-    for ts in times:
-        s = 0.5 * ts / config.alpha
-        src = s * ls0
-        rows.append((max(float(np.max(np.abs(hi + src))),
-                         float(np.max(np.abs(lo + src)))),
-                     float(np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2,
-                                         rgrid.nodes))),
-                     float(ls0[j0]),
-                     2.0 * float(np.max(mean0 + src))))
+    # squares past the float range give norms that fail finite_norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq0 = (agrid.dtheta * sum2) * f ** 2
+        sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
+        sq2 = (agrid.dtheta * n) * ls0 ** 2
+        rows = []
+        for ts in times:
+            s = 0.5 * ts / config.alpha
+            src = s * ls0
+            rows.append((max(float(np.max(np.abs(hi + src))),
+                             float(np.max(np.abs(lo + src)))),
+                         float(np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2,
+                                             rgrid.nodes))),
+                         float(ls0[j0]),
+                         2.0 * float(np.max(mean0 + src))))
     # the check marches the grid field to the horizon in two steps, so the
     # second takes L_s from an evolved field, and holds the march and its
     # growth columns against the closed form
@@ -356,36 +355,32 @@ def _run_linear(config, out_dir, manifest):
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     manifest["checks"]["closed_form"] = (
         "pass (%.2e)" % worst if worst <= 1e-10 else "fail: %.2e" % worst)
-    return [_write_growth(out_dir, [times] + list(zip(*rows)))]
+    return [_write_growth(out_dir, manifest, times, rows)]
 
 
-def _report_full(manifest, full, full_sup):
-    """The checks and stats of a FullMarch that ran to its last sample."""
+def _report_full(manifest, full):
+    """The support check and stats of a FullMarch run to its last sample."""
     # check_support raises on any step past the threshold, so a march
     # that came back passed; the status carries how close it came
     manifest["checks"]["support_containment"] = (
         "pass (peak reach %.2e, threshold %.2e)"
         % (full.peak_reach, full.reach_threshold))
-    manifest["checks"]["finite_norms"] = (
-        "pass" if np.all(np.isfinite(full_sup)) else "fail")
     manifest["stats"] = full.stats()
 
 
 def _run_remainder(config, out_dir, manifest):
     rgrid, agrid = build_grids(config)
     f0 = build_profile(config, rgrid)
-    t_final = model_mod.default_horizon(config.alpha, config.horizon_factor)
-    series = run_remainder_study(f0, config.alpha, agrid, t_final=t_final,
-                                 n_samples=config.sample_count,
+    times = _sample_times(config)
+    # linspace ends on its stop exactly, so the study samples these times
+    series = run_remainder_study(f0, config.alpha, agrid, t_final=times[-1],
+                                 n_samples=times.size,
                                  model_dt_factor=config.dt_factor)
-    growth = _write_growth(out_dir, [series.t, series.full_sup,
-                                     series.full_l2, series.ls_inf,
-                                     series.a_proxy])
+    growth = _write_growth(out_dir, manifest, times, series.growth)
     rem = os.path.join(out_dir, "remainder.csv")
-    _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup",
-               [series.t, series.rem_sup, series.rem_l2, series.full_sup,
-                series.model_sup])
-    _report_full(manifest, series.full, series.full_sup)
+    _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup", times,
+               series.remainder)
+    _report_full(manifest, series.full)
     manifest["stats"]["peak_rem_sup"] = series.max_rem_sup()
     return [growth, rem]
 
@@ -397,9 +392,8 @@ def _run_full(config, out_dir, manifest):
     times = _sample_times(config)
     j0 = support_edge_index(f0)
     rows = [field_row(state.omega, j0) for state in full.samples(times)]
-    columns = list(zip(*rows))
-    _report_full(manifest, full, columns[0])
-    return [_write_growth(out_dir, [times] + columns)]
+    _report_full(manifest, full)
+    return [_write_growth(out_dir, manifest, times, rows)]
 
 
 def _sweep_member(args):
@@ -429,6 +423,8 @@ def _run_sweep(config, out_dir, manifest):
     paths = []
     for alpha, peak, member_paths, err in results:
         paths.extend(member_paths)
+        if isinstance(err, ConfigError):  # a bad initial table
+            raise ConfigError("sweep member alpha=%g: %s" % (alpha, err))
         if err is not None:
             raise NumericalError("sweep member alpha=%g failed: %s"
                                  % (alpha, err),
@@ -446,8 +442,8 @@ def _run_sweep(config, out_dir, manifest):
         checks["scaling_exponent"] = local = "unavailable: %s" % exc
     manifest["stats"] = {"local_slopes": local}
     spath = os.path.join(out_dir, "scaling_report.csv")
-    _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative",
-               [alphas, peaks, cumulative])
+    _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
+               zip(peaks, cumulative))
     return paths + [spath]
 
 

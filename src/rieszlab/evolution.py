@@ -37,25 +37,19 @@ class FullState:
 
 
 class RemainderSeries:
-    """Sampled distance between the full evolution and the model, plus
-    the full run's own norm history (l2, the tail value at the support
-    inf, and twice the peak angular mean as the exponent proxy), and the
+    """Sampled distance between the full evolution and the model, one row
+    per sample time t: growth holds the full field's field_row, and
+    remainder its (rem_sup, rem_l2, full_sup, model_sup). full is the
     FullMarch that marched the full side, with its reach and stats."""
 
-    def __init__(self, t, rem_sup, rem_l2, full_sup, model_sup, full_l2,
-                 ls_inf, a_proxy, full):
-        self.t = np.asarray(t, dtype=float)
-        self.rem_sup = np.asarray(rem_sup, dtype=float)
-        self.rem_l2 = np.asarray(rem_l2, dtype=float)
-        self.full_sup = np.asarray(full_sup, dtype=float)
-        self.model_sup = np.asarray(model_sup, dtype=float)
-        self.full_l2 = np.asarray(full_l2, dtype=float)
-        self.ls_inf = np.asarray(ls_inf, dtype=float)
-        self.a_proxy = np.asarray(a_proxy, dtype=float)
+    def __init__(self, t, growth, remainder, full):
+        self.t = t
+        self.growth = growth
+        self.remainder = remainder
         self.full = full
 
     def max_rem_sup(self):
-        return float(np.max(self.rem_sup))
+        return float(np.max([row[0] for row in self.remainder]))
 
 
 def _band_limit(values, agrid, n_modes):
@@ -70,7 +64,16 @@ def rhs_full(state, include_forcing=True, with_bound=False):
     on the (log R, theta) grid, infinite when both speeds vanish) read
     off the stream function the tendency solves for: the one place where
     the angular speed 2 psi + alpha R d_R psi and the radial speed
-    -alpha R d_theta psi are formed."""
+    -alpha R d_theta psi are formed. A product past the float range
+    stops the run where it is made, as a NumericalError of this stage."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _tendency(state, include_forcing, with_bound)
+    except FloatingPointError as exc:
+        raise NumericalError("%s at t=%g" % (exc, state.t), stage="rhs_full")
+
+
+def _tendency(state, include_forcing, with_bound):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
@@ -359,20 +362,15 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
     dt_model = alpha * model_dt_factor
     times = np.linspace(0.0, t_final, n_samples)
     j0 = support_edge_index(f0)
-    rows = [_remainder_row(state, mstate, agrid, j0)
-            for state, mstate in zip(
-                full.samples(times),
-                march(_model.init_state(f0, alpha), times, _model.step,
-                      lambda _: dt_model))]
-    return RemainderSeries(times, *zip(*rows), full=full)
-
-
-def _remainder_row(state, mstate, agrid, j0):
-    """A sample's row: rem_sup, rem_l2, full_sup, model_sup, full_l2,
-    ls_inf, a_proxy. The model field and the difference share one array,
-    made here and dropped before the march takes its next step."""
-    diff = _model.reconstruct_Omega2(mstate, agrid)
-    np.subtract(state.omega.values, diff.values, out=diff.values)
-    full_sup, full_l2, ls_inf, a_proxy = field_row(state.omega, j0)
-    return (sup_norm(diff), l2_norm(diff), full_sup,
-            _model.sup_omega2(mstate), full_l2, ls_inf, a_proxy)
+    growth, remainder = [], []
+    for state, mstate in zip(full.samples(times),
+                             march(_model.init_state(f0, alpha), times,
+                                   _model.step, lambda _: dt_model)):
+        # the model field, then the difference; freed before the next step
+        diff = _model.reconstruct_Omega2(mstate, agrid)
+        np.subtract(state.omega.values, diff.values, out=diff.values)
+        growth.append(field_row(state.omega, j0))
+        remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
+                          _model.sup_omega2(mstate)))
+        del diff
+    return RemainderSeries(times, growth, remainder, full)

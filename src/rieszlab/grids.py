@@ -125,9 +125,11 @@ def sup_norm(field):
 
 
 def l2_norm(field):
-    # theta is periodic, so the trapezoid rule reduces to dtheta * sum
-    per_r = field.agrid.dtheta * np.sum(field.values ** 2, axis=1)
-    return float(np.sqrt(trapz(per_r, field.rgrid.nodes)))
+    # theta is periodic, so the trapezoid rule reduces to dtheta * sum; inf
+    # when the squares pass the float range, for the caller to report
+    with np.errstate(over="ignore"):
+        per_r = field.agrid.dtheta * np.sum(field.values ** 2, axis=1)
+        return float(np.sqrt(trapz(per_r, field.rgrid.nodes)))
 
 
 def project_mode(field, n, parity):

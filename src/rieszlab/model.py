@@ -176,10 +176,12 @@ def l2_omega2(state):
     with K = kernel_values, the true angular average whatever kernel the
     state marches with. f_t is odd in theta, so the cross term with A/2
     vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2 / 2) dR,
-    taken by the trapezoid rule on the radial nodes like l2_norm."""
+    taken by the trapezoid rule on the radial nodes like l2_norm. Squares
+    past the float range give inf or nan, for the caller to report."""
     f0, A = state.f0.values, state.A.values
-    per_r = np.pi * (f0 * f0 * kernel_values(A) + 0.5 * A * A)
-    return float(np.sqrt(trapz(per_r, state.f0.grid.nodes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_r = np.pi * (f0 * f0 * kernel_values(A) + 0.5 * A * A)
+        return float(np.sqrt(trapz(per_r, state.f0.grid.nodes)))
 
 
 def closed_form_L(f0, alpha, t):

@@ -516,9 +516,11 @@ def test_remainder_reports_measured_support_reach(tmp_path):
 
 def test_full_and_remainder_manifests_report_march_stats(tmp_path):
     # both kinds march the same full system, so they report the same
-    # stats and write the same growth.csv; a model run reports its own
+    # stats and write the same growth.csv; a model run reports its own,
+    # and a linear run none. growth.csv has one writer, and it checks the
+    # sup and l2 columns of every kind
     stats = {}
-    for kind in ("remainder", "full", "model"):
+    for kind in ("remainder", "full", "model", "linear"):
         out = tmp_path / kind
         config = cli.parse_config(write_config(tmp_path, (
             "alpha = 0.3\nrun.kind = %s\ntime.sample_count = 6\n"
@@ -526,6 +528,10 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
             % (kind, out)), name=kind + ".txt"))
         manifest = cli.run(config)
         on_disk = load_manifest(out)
+        assert on_disk["checks"]["finite_norms"] == "pass"
+        if kind == "linear":
+            assert "stats" not in on_disk
+            continue
         assert on_disk["stats"] == manifest["stats"]
         stats[kind] = got = on_disk["stats"]
         if kind == "model":
@@ -604,6 +610,55 @@ def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
     assert member["error"]["type"] == "SupportEscapeError"
     assert member["config"]["run.kind"] == "remainder"
     assert load_manifest(out)["error"]["type"] == "NumericalError"
+
+
+def test_sweep_member_bad_table_exits_2_with_every_manifest(tmp_path,
+                                                          capsys):
+    # a member finds the bad table when it reads it; the sweep fails as the
+    # config error it is, naming the member
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, (
+        "run.kind = sweep\ninitial.kind = table\ninitial.table_path = %s\n"
+        "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+        "output.dir = %s\n" % (tmp_path / "missing.txt", out)))
+    assert cli.main(["run", path]) == 2
+    assert "sweep member alpha=0.4: cannot read initial table" in (
+        capsys.readouterr().err)
+    assert load_manifest(out)["error"]["type"] == "ConfigError"
+    for alpha in ("0.4", "0.2", "0.1"):
+        member = load_manifest(out / ("alpha_" + alpha))
+        assert member["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("delta", ["1e160", "1e300"])
+@pytest.mark.parametrize("kind", ["model", "linear", "full", "remainder",
+                                  "sweep"])
+def test_overflowing_amplitude_is_measured_not_a_warning(tmp_path, capsys,
+                                                         kind, delta):
+    # squares of these amplitudes pass the float range: model and linear
+    # runs write their non-finite l2 and fail finite_norms, and the full
+    # system's tendency stops the run as a numerical error, with warnings
+    # as errors as in CI
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "run.kind = %s\nrun.alphas = 0.4\ndelta = %s\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (kind, delta, out)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", path])
+    manifest = load_manifest(out)
+    if kind in ("model", "linear"):
+        assert code == 0 and manifest["error"] is None
+        assert manifest["checks"]["finite_norms"] == "fail"
+        rows = np.loadtxt(os.path.join(str(out), "growth.csv"),
+                          delimiter=",", skiprows=1)
+        assert not np.all(np.isfinite(rows[:, 2]))
+        return
+    assert code == 3
+    assert "overflow" in capsys.readouterr().err
+    assert manifest["error"]["type"] == "NumericalError"
+    assert manifest["error"]["stage"] == "rhs_full"
 
 
 def verify_margin(printed, name):

@@ -225,7 +225,8 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     assert max(np.max(np.abs(d - r)) for d, r in zip(dense, ref)) \
         <= 2e-6 * scale
     # the study's full side is this march, sample for sample
-    assert list(series.full_sup) == [float(np.max(np.abs(d))) for d in dense]
+    assert [row[0] for row in series.growth] == [
+        float(np.max(np.abs(d))) for d in dense]
 
 
 def test_forcing_matches_mode2_groups():
@@ -356,8 +357,8 @@ def test_remainder_study_zero_data():
     z = RadialProfile(g, np.zeros(g.n))
     series = run_remainder_study(z, 0.2, AngularGrid(32), n_samples=4)
     assert series.max_rem_sup() == 0.0
-    assert np.all(np.asarray(series.full_sup) == 0.0)
-    assert np.all(np.asarray(series.model_sup) == 0.0)
+    assert all(row[2] == 0.0 for row in series.remainder)
+    assert all(row[3] == 0.0 for row in series.remainder)
     with pytest.raises(ValueError):
         run_remainder_study(z, 0.2, AngularGrid(32), n_samples=1)
 
@@ -371,6 +372,6 @@ def test_short_time_remainder_fraction():
     f0 = m.make_bump(g)
     series = run_remainder_study(f0, alpha, AngularGrid(128),
                                  t_final=alpha / 10.0, n_samples=6)
-    growth = series.full_sup[-1] - 1.0
+    growth = series.remainder[-1][2] - 1.0
     assert growth > 0.01
     assert series.max_rem_sup() / growth <= 0.1
