@@ -34,8 +34,7 @@ from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
                        mode_residual)
 from .evolution import (FullState, FullMarch, step_linear,
-                        run_remainder_study, march, field_row,
-                        support_edge_index)
+                        run_remainder_study, field_row, support_edge_index)
 from .diagnostics import alpha_scaling_study
 
 
@@ -285,27 +284,44 @@ def _write_growth(out_dir, manifest, times, rows):
 def _run_model(config, out_dir, manifest):
     rgrid, _ = build_grids(config)
     f0 = build_profile(config, rgrid)
-    state = model_mod.init_state(f0, config.alpha)
+    alpha = config.alpha
+    state = model_mod.init_state(f0, alpha)
     times = _sample_times(config)
-    dt = config.alpha * config.dt_factor
-    manifest["stats"] = {"steps": 0, "dt": dt,
-                         "step_ratio": model_mod.step_ratio(state, dt),
-                         "step_ratio_rule": model_mod.STEP_RATIO_RULE}
-
-    def counted_step(state, h):
-        manifest["stats"]["steps"] += 1
-        return model_mod.step(state, h)
-
-    j0 = support_edge_index(f0)
-    rows = []
-    violations = 0
-    # both norms are exact in the angle: no angular grid is sampled
-    for state in march(state, times, counted_step, lambda _: dt):
-        rows.append((model_mod.sup_omega2(state),
-                     model_mod.l2_omega2(state),
-                     float(model_mod.eval_Ls(state).values[j0]),
-                     float(np.max(state.A.values))))
-        violations += model_mod.check_sandwich(state).n_violations
+    # A = phi(t L0 / alpha) depends on R through L0 alone, so each sum and
+    # maximum over R runs over the distinct L0 values, with the summed
+    # trapezoid weights (of 1 and of f0^2) and the largest f0 of each
+    L0, group, counts = np.unique(state.L0, return_inverse=True,
+                                  return_counts=True)
+    weights = np.zeros(rgrid.n)
+    weights[:-1] = state.half_widths
+    weights[1:] += state.half_widths
+    f0_max = np.zeros(L0.size)
+    np.maximum.at(f0_max, group, f0.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a z past the float range, from a huge horizon over a tiny alpha,
+        # is refused by similarity_profile as a numerical failure
+        z = (times / alpha)[:, None] * L0
+    profile = model_mod.similarity_profile(float(z[-1, -1]))
+    manifest["stats"] = {"z_max": profile.z_max,
+                         "profile_steps": profile.steps}
+    A = profile.phi(z)
+    # both norms are exact in the angle, so no angular grid is sampled:
+    # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
+    # theta turns the angular integral of f_t^2 into a rational one,
+    # pi f0^2 K(A); f_t is odd in theta, so the cross term with A/2
+    # vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2/2) dR.
+    # Squares past the float range give an inf or nan l2 for finite_norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0_sq = np.bincount(group, weights * f0.values * f0.values)
+        l2 = np.sqrt(np.pi * (kernel_values(A) @ f0_sq
+                              + 0.5 * (A * A) @ np.bincount(group, weights)))
+    j = group[support_edge_index(f0)]
+    rows = np.column_stack((np.max(f0_max + 0.5 * A, axis=1), l2,
+                            L0[j] * profile.dphi(z[:, j]),
+                            np.max(A, axis=1)))
+    lower, upper = model_mod.sandwich_bounds(alpha, times[:, None], L0)
+    violated = model_mod.SandwichReport(lower, alpha * A, upper).violated
+    violations = int(np.sum(violated * counts))
     manifest["checks"]["sandwich"] = (
         "pass" if violations == 0 else "fail: %d node-times" % violations)
     return [_write_growth(out_dir, manifest, times, rows)]
@@ -349,10 +365,12 @@ def _run_linear(config, out_dir, manifest):
     for ts in (0.5 * times[-1], times[-1]):
         state = step_linear(state, ts - state.t)
     exact = omega0.values + (0.5 * times[-1] / config.alpha) * ls0[:, None]
-    worst = (float(np.max(np.abs(state.omega.values - exact)))
-             / max(float(np.max(np.abs(exact))), 1e-300))
-    for got, want in zip(field_row(state.omega, j0), rows[-1]):
-        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+    gaps = [float(np.max(np.abs(state.omega.values - exact)))
+            / max(float(np.max(np.abs(exact))), 1e-300)]
+    gaps += [abs(got - want) / max(abs(want), 1e-300)
+             for got, want in zip(field_row(state.omega, j0), rows[-1])]
+    # np.max keeps a nan gap, which then fails, where max would skip it
+    worst = float(np.max(gaps))
     manifest["checks"]["closed_form"] = (
         "pass (%.2e)" % worst if worst <= 1e-10 else "fail: %.2e" % worst)
     return [_write_growth(out_dir, manifest, times, rows)]
@@ -374,8 +392,7 @@ def _run_remainder(config, out_dir, manifest):
     times = _sample_times(config)
     # linspace ends on its stop exactly, so the study samples these times
     series = run_remainder_study(f0, config.alpha, agrid, t_final=times[-1],
-                                 n_samples=times.size,
-                                 model_dt_factor=config.dt_factor)
+                                 n_samples=times.size)
     growth = _write_growth(out_dir, manifest, times, series.growth)
     rem = os.path.join(out_dir, "remainder.csv")
     _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup", times,
@@ -503,6 +520,16 @@ def _report_bound(lines, name, what, value, bound, suffix=""):
                    % (what, value, bound - value, bound, suffix))
 
 
+def _report_fourth_order(lines, name, errs):
+    """Report the orders observed between errors at halved steps, each
+    to lie in [3.7, 4.3], with the margin left to that band."""
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    margin = min(min(o - 3.7, 4.3 - o) for o in orders)
+    return _report(lines, name, margin >= 0,
+                   "observed %s, margin %.3f to [3.7, 4.3]"
+                   % (", ".join("%.3f" % o for o in orders), margin))
+
+
 def verify_kernel():
     """Kernel self-checks: quadrature vs closed form, sandwich, the
     production kernel vs quadrature."""
@@ -573,8 +600,8 @@ def verify_elliptic():
 
 
 def verify_oracle():
-    """Model integrator vs the closed-form solution for the simplified
-    kernel, value and convergence order."""
+    """Model integrator and similarity profile vs the closed-form solution
+    for the simplified kernel, value and convergence order."""
     lines, good = [], True
     alpha = 0.25
     grid = build_radial_grid(0.5, 8.0, 20481)
@@ -608,11 +635,23 @@ def verify_oracle():
     ref = integrate(80)
     for n in (5, 10, 20):
         errs.append(float(np.max(np.abs(integrate(n) - ref))))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    margin = min(min(o - 3.7, 4.3 - o) for o in orders)
-    good &= _report(lines, "time-order", margin >= 0,
-                    "observed %s, margin %.3f to [3.7, 4.3]"
-                    % (", ".join("%.3f" % o for o in orders), margin))
+    good &= _report_fourth_order(lines, "time-order", errs)
+    # the similarity profile for the kernel e^-a is 2 log(1 + z/2), at the
+    # table's own step and at fourth order under step halving
+    z = np.concatenate([np.geomspace(1e-8, 1.0, 41),
+                        np.linspace(0.0, 100.0, 1001)[1:]])
+    exact = 2.0 * np.log1p(0.5 * z)
+
+    def profile_error(step):
+        profile = model_mod.similarity_profile(
+            100.0, kernel=lambda a: np.exp(-np.asarray(a)), step=step)
+        return float(np.max(np.abs(profile.phi(z) - exact) / exact))
+
+    good &= _report_bound(lines, "profile-closed-form", "max rel",
+                          profile_error(model_mod.PROFILE_STEP), 1e-10,
+                          " on [0, 100]")
+    good &= _report_fourth_order(lines, "profile-order",
+                                 [profile_error(h) for h in (0.2, 0.1, 0.05)])
     return good, lines
 
 
@@ -626,7 +665,8 @@ def main(argv=None):
     p_run.add_argument("config", help="path to a key = value config file")
     sub.add_parser("verify-kernel", help="kernel closed form vs quadrature")
     sub.add_parser("verify-elliptic", help="mode solver self checks")
-    sub.add_parser("verify-oracle", help="model integrator self checks")
+    sub.add_parser("verify-oracle",
+                   help="model integrator and profile self checks")
     args = parser.parse_args(argv)
 
     if args.command == "run":

@@ -17,8 +17,8 @@ spectrally exact throughout.
 import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
-from .grids import (Field2D, r_ddr, r2_d2dr2, theta_deriv, sup_norm,
-                    l2_norm, project_mode)
+from .grids import (RadialProfile, Field2D, r_ddr, r2_d2dr2, theta_deriv,
+                    sup_norm, l2_norm, project_mode)
 from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
@@ -349,23 +349,26 @@ def field_row(omega, j0):
             2.0 * float(np.max(project_mode(omega, 0, "cos").values)))
 
 
-def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200,
-                        model_dt_factor=0.02):
-    """March the full system and the model side by side from the same
-    initial data (pure sine mode built on f0) and sample how far apart
-    they drift. Returns a RemainderSeries."""
+def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
+    """March the full system from the model's initial data (pure sine mode
+    built on f0), take the model at the same times from its similarity
+    profile, A = phi(t L(f0) / alpha), and sample how far apart they
+    drift. Returns a RemainderSeries."""
     if t_final is None:
         t_final = _model.default_horizon(alpha)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     full = FullMarch(f0, alpha, agrid)
-    dt_model = alpha * model_dt_factor
     times = np.linspace(0.0, t_final, n_samples)
     j0 = support_edge_index(f0)
+    model0 = _model.init_state(f0, alpha)
+    f0_arrays = model0.c, model0.half_widths, model0.L0
+    profile = _model.similarity_profile((t_final / alpha)
+                                        * float(np.max(model0.L0)))
     growth, remainder = [], []
-    for state, mstate in zip(full.samples(times),
-                             march(_model.init_state(f0, alpha), times,
-                                   _model.step, lambda _: dt_model)):
+    for state, ts in zip(full.samples(times), times):
+        A = RadialProfile(f0.grid, profile.phi((ts / alpha) * model0.L0))
+        mstate = _model.ModelState(alpha, f0, A, ts, f0_arrays=f0_arrays)
         # the model field, then the difference; freed before the next step
         diff = _model.reconstruct_Omega2(mstate, agrid)
         np.subtract(state.omega.values, diff.values, out=diff.values)

@@ -26,18 +26,29 @@ t L(f0)). Note the upper bound needs the factor c2/c1 in front: the
 tempting tighter form 2 alpha log(1 + t L(f0)/(2 alpha)) is a lower bound,
 not an upper one (K has zero slope at a = 0, so L_s cannot decay at the
 c1-Riccati rate initially; numerics confirm the violation).
+
+Similarity. With tau = L(f0)(R) the system reads d_t d_tau A = K(A)/alpha,
+with A = 0 at t = 0 and at tau = 0, so A(t, R) = phi(t tau / alpha) for
+one universal function phi of z = t tau / alpha, which solves
+(z phi')' = K(phi) with phi(0) = 0 and phi'(0) = 1. similarity_profile
+tabulates it; step() marches the same system on the radial grid and is
+kept as the independent oracle that converges to it at second order in
+the grid.
 """
+
+import math
 
 import numpy as np
 
-from .grids import RadialProfile, Field2D, tail_sums, trapz
-from .kernels import (profile_tail, kernel_values, lf_tail,
-                      tail_integrand)
+from .grids import RadialProfile, Field2D, tail_sums
+from .kernels import profile_tail, lf_tail, tail_integrand
 
 C1 = 1.0
 C2 = 4.0
-# the acceptance test's step rule: dt * max L(f0) / (2 alpha) at most 1/20
-STEP_RATIO_RULE = 0.05
+# the profile table's step in s = log z (3e-11 relative error at fourth
+# order), and the z where its series start sits
+PROFILE_STEP = 0.01
+PROFILE_Z0 = 1e-3
 
 
 class ModelState:
@@ -69,8 +80,8 @@ class SandwichReport:
         self.margin_lower = float(np.min(value - lower))
         self.margin_upper = float(np.min(upper - value))
         tol = 1e-12 * np.maximum(1.0, np.abs(value))
-        self.n_violations = int(np.sum((value < lower - tol) |
-                                       (value > upper + tol)))
+        self.violated = (value < lower - tol) | (value > upper + tol)
+        self.n_violations = int(np.sum(self.violated))
 
 
 def init_state(f0, alpha, kernel=None):
@@ -108,17 +119,6 @@ def step(state, dt):
     A_new = RadialProfile(state.f0.grid, a_new)
     return ModelState(alpha, state.f0, A_new, state.t + dt, kernel,
                       (c, half_widths, state.L0))
-
-
-def eval_Ls(state):
-    return RadialProfile(state.f0.grid, lf_tail(state.c, state.half_widths,
-                                                state.A.values, state.kernel))
-
-
-def step_ratio(state, dt):
-    """dt * max L(f0) / (2 alpha): how far a step of dt moves alpha A
-    against the 2 alpha scale of the closed-form logarithm."""
-    return float(dt * np.max(state.L0) / (2.0 * state.alpha))
 
 
 def _interp_profile(profile, R):
@@ -167,23 +167,6 @@ def sup_omega2(state):
     return float(np.max(state.f0.values + 0.5 * state.A.values))
 
 
-def l2_omega2(state):
-    """The l2 norm of Omega_2, exact in theta. With b = e^-A, t = tan theta
-    turns the angular integral of f_t^2 into a rational one, and
-
-        integral over [0, 2 pi) of f_t^2 d theta = pi f0^2 K(A)
-
-    with K = kernel_values, the true angular average whatever kernel the
-    state marches with. f_t is odd in theta, so the cross term with A/2
-    vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2 / 2) dR,
-    taken by the trapezoid rule on the radial nodes like l2_norm. Squares
-    past the float range give inf or nan, for the caller to report."""
-    f0, A = state.f0.values, state.A.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_r = np.pi * (f0 * f0 * kernel_values(A) + 0.5 * A * A)
-        return float(np.sqrt(trapz(per_r, state.f0.grid.nodes)))
-
-
 def closed_form_L(f0, alpha, t):
     """Exact solution of the comparison dynamics with kernel e^-a at every
     node: value = L(f0) / (1 + (t/2 alpha) L(f0)) and its time integral
@@ -193,14 +176,116 @@ def closed_form_L(f0, alpha, t):
     return L0 / (1.0 + x), 2.0 * alpha * np.log1p(x)
 
 
-def check_sandwich(state):
-    """Pinch alpha * A_t(R) between the two closed-form logarithms (module
-    docstring); violations are reported in the margins, never raised."""
-    alpha, t, L0 = state.alpha, state.t, state.L0
-    value = alpha * state.A.values
+def sandwich_bounds(alpha, t, L0):
+    """The two closed-form logarithms (module docstring) that pinch
+    alpha * A at time t where the tail L(f0) is L0: (lower, upper)."""
     lower = (2.0 * alpha / C2) * np.log1p((0.5 * C2 / alpha) * t * L0)
     upper = (2.0 * alpha * C2 / C1) * np.log1p((0.5 * C1 / alpha) * t * L0)
-    return SandwichReport(lower, value, upper)
+    return lower, upper
+
+
+def check_sandwich(state):
+    """Pinch alpha * A_t(R) between the two closed-form logarithms;
+    violations are reported in the margins, never raised."""
+    lower, upper = sandwich_bounds(state.alpha, state.t, state.L0)
+    return SandwichReport(lower, state.alpha * state.A.values, upper)
+
+
+class SimilarityProfile:
+    """phi and w = z phi' on s = log z at s0 + k h, k = 0..steps, with
+    their slopes in s: phi_s = w and w_s = z K(phi). Below z0 both come
+    from the series phi = z + a z^2 + b z^3 the table starts on."""
+
+    def __init__(self, z_max, h, series, phi, w, dw):
+        self.z_max = z_max
+        self.h = h
+        self.a, self.b = series
+        self.steps = len(phi) - 1
+        self._phi, self._w, self._dw = (np.array(phi), np.array(w),
+                                        np.array(dw))
+
+    def _hermite(self, z, values, slopes):
+        """Cubic Hermite interpolation in s of a table and its s-slopes,
+        at z clipped below to z0."""
+        x = (np.log(np.maximum(z, PROFILE_Z0)) - math.log(PROFILE_Z0)) / self.h
+        k = np.minimum(x.astype(int), self.steps - 1)
+        u = x - k
+        v = 1.0 - u
+        return (v * v * ((1.0 + 2.0 * u) * values[k] + self.h * u * slopes[k])
+                + u * u * ((3.0 - 2.0 * u) * values[k + 1]
+                           - self.h * v * slopes[k + 1]))
+
+    def phi(self, z):
+        """phi at every entry of z, 0 <= z <= z_max."""
+        z = np.asarray(z, dtype=float)
+        near = np.minimum(z, PROFILE_Z0)
+        return np.where(z > PROFILE_Z0, self._hermite(z, self._phi, self._w),
+                        near * (1.0 + near * (self.a + near * self.b)))
+
+    def dphi(self, z):
+        """phi' at every entry of z, 0 <= z <= z_max: w / z from the
+        table, the series' derivative below z0."""
+        z = np.asarray(z, dtype=float)
+        near = np.minimum(z, PROFILE_Z0)
+        far = self._hermite(z, self._w, self._dw) / np.maximum(z, PROFILE_Z0)
+        return np.where(z > PROFILE_Z0, far,
+                        1.0 + near * (2.0 * self.a + near * 3.0 * self.b))
+
+
+def _sech2_half_float(p):
+    # kernel_values at one float, without numpy's per-call cost
+    b = math.exp(-p)
+    return 4.0 * b / (1.0 + b) ** 2
+
+
+def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
+    """Tabulate phi, with A(t, R) = phi(t L(f0)(R) / alpha) (module
+    docstring), from z0 to at least z_max.
+
+    In s = log z, phi_s = w and w_s = z K(phi), with w = z phi', marched by
+    classical RK4 on a uniform grid of the given step in s, in
+    ceil(log(z_max / z0) / step) steps, at least one. The table starts on
+    the series phi = z + a z^2 + b z^3, with 4 a = K'(0) and
+    9 b = K'(0) a + K''(0) / 2 (K(0) = 1), which for the production
+    kernel is z - z^3/36, w = z - z^3/12. The derivatives of an override
+    `kernel` are taken by one-sided differences at 1e-4. For K = e^-a,
+    phi = 2 log(1 + z/2), whose value closed_form_L gives."""
+    if not 0.0 <= z_max <= np.finfo(float).max:
+        raise ValueError("the profile needs a finite z_max >= 0, got %g"
+                         % z_max)
+    if kernel is None:
+        K, k1, k2 = _sech2_half_float, 0.0, -0.25
+    else:
+        def K(p):
+            return float(kernel(p))
+        d = 1e-4
+        k0, kd, k2d = K(0.0), K(d), K(2.0 * d)
+        k1 = (4.0 * kd - k2d - 3.0 * k0) / (2.0 * d)
+        k2 = (k2d - 2.0 * kd + k0) / (2.0 * d * d)
+    a = 0.25 * k1
+    b = (k1 * a + k2) / 9.0
+    s, z, h = math.log(PROFILE_Z0), PROFILE_Z0, step
+    steps = math.ceil((math.log(z_max) - s) / h) if z_max > z else 1
+    p = z * (1.0 + z * (a + z * b))
+    w = z * (1.0 + z * (2.0 * a + z * 3.0 * b))
+    phi, ws, dws = [p], [w], [z * K(p)]
+    grow = math.exp(0.5 * h)
+    for k in range(1, steps + 1):
+        zm, zn = z * grow, math.exp(s + k * h)
+        k1p, k1w = w, dws[-1]
+        k2p = w + 0.5 * h * k1w
+        k2w = zm * K(p + 0.5 * h * k1p)
+        k3p = w + 0.5 * h * k2w
+        k3w = zm * K(p + 0.5 * h * k2p)
+        k4p = w + h * k3w
+        k4w = zn * K(p + h * k3p)
+        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        w += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        z = zn
+        phi.append(p)
+        ws.append(w)
+        dws.append(z * K(p))
+    return SimilarityProfile(z_max, h, (a, b), phi, ws, dws)
 
 
 def default_horizon(alpha, horizon_factor=0.1):

@@ -535,17 +535,15 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
         assert on_disk["stats"] == manifest["stats"]
         stats[kind] = got = on_disk["stats"]
         if kind == "model":
-            assert sorted(got) == ["dt", "step_ratio", "step_ratio_rule",
-                                   "steps"]
-            # dt = 0.3 * 0.02 = 0.006 takes two steps, the second cut
-            # short, in each of the 5 sample intervals of 0.00722
-            assert got["steps"] == 10
-            assert got["dt"] == 0.3 * 0.02
+            assert sorted(got) == ["profile_steps", "z_max"]
+            # z_max = T max L(f0) / alpha, and the table takes steps of
+            # 0.01 in log z from 1e-3 to it
             f0 = cli.build_profile(config, cli.build_grids(config)[0])
             L0max = float(np.max(profile_tail(f0).values))
-            assert got["step_ratio"] == pytest.approx(
-                0.006 * L0max / 0.6, rel=1e-14)
-            assert got["step_ratio_rule"] == 0.05
+            T = 0.1 * 0.3 * abs(np.log(0.3))
+            assert got["z_max"] == pytest.approx(T * L0max / 0.3, rel=1e-14)
+            assert got["profile_steps"] == int(
+                np.ceil(np.log(got["z_max"] / 1e-3) / 0.01))
             continue
         if kind == "remainder":
             # the peak of remainder.csv's rem_sup column, as marched
@@ -651,6 +649,9 @@ def test_overflowing_amplitude_is_measured_not_a_warning(tmp_path, capsys,
     if kind in ("model", "linear"):
         assert code == 0 and manifest["error"] is None
         assert manifest["checks"]["finite_norms"] == "fail"
+        # a non-finite gap of the linear run's check fails it too
+        if kind == "linear":
+            assert manifest["checks"]["closed_form"].startswith("fail: ")
         rows = np.loadtxt(os.path.join(str(out), "growth.csv"),
                           delimiter=",", skiprows=1)
         assert not np.all(np.isfinite(rows[:, 2]))
@@ -659,6 +660,43 @@ def test_overflowing_amplitude_is_measured_not_a_warning(tmp_path, capsys,
     assert "overflow" in capsys.readouterr().err
     assert manifest["error"]["type"] == "NumericalError"
     assert manifest["error"]["stage"] == "rhs_full"
+
+
+@pytest.mark.parametrize("factor", ["time.horizon_factor = 1e300",
+                                    "time.dt_factor = 1e-300"],
+                         ids=["horizon", "dt"])
+def test_model_run_work_is_bounded_by_the_profile(tmp_path, factor):
+    # a model run's work is its profile table, ceil(log(z_max / 1e-3) /
+    # 0.01) steps, so it ends at any horizon and any dt_factor: a finite
+    # z_max gives fewer than (log(float max) - log(1e-3)) / 0.01 + 1 steps
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "%s\ngrid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+        "output.dir = %s\n" % (factor, out)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", path])
+    manifest = load_manifest(out)
+    assert code == 0 and manifest["error"] is None
+    assert all(status == "pass" for status in manifest["checks"].values())
+    bound = (np.log(sys.float_info.max) - np.log(1e-3)) / 0.01 + 1
+    assert 0 < manifest["stats"]["profile_steps"] < bound < 71700
+
+
+def test_model_run_with_an_overflowing_z_exits_3_with_manifest(tmp_path,
+                                                              capsys):
+    # T / alpha = 1e308 |log alpha| passes the float range: the profile
+    # refuses the infinite z_max, with warnings as errors
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = 1e-300\ntime.horizon_factor = 1e308\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n" % out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 3
+    assert "finite z_max" in capsys.readouterr().err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "ValueError" and "finite z_max" in error["message"]
 
 
 def verify_margin(printed, name):
@@ -686,6 +724,8 @@ def test_main_exit_codes(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "FAIL" not in printed
     assert 0.0 < verify_margin(printed, "closed-form-value") < 1e-6
+    assert 0.0 < verify_margin(printed, "profile-closed-form") < 1e-10
+    assert "ok   profile-order" in printed
     assert cli.main(["verify-kernel"]) == 0
     printed = capsys.readouterr().out
     assert "FAIL" not in printed and "memo-table" not in printed
