@@ -15,6 +15,7 @@ found a failing check.
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -33,10 +34,16 @@ from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
 from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
                        mode_residual)
-from .evolution import (FullState, FullMarch, step_linear,
-                        run_remainder_study, field_row, support_edge_index)
+from .evolution import (FullState, FullMarch, MAX_STEP_OVER_ALPHA,
+                        step_linear, run_remainder_study, field_row,
+                        support_edge_index)
 from .diagnostics import alpha_scaling_study
 
+# validation bounds: set-up overflows past MAX_AMPLITUDE, and a full march
+# to T = horizon_factor alpha |log alpha| takes at least horizon_factor
+# |log alpha| / MAX_STEP_OVER_ALPHA steps, which may not pass MAX_FULL_STEPS
+MAX_AMPLITUDE = 1e300
+MAX_FULL_STEPS = 1e5
 
 # each key's RunConfig attribute, default, and type (int, float, str) or
 # the tuple of values it may take
@@ -45,7 +52,6 @@ _KEYS = {
     "delta": ("delta", 1.0, float),
     "grid.r_max": ("r_max", 8.0, float),
     "grid.n_r": ("n_r", 512, int),
-    "grid.spacing": ("spacing", "geometric", ("geometric", "uniform")),
     "grid.n_theta": ("n_theta", 256, int),
     "time.dt_factor": ("dt_factor", 1.0 / 50.0, float),
     "time.horizon_factor": ("horizon_factor", 0.1, float),
@@ -115,20 +121,14 @@ def validate_config(values):
         raise ConfigError("grid.n_r must be at least 8")
     if merged["grid.r_max"] <= 0:
         raise ConfigError("grid.r_max must be positive")
-    if merged["run.kind"] in ("full", "remainder", "sweep"):
-        # the elliptic solves run in log R and keep modes 0..n_theta // 3
-        if merged["grid.spacing"] != "geometric":
-            raise ConfigError("run.kind = %s needs grid.spacing = geometric"
-                              % merged["run.kind"])
-        if merged["grid.n_theta"] < 8:
-            raise ConfigError("run.kind = %s needs grid.n_theta >= 8"
-                              % merged["run.kind"])
     if merged["time.dt_factor"] <= 0 or merged["time.horizon_factor"] <= 0:
         raise ConfigError("time factors must be positive")
     if merged["time.sample_count"] < 2:
         raise ConfigError("time.sample_count must be at least 2")
-    if merged["initial.amplitude"] < 0:
-        raise ConfigError("initial.amplitude must be nonnegative")
+    if not 0 <= merged["initial.amplitude"] <= MAX_AMPLITUDE:
+        raise ConfigError("initial.amplitude (delta when unset) must lie in "
+                          "[0, %g], got %g"
+                          % (MAX_AMPLITUDE, merged["initial.amplitude"]))
     kind = merged["initial.kind"]
     if kind in ("bump", "indicator") and merged["initial.width"] <= 0:
         raise ConfigError("initial.width must be positive")
@@ -166,6 +166,19 @@ def validate_config(values):
         raise ConfigError("run.alphas members must be distinct and give "
                           "distinct member dirs alpha_<value>, got %s"
                           % merged["run.alphas"])
+    if merged["run.kind"] in ("full", "remainder", "sweep"):
+        # the elliptic solves keep modes 0..n_theta // 3
+        if merged["grid.n_theta"] < 8:
+            raise ConfigError("run.kind = %s needs grid.n_theta >= 8"
+                              % merged["run.kind"])
+        marched = alphas if merged["run.kind"] == "sweep" else (alpha,)
+        steps = max(float(merged["time.horizon_factor"]) * abs(math.log(a))
+                    for a in marched) / MAX_STEP_OVER_ALPHA
+        if steps > MAX_FULL_STEPS:
+            raise ConfigError("time.horizon_factor = %g needs at least %.3g "
+                              "full-march steps, over the %g allowed"
+                              % (merged["time.horizon_factor"], steps,
+                                 MAX_FULL_STEPS))
     return RunConfig(merged, alphas)
 
 
@@ -199,8 +212,7 @@ def parse_config(path):
 
 
 def build_grids(config):
-    rgrid = build_radial_grid(1e-3 * config.r_max, config.r_max,
-                              config.n_r, config.spacing)
+    rgrid = build_radial_grid(1e-3 * config.r_max, config.r_max, config.n_r)
     return rgrid, AngularGrid(config.n_theta)
 
 
@@ -343,7 +355,8 @@ def _run_linear(config, out_dir, manifest):
     sum1, sum2 = float(np.sum(sin2)), float(np.sum(sin2 ** 2))
     hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
     mean0 = f * (sum1 / n)
-    # squares past the float range give norms that fail finite_norms
+    # squares past the float range give norms that fail finite_norms, and
+    # a field past it (at a huge horizon) fails Field2D's finite check
     with np.errstate(over="ignore", invalid="ignore"):
         sq0 = (agrid.dtheta * sum2) * f ** 2
         sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
@@ -358,13 +371,13 @@ def _run_linear(config, out_dir, manifest):
                                              rgrid.nodes))),
                          float(ls0[j0]),
                          2.0 * float(np.max(mean0 + src))))
-    # the check marches the grid field to the horizon in two steps, so the
-    # second takes L_s from an evolved field, and holds the march and its
-    # growth columns against the closed form
-    state = FullState(config.alpha, omega0, 0.0)
-    for ts in (0.5 * times[-1], times[-1]):
-        state = step_linear(state, ts - state.t)
-    exact = omega0.values + (0.5 * times[-1] / config.alpha) * ls0[:, None]
+        # the check marches the grid field to the horizon in two steps, so
+        # the second takes L_s from an evolved field, and holds the march
+        # and its growth columns against the closed form
+        state = FullState(config.alpha, omega0, 0.0)
+        for ts in (0.5 * times[-1], times[-1]):
+            state = step_linear(state, ts - state.t)
+        exact = omega0.values + (0.5 * times[-1] / config.alpha) * ls0[:, None]
     gaps = [float(np.max(np.abs(state.omega.values - exact)))
             / max(float(np.max(np.abs(exact))), 1e-300)]
     gaps += [abs(got - want) / max(abs(want), 1e-300)

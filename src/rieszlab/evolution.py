@@ -23,6 +23,9 @@ from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
 
+# the longest full-march step, over alpha
+MAX_STEP_OVER_ALPHA = 0.05
+
 
 class FullState:
     """Immutable snapshot of the full evolution. local_error is the
@@ -283,7 +286,7 @@ class FullMarch:
                      self._interpolate)
 
     def _max_dt(self, state):
-        dt = min(self._bound, 0.05 * self.alpha)
+        dt = min(self._bound, MAX_STEP_OVER_ALPHA * self.alpha)
         if dt < 1e-12:
             raise NumericalError("time step collapsed at t=%g" % state.t,
                                  stage="full-march")

@@ -2,11 +2,10 @@
 
 Conventions. The angle theta lives on [0, 2pi), uniformly sampled, and all
 stored fields are periodic in theta. The radial coordinate R is sampled
-either uniformly or geometrically; geometric grids are uniform in
-x = log R, which is the coordinate every radial derivative and every
-elliptic solve uses. Norms use the measure dR dtheta. Radial quadrature
-is the trapezoid rule on the stored nodes, with no interpolation between
-nodes.
+geometrically, so uniformly in x = log R, the coordinate every radial
+derivative and every elliptic solve uses. Norms use the measure
+dR dtheta. Radial quadrature is the trapezoid rule on the stored nodes,
+with no interpolation between nodes.
 
 All types are plain value holders and should be treated as immutable
 after construction.
@@ -16,12 +15,12 @@ import numpy as np
 
 
 class RadialGrid:
-    """Radial nodes, checked by build_radial_grid, their one builder."""
+    """Geometric radial nodes; build_radial_grid is their one builder."""
 
-    def __init__(self, nodes, spacing_kind):
+    def __init__(self, nodes):
         self.nodes = nodes
-        self.spacing_kind = spacing_kind
         self.n = nodes.size
+        self.log_step = np.log(nodes[1] / nodes[0])  # the uniform step in log R
 
     @property
     def r_max(self):
@@ -31,36 +30,21 @@ class RadialGrid:
     def log_nodes(self):
         return np.log(self.nodes)
 
-    @property
-    def log_step(self):
-        """The uniform step in x = log R of a geometric grid."""
-        if self.spacing_kind != "geometric":
-            raise ValueError("log-grid derivatives and mode solves need a "
-                             "geometric radial grid")
-        return np.log(self.nodes[1] / self.nodes[0])
-
     def same_nodes(self, other):
         return self.n == other.n and np.array_equal(self.nodes, other.nodes)
 
 
-def build_radial_grid(r_min, r_max, n, kind="geometric"):
-    if not (0 <= r_min < r_max < np.inf):
-        raise ValueError("invalid-range: need 0 <= r_min < r_max < inf, got [%g, %g]" % (r_min, r_max))
+def build_radial_grid(r_min, r_max, n):
+    if not (0 < r_min < r_max < np.inf):
+        raise ValueError("invalid-range: need 0 < r_min < r_max < inf, got [%g, %g]" % (r_min, r_max))
     if n < 8:
         raise ValueError("too-few-nodes: need n >= 8, got %d" % n)
-    if kind == "uniform":
-        nodes = np.linspace(r_min, r_max, n)
-    elif kind == "geometric":
-        if r_min <= 0:
-            raise ValueError("geometric-with-zero-origin: geometric grids need r_min > 0")
-        nodes = r_min * (r_max / r_min) ** (np.arange(n) / (n - 1))
-        nodes[-1] = r_max
-    else:
-        raise ValueError("spacing_kind must be 'uniform' or 'geometric', got %r" % (kind,))
+    nodes = r_min * (r_max / r_min) ** (np.arange(n) / (n - 1))
+    nodes[-1] = r_max
     # bounds within rounding of each other, or r_max / r_min overflowing
     if not np.all(nodes[1:] > nodes[:-1]):
         raise ValueError("radial nodes must be strictly increasing on [%.17g, %.17g]" % (r_min, r_max))
-    return RadialGrid(nodes, kind)
+    return RadialGrid(nodes)
 
 
 class AngularGrid:

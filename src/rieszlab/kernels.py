@@ -88,9 +88,7 @@ def _sech2_half(a):
 
 def tail_integrand(profile):
     """f(R)/R, the integrand of the tail operator L."""
-    nodes = profile.grid.nodes
-    return np.divide(profile.values, nodes,
-                     out=np.zeros_like(profile.values), where=profile.values != 0)
+    return profile.values / profile.grid.nodes
 
 
 def profile_tail(profile):

@@ -87,7 +87,8 @@ def test_validate_rejects_out_of_range(tmp_path):
 
 @pytest.mark.parametrize("values, message", [
     ({"run.kind": "bogus"}, "run.kind must be one of"),
-    ({"grid.spacing": "foo"}, "grid.spacing must be one of"),
+    # every radial grid is geometric, so grid.spacing is no key
+    ({"grid.spacing": "geometric"}, "unknown key 'grid.spacing'"),
     ({"initial.kind": "nope"}, "initial.kind must be one of"),
     ({"alhpa": 0.2}, "unknown key 'alhpa'"),
     ({"alpha": "0.2"}, "alpha must be of type float, got '0.2'"),
@@ -130,9 +131,13 @@ def test_readme_config_table_matches_keys():
                 assert "`%s`" % value in meaning, (key, value)
 
 
+_KINDS = ("model", "linear", "full", "remainder", "sweep")
+
+
 @pytest.mark.parametrize("body", [
     "grid.n_theta = 0\n",
     "grid.r_max = inf\n",
+    # an unknown key since every radial grid is geometric
     "grid.spacing = uniform\nrun.kind = remainder\n",
     "run.kind = sweep\nrun.alphas = 1.5,0.75,0.375\n",
     "initial.kind = indicator\ninitial.width = -1\n",
@@ -143,16 +148,33 @@ def test_readme_config_table_matches_keys():
     # members sharing a dir would write over each other's files
     "run.kind = sweep\nrun.alphas = 0.4,0.4,0.4\n",
     "run.kind = sweep\nrun.alphas = 0.1,0.1000001,0.2\n",
+    # amplitudes near the float maximum overflow at set-up sites
+    *["run.kind = %s\ndelta = %s\n" % (kind, delta)
+      for kind in _KINDS for delta in ("1e308", "1.79e308")],
+    "initial.amplitude = 1.79e308\n",
+    # marches that need more than MAX_FULL_STEPS steps would not end
+    "run.kind = full\ntime.horizon_factor = 1e300\n",
+    "run.kind = full\ntime.horizon_factor = 1e300\ninitial.amplitude = 0\n",
+    "run.kind = remainder\ntime.horizon_factor = 1e6\ngrid.r_max = 1e6\n",
+    "run.kind = sweep\nrun.alphas = 0.4\ntime.horizon_factor = 1e300\n",
 ], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
         "indicator-negative-width", "bump-zero-width", "n-theta-4-remainder",
         "sweep-no-alphas", "delta-nan", "sweep-repeated-alpha",
-        "sweep-same-member-dir"])
+        "sweep-same-member-dir",
+        *["%s-delta-%s" % (kind, delta)
+          for kind in _KINDS for delta in ("1e308", "1.79e308")],
+        "amplitude-1.79e308", "full-horizon-1e300",
+        "full-horizon-1e300-zero-amplitude", "remainder-horizon-1e6",
+        "sweep-horizon-1e300"])
 def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
+    # refused before any work, also with warnings as errors
     out = tmp_path / "out"
     path = write_config(tmp_path, (
         "alpha = 0.2\ngrid.n_r = 64\ngrid.n_theta = 16\n"
         "time.sample_count = 3\noutput.dir = %s\n%s" % (out, body)))
-    assert cli.main(["run", path]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -245,10 +267,10 @@ _TINY_EDGES = {
     "delta": [0.0, -1.0, 1e3],
     "grid.r_max": [0.0, 3.0, 3.8],
     "grid.n_r": [4, 8],
-    "grid.spacing": ["uniform"],
     "grid.n_theta": [0, 4, 30],
     "time.sample_count": [0, 1],
-    "time.horizon_factor": [0.0, 1.0],
+    "time.horizon_factor": [0.0, 1.0, 1e300],
+    "initial.amplitude": [1e300, 1e308, 1.79e308],
     "time.dt_factor": [0.0, 0.5],
     "initial.center": [1.0, 6.0],
     "initial.width": [-1.0, 0.0, 2.5],
@@ -326,7 +348,6 @@ _TINY_SWEEPS = st.fixed_dictionaries({
     "run.alphas": st.lists(st.floats(min_value=0.05, max_value=0.6),
                            min_size=1, max_size=3).map(
         lambda alphas: ",".join("%g" % a for a in alphas)),
-    "grid.spacing": st.sampled_from(["geometric", "uniform"]),
     "grid.n_r": st.sampled_from([33, 64]),
     "grid.n_theta": st.sampled_from([8, 12]),
     "time.sample_count": st.integers(min_value=2, max_value=3),
@@ -660,6 +681,49 @@ def test_overflowing_amplitude_is_measured_not_a_warning(tmp_path, capsys,
     assert "overflow" in capsys.readouterr().err
     assert manifest["error"]["type"] == "NumericalError"
     assert manifest["error"]["stage"] == "rhs_full"
+
+
+def test_linear_run_past_the_float_range_exits_3_with_manifest(tmp_path,
+                                                               capsys):
+    # at a huge horizon the marched check field passes the float range at
+    # amplitude 1; the run says so, with warnings as errors
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "run.kind = linear\ntime.horizon_factor = 1e300\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n" % out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 3
+    assert "field values must be finite" in capsys.readouterr().err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "ValueError"
+    assert "field values must be finite" in error["message"]
+
+
+def test_validation_bounds_the_amplitude_and_the_full_march():
+    # the amplitude bound holds for delta when it stands for the amplitude
+    cli.validate_config({"delta": 1e300})
+    for values in ({"delta": 1e308}, {"initial.amplitude": 1.79e308}):
+        with pytest.raises(ConfigError, match=r"initial\.amplitude \(delta "
+                           r"when unset\) must lie in \[0, 1e\+300\]"):
+            cli.validate_config(values)
+    # horizon_factor |log alpha| / 0.05 steps at the least: at alpha = 0.1
+    # the bound of 1e5 falls between horizon factors 2171 and 2172
+    assert cli.MAX_FULL_STEPS == 1e5
+    for kind in ("full", "remainder"):
+        cli.validate_config({"run.kind": kind, "time.horizon_factor": 2171.0})
+        with pytest.raises(ConfigError, match="time.horizon_factor = 2172"):
+            cli.validate_config({"run.kind": kind,
+                                 "time.horizon_factor": 2172.0})
+    # a sweep marches its run.alphas, not alpha; the largest count decides
+    sweep = {"run.kind": "sweep", "alpha": 1e-300,
+             "time.horizon_factor": 1000.0}
+    cli.validate_config(dict(sweep, **{"run.alphas": "0.4,0.2"}))
+    with pytest.raises(ConfigError, match="needs at least 1.38e\\+05"):
+        cli.validate_config(dict(sweep, **{"run.alphas": "0.4,0.001"}))
+    # model and linear runs make no full march
+    for kind in ("model", "linear"):
+        cli.validate_config({"run.kind": kind, "time.horizon_factor": 1e300})
 
 
 @pytest.mark.parametrize("factor", ["time.horizon_factor = 1e300",

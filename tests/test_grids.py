@@ -5,6 +5,7 @@ from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, trapz, right_tail, sup_norm, l2_norm,
                             project_mode, r_ddr, r2_d2dr2,
                             theta_deriv)
+from rieszlab.model import make_indicator
 
 
 def indicator_field(rgrid, agrid, lo=1.0, hi=2.0, amplitude=1.0):
@@ -13,14 +14,8 @@ def indicator_field(rgrid, agrid, lo=1.0, hi=2.0, amplitude=1.0):
                          np.outer(prof, np.sin(2.0 * agrid.nodes)))
 
 
-def test_uniform_grid_nodes():
-    g = build_radial_grid(0.0, 4.0, 9, "uniform")
-    assert np.allclose(g.nodes, np.arange(9) * 0.5)
-    assert g.n == 9 and g.spacing_kind == "uniform"
-
-
 def test_geometric_grid_nodes():
-    g = build_radial_grid(1.0, 4.0, 9, "geometric")
+    g = build_radial_grid(1.0, 4.0, 9)
     assert np.allclose(g.nodes, 4.0 ** (np.arange(9) / 8.0), rtol=1e-14)
     # log spacing is uniform
     assert np.allclose(np.diff(g.log_nodes), np.log(4.0) / 8.0)
@@ -28,18 +23,17 @@ def test_geometric_grid_nodes():
 
 def test_grid_rejects_bad_range():
     with pytest.raises(ValueError, match="invalid-range"):
-        build_radial_grid(2.0, 1.0, 16, "uniform")
+        build_radial_grid(2.0, 1.0, 16)
     with pytest.raises(ValueError, match="too-few"):
-        build_radial_grid(1.0, 2.0, 5, "uniform")
-    with pytest.raises(ValueError):
-        build_radial_grid(0.0, 1.0, 16, "geometric")
-    for kind in ("uniform", "geometric"):
-        # rejected before any node is built, so no overflow warning
-        with pytest.raises(ValueError, match="invalid-range"):
-            build_radial_grid(1.0, np.inf, 16, kind)
-        # bounds within rounding of each other give repeated nodes
-        with pytest.raises(ValueError, match="strictly increasing"):
-            build_radial_grid(1.0, 1.0 + 1e-15, 16, kind)
+        build_radial_grid(1.0, 2.0, 5)
+    with pytest.raises(ValueError, match="invalid-range"):
+        build_radial_grid(0.0, 1.0, 16)
+    # rejected before any node is built, so no overflow warning
+    with pytest.raises(ValueError, match="invalid-range"):
+        build_radial_grid(1.0, np.inf, 16)
+    # bounds within rounding of each other give repeated nodes
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_radial_grid(1.0, 1.0 + 1e-15, 16)
 
 
 def test_angular_grid_multiple_of_four():
@@ -67,12 +61,15 @@ def test_sup_norm_sine_indicator():
 
 
 def test_l2_norm_indicator_refines_to_sqrt_2pi():
-    # analytic: integral of 1 over [1,2]x[0,2pi) with dR dtheta measure
+    # analytic: integral of 1 over [1,2]x[0,2pi) with dR dtheta measure.
+    # The jumps at 1 and 2 land on nodes of both grids, which carry the
+    # half value as in make_indicator: the full value there would put the
+    # 2049-node error at 2.5e-3, twice the 1.3e-3 of the half value
     errs = []
     for n in (513, 2049):
-        rgrid = build_radial_grid(0.5, 8.0, n, "uniform")
+        rgrid = build_radial_grid(0.5, 8.0, n)
         agrid = AngularGrid(32)
-        vals = np.where((rgrid.nodes >= 1.0) & (rgrid.nodes <= 2.0), 1.0, 0.0)
+        vals = make_indicator(rgrid, 1.0, 2.0).values
         field = Field2D(rgrid, agrid, np.outer(vals, np.ones(32)))
         errs.append(abs(l2_norm(field) - np.sqrt(2.0 * np.pi)))
     assert errs[1] < errs[0]
@@ -80,9 +77,12 @@ def test_l2_norm_indicator_refines_to_sqrt_2pi():
 
 
 def test_l2_norm_sine_indicator():
-    rgrid = build_radial_grid(0.5, 8.0, 2049, "uniform")
+    # half values on the jump nodes, as in the test above
+    rgrid = build_radial_grid(0.5, 8.0, 2049)
     agrid = AngularGrid(32)
-    _, field = indicator_field(rgrid, agrid)
+    field = Field2D(rgrid, agrid,
+                    np.outer(make_indicator(rgrid, 1.0, 2.0).values,
+                             np.sin(2.0 * agrid.nodes)))
     assert l2_norm(field) == pytest.approx(np.sqrt(np.pi), abs=2e-3)
     z = Field2D(rgrid, agrid, np.zeros((2049, 32)))
     assert l2_norm(z) == 0.0
@@ -141,12 +141,7 @@ def test_radial_derivatives_power_law():
     assert np.allclose(d2[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-4)
 
 
-def test_radial_derivatives_need_a_geometric_grid():
-    g = build_radial_grid(0.5, 8.0, 65, "uniform")
-    with pytest.raises(ValueError, match="geometric"):
-        r_ddr(g.nodes ** 2, g)
-    with pytest.raises(ValueError, match="geometric"):
-        r2_d2dr2(g.nodes ** 2, g)
+def test_radial_grid_log_step_is_the_uniform_step_in_log_r():
     geo = build_radial_grid(0.5, 8.0, 65)
     assert geo.log_step == pytest.approx(np.log(16.0) / 64.0, rel=1e-14)
 
