@@ -21,7 +21,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
 from .elliptic import (solve_mode, exact_mode2, principal_remainder_split,
-                       mode_residual)
+                       mode_residual, lapack_tridiagonal)
 from .evolution import (FullState, FullMarch, MAX_STEP_OVER_ALPHA,
                         step_linear, run_remainder_study, field_row,
                         support_edge_index)
@@ -441,6 +440,7 @@ def _sweep_member(args):
 
 
 def _run_sweep(config, out_dir, manifest):
+    from concurrent.futures import ProcessPoolExecutor
     jobs = []
     for alpha in config.alphas:
         member = validate_config(dict(config.values, alpha=alpha, **{
@@ -448,6 +448,11 @@ def _run_sweep(config, out_dir, manifest):
             "output.dir": os.path.join(out_dir, _member_dir_name(alpha))}))
         jobs.append((member, alpha, member.output_dir))
     workers = min(len(jobs), os.cpu_count() or 1)
+    # every member solves for the stream function: load LAPACK here, once,
+    # so that workers started by fork inherit the loaded module instead of
+    # each importing scipy.linalg on its own. Under spawn or forkserver a
+    # worker imports rieszlab afresh and binds LAPACK on its first solve
+    lapack_tridiagonal()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_sweep_member, jobs))
     paths = []

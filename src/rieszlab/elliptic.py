@@ -30,11 +30,20 @@ because the history cells integrate the interpolant exactly.
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import EllipticError
 from .grids import RadialProfile, Field2D
 from .kernels import profile_tail
+
+
+@lru_cache(maxsize=None)
+def lapack_tridiagonal():
+    """(dgttrf, dgttrs), the LAPACK tridiagonal factor and solve every
+    solve here runs on. scipy.linalg is imported on the first call, so
+    runs that never solve for the stream function (model and linear)
+    do not pay for loading it."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    return dgttrf, dgttrs
 
 
 def _exp_cell_weights(lam, h):
@@ -53,6 +62,7 @@ def _recurrence_factor(n, E):
     y_k - E y_{k-1} = c_k. With 0 <= E <= 1 nothing pivots, so solving
     against them runs y_k = c_k + E y_{k-1} left to right; the cached
     arrays are shared by every caller and therefore read-only."""
+    dgttrf, _ = lapack_tridiagonal()
     *factors, info = dgttrf(np.full(n - 1, -E), np.ones(n), np.zeros(n - 1))
     if info != 0:
         raise EllipticError("recurrence factorization failed (dgttrf info "
@@ -65,6 +75,7 @@ def _recurrence_factor(n, E):
 def _recurrence(E, c):
     """y with y_0 = 0 and y_{k+1} = E y_k + c_k."""
     out = np.zeros(c.size + 1)
+    _, dgttrs = lapack_tridiagonal()
     y, info = dgttrs(*_recurrence_factor(c.size, float(E)), c)
     if info != 0:
         raise EllipticError("recurrence solve failed (dgttrs info %d)" % info)
@@ -145,6 +156,7 @@ def _stacked_factor(n_r, h, alpha, n_lo, n_hi):
     alpha only, never on time; the cached arrays are shared by every
     caller and therefore read-only."""
     ab = np.hstack([_bands(n_r, h, n, alpha) for n in range(n_lo, n_hi + 1)])
+    dgttrf, _ = lapack_tridiagonal()
     *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise EllipticError("stencil factorization failed for modes %d..%d "
@@ -161,6 +173,7 @@ def _solve_stencil(grid, alpha, n_lo, rhs):
     cols, blocks, n_r = rhs.shape
     factors = _stacked_factor(n_r, grid.log_step, alpha, n_lo,
                               n_lo + blocks - 1)
+    _, dgttrs = lapack_tridiagonal()
     # the transpose is the Fortran-ordered (rows, columns) matrix that
     # dgttrs takes and returns, so the solution reshapes without a copy
     psi, info = dgttrs(*factors, rhs.reshape(cols, blocks * n_r).T)

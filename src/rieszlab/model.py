@@ -179,8 +179,10 @@ def closed_form_L(f0, alpha, t):
 def sandwich_bounds(alpha, t, L0):
     """The two closed-form logarithms (module docstring) that pinch
     alpha * A at time t where the tail L(f0) is L0: (lower, upper)."""
-    lower = (2.0 * alpha / C2) * np.log1p((0.5 * C2 / alpha) * t * L0)
-    upper = (2.0 * alpha * C2 / C1) * np.log1p((0.5 * C1 / alpha) * t * L0)
+    # t L0 / alpha first: 0.5 C / alpha overflows at a subnormal alpha,
+    # and inf times t = 0 would be nan
+    lower = (2.0 * alpha / C2) * np.log1p(0.5 * C2 * (t * L0 / alpha))
+    upper = (2.0 * alpha * C2 / C1) * np.log1p(0.5 * C1 * (t * L0 / alpha))
     return lower, upper
 
 

@@ -192,17 +192,46 @@ def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
     assert "config error" in err and str(out) in err
 
 
-def test_import_loads_no_unused_scipy_subpackages():
-    # a fresh interpreter: importing the command line pulls in none of the
-    # scipy subpackages that only oracles use
+def _fresh_interpreter(code):
+    """Run code in a new interpreter that imports rieszlab from this
+    tree, with warnings as errors, and return what it printed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); import rieszlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'signal'], ['scipy', 'integrate'], "
-            "['scipy', 'optimize'])))" % src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; sys.path.insert(0, %r); %s" % (src, code)],
+        capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_unused_scipy_subpackages(tmp_path):
+    # a fresh interpreter: importing the command line loads no scipy
+    # module, and neither do a model run and a linear run, which never
+    # solve for the stream function
+    config = ("grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+              "run.kind = %s\noutput.dir = %s\n")
+    paths = []
+    for kind in ("model", "linear"):
+        paths.append(write_config(tmp_path, config % (kind, tmp_path / kind),
+                                  name=kind + ".txt"))
+    out = _fresh_interpreter(
+        "import rieszlab.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'); before = loaded(); "
+        "codes = [rieszlab.cli.main(['run', p]) for p in %r]; "
+        "print(before, codes, loaded())" % paths)
+    assert out.splitlines()[-1] == "[] [0, 0] []"
+
+
+def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
+    # the parent of a sweep solves nothing itself, so scipy.linalg.lapack
+    # is in its modules only if it bound LAPACK before starting the pool
+    path = write_config(tmp_path, (
+        "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (tmp_path / "out")))
+    out = _fresh_interpreter(
+        "import rieszlab.cli; code = rieszlab.cli.main(['run', %r]); "
+        "print(code, 'scipy.linalg.lapack' in sys.modules)" % path)
+    assert out.splitlines()[-1] == "0 True"
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -263,7 +292,7 @@ _TINY_VALID = st.fixed_dictionaries({
     "initial.amplitude": st.sampled_from([0.0, 1.0, 2.0]),
 })
 _TINY_EDGES = {
-    "alpha": [-0.1, 0.0, 0.99, 1.0],
+    "alpha": [-0.1, 0.0, 5e-324, 1e-310, 0.99, 1.0],
     "delta": [0.0, -1.0, 1e3],
     "grid.r_max": [0.0, 3.0, 3.8],
     "grid.n_r": [4, 8],
@@ -341,6 +370,36 @@ def test_every_config_exits_cleanly_with_manifest(case):
         assert code in (0, 2, 3)
         if code in (0, 3):
             assert os.path.isfile(os.path.join(out, "manifest.json"))
+
+
+# one key (both alpha keys, so that a sweep meets it) at the edge of the
+# float range
+_FLOAT_RANGE_EDGES = {
+    "amplitude-1e300": {"initial.amplitude": 1e300},
+    "amplitude-1.79e308": {"initial.amplitude": 1.79e308},
+    "horizon-1e300": {"time.horizon_factor": 1e300},
+    "alpha-1e-310": {"alpha": 1e-310, "run.alphas": 1e-310},
+    "alpha-5e-324": {"alpha": 5e-324, "run.alphas": 5e-324},
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_FLOAT_RANGE_EDGES))
+@pytest.mark.parametrize("kind", ["model", "linear", "full", "remainder",
+                                  "sweep"])
+def test_every_kind_at_the_float_range_edges_exits_cleanly(tmp_path, kind,
+                                                            edge):
+    # with warnings as errors, each kind at each edge runs or stops with
+    # exit 2 or 3, never with a traceback, and a run that started leaves
+    # its manifest
+    values = {"run.kind": kind, "grid.n_r": 64, "grid.n_theta": 16,
+              "time.sample_count": 4, "run.alphas": 0.4}
+    values.update(_FLOAT_RANGE_EDGES[edge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _main_on(str(tmp_path), values)
+    assert code in (0, 2, 3)
+    if code in (0, 3):
+        assert os.path.isfile(os.path.join(out, "manifest.json"))
 
 
 _TINY_SWEEPS = st.fixed_dictionaries({
