@@ -188,7 +188,7 @@ def parse_config(path):
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
-    values = {}
+    values, lines_of = {}, {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -201,6 +201,10 @@ def parse_config(path):
         val = val.strip()
         if key not in _KEYS:
             raise ConfigError("%s:%d: unknown key %r" % (path, ln, key))
+        if key in lines_of:
+            raise ConfigError("%s:%d: key %r repeated, first set on line %d"
+                              % (path, ln, key, lines_of[key]))
+        lines_of[key] = ln
         kind = _KEYS[key][2]
         try:
             values[key] = val if isinstance(kind, tuple) else kind(val)

@@ -41,12 +41,11 @@ class FullState:
 
 class RemainderSeries:
     """Sampled distance between the full evolution and the model, one row
-    per sample time t: growth holds the full field's field_row, and
+    per sample time: growth holds the full field's field_row, and
     remainder its (rem_sup, rem_l2, full_sup, model_sup). full is the
     FullMarch that marched the full side, with its reach and stats."""
 
-    def __init__(self, t, growth, remainder, full):
-        self.t = t
+    def __init__(self, growth, remainder, full):
         self.growth = growth
         self.remainder = remainder
         self.full = full
@@ -229,27 +228,6 @@ def step_linear(state, dt):
                      state.t + dt)
 
 
-def march(state, times, step, max_dt, interpolate=None):
-    """Yield `state` advanced to each of `times` in turn. Each step is
-    min(max_dt(state), time left to the sample); a sample within
-    1e-14 * max(times[-1], 1) counts as reached.
-
-    With interpolate, the steps run on to times[-1] without stopping at
-    the samples in between: a sample on a step end yields that state, and
-    one inside a step yields interpolate(start, end, t) of the step's two
-    end states."""
-    tol = 1e-14 * max(times[-1], 1.0)
-    for ts in times:
-        target = ts if interpolate is None else times[-1]
-        while state.t < ts - tol:
-            start = state
-            state = step(state, min(max_dt(state), target - state.t))
-        if interpolate is None or state.t - ts <= tol:
-            yield state
-        else:
-            yield interpolate(start, state, ts)
-
-
 class FullMarch:
     """The full system from the model's initial data f0 sin(2 theta),
     marched at min(cfl_dt, 0.05 alpha) and read at the sample times by
@@ -270,62 +248,64 @@ class FullMarch:
         self.reach_threshold = 1e-4 * max(sup_norm(self.omega0), 1.0)
         self.peak_reach = 0.0
         self._dts, self._utilisation, self._local_errors = [], [], []
-        # tendencies at the start and the end of the latest step, and the
-        # advective bound at its end
-        self._start_rate = self._rate = self._bound = None
-        self._sample = np.empty_like(self.omega0.values)
 
     def samples(self, times):
-        """Yield the full state at each of times, from t = 0. A state
-        inside a step lives in one scratch array that the next sample
+        """Yield the full state at each of times, from t = 0. The steps run
+        on to times[-1] without stopping at the samples in between, each
+        min(bound, 0.05 alpha, time left); a step of under 1e-10 of the
+        0.05 alpha cap raises. A sample within 1e-14 times[-1] of a step
+        end yields that state, and one inside a step the step's Hermite
+        interpolant, in one scratch array that the next sample
         overwrites."""
-        state = FullState(self.alpha, self.omega0, 0.0)
-        rate, self._bound = rhs_full(state, with_bound=True)
-        self._rate = rate.values
-        return march(state, times, self._step, self._max_dt,
-                     self._interpolate)
-
-    def _max_dt(self, state):
-        dt = min(self._bound, MAX_STEP_OVER_ALPHA * self.alpha)
-        if dt < 1e-12:
-            raise NumericalError("time step collapsed at t=%g" % state.t,
-                                 stage="full-march")
-        return dt
-
-    def _step(self, state, dt):
-        # the last step's start tendency is spent; dt already honors the
-        # bound of this state's own first stage
-        self._start_rate = None
-        state = step_full(state, dt, enforce_cfl=False, rate=self._rate)
-        self.peak_reach = max(self.peak_reach,
-                              check_support(state, self.reach_threshold))
-        self._dts.append(float(dt))
-        self._utilisation.append(float(dt / self._bound))
-        self._local_errors.append(state.local_error)
-        self._start_rate = self._rate
-        rate, self._bound = rhs_full(state, with_bound=True)
-        self._rate = rate.values
-        return state
-
-    def _interpolate(self, start, end, t):
-        h = end.t - start.t
-        s = (t - start.t) / h
-        # the Hermite sum a y0 + b y1 + c f0 + d f1 with weights
-        # a = (1 + 2 s)(1 - s)^2, b = s^2 (3 - 2 s), c = h s (1 - s)^2 and
-        # d = h s^2 (s - 1), none zero for 0 < s < 1, nested as
-        # a (y0 + b/a (y1 + c/b (f0 + d/c f1))) to build it in one array
-        a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        b = s * s * (3.0 - 2.0 * s)
-        c = h * s * (1.0 - s) ** 2
-        out = np.multiply(self._rate, -s / (1.0 - s), out=self._sample)
-        out += self._start_rate
-        out *= c / b
-        out += end.omega.values
-        out *= b / a
-        out += start.omega.values
-        out *= a
-        return FullState(self.alpha, Field2D(end.omega.rgrid,
-                                             end.omega.agrid, out), t)
+        alpha, t_final = self.alpha, times[-1]
+        max_dt = MAX_STEP_OVER_ALPHA * alpha
+        tol = 1e-14 * t_final
+        rgrid, agrid = self.omega0.rgrid, self.omega0.agrid
+        sample = np.empty_like(self.omega0.values)
+        state = FullState(alpha, self.omega0, 0.0)
+        # the tendency at the latest step end, and the advective bound read
+        # off its stream function
+        rate, bound = rhs_full(state, with_bound=True)
+        rate = rate.values
+        for ts in times:
+            while state.t < ts - tol:
+                dt = min(bound, max_dt)
+                if dt < 1e-10 * max_dt:
+                    raise NumericalError("time step collapsed at t=%g"
+                                         % state.t, stage="full-march")
+                dt = min(dt, t_final - state.t)
+                # the last step's start tendency is spent; dt already
+                # honors the bound of this state's own first stage
+                start, start_rate = state, None
+                state = step_full(state, dt, enforce_cfl=False, rate=rate)
+                reach = check_support(state, self.reach_threshold)
+                self.peak_reach = max(self.peak_reach, reach)
+                self._dts.append(float(dt))
+                self._utilisation.append(float(dt / bound))
+                self._local_errors.append(state.local_error)
+                start_rate = rate
+                rate, bound = rhs_full(state, with_bound=True)
+                rate = rate.values
+            if state.t - ts <= tol:
+                yield state
+                continue
+            h = state.t - start.t
+            s = (ts - start.t) / h
+            # the Hermite sum a y0 + b y1 + c f0 + d f1 with weights
+            # a = (1 + 2 s)(1 - s)^2, b = s^2 (3 - 2 s), c = h s (1 - s)^2
+            # and d = h s^2 (s - 1), none zero for 0 < s < 1, nested as
+            # a (y0 + b/a (y1 + c/b (f0 + d/c f1))) to build it in one array
+            a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+            b = s * s * (3.0 - 2.0 * s)
+            c = h * s * (1.0 - s) ** 2
+            out = np.multiply(rate, -s / (1.0 - s), out=sample)
+            out += start_rate
+            out *= c / b
+            out += state.omega.values
+            out *= b / a
+            out += start.omega.values
+            out *= a
+            yield FullState(alpha, Field2D(rgrid, agrid, out), ts)
 
     def stats(self):
         """What the march did so far: steps, the dt range, the range of dt
@@ -379,4 +359,4 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
         remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
                           _model.sup_omega2(mstate)))
         del diff
-    return RemainderSeries(times, growth, remainder, full)
+    return RemainderSeries(growth, remainder, full)

@@ -65,6 +65,21 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         cli.parse_config(str(tmp_path / "absent.txt"))
 
 
+def test_repeated_key_exits_2_naming_both_lines(tmp_path, capsys):
+    # a later value would silently win over the first
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = 0.2\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 3\nalpha = 0.3\noutput.dir = %s\n" % out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "'alpha' repeated" in err
+    assert ":5:" in err and "line 1" in err
+    assert not out.exists()
+
+
 def test_validate_rejects_out_of_range(tmp_path):
     with pytest.raises(ConfigError) as err:
         cli.parse_config(write_config(tmp_path, "alpha = 1.5\n"))
@@ -167,11 +182,12 @@ _KINDS = ("model", "linear", "full", "remainder", "sweep")
         "full-horizon-1e300-zero-amplitude", "remainder-horizon-1e6",
         "sweep-horizon-1e300"])
 def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
-    # refused before any work, also with warnings as errors
+    # refused before any work, also with warnings as errors; grid.n_theta
+    # is left to the bodies that set it, which a repeat would refuse
     out = tmp_path / "out"
     path = write_config(tmp_path, (
-        "alpha = 0.2\ngrid.n_r = 64\ngrid.n_theta = 16\n"
-        "time.sample_count = 3\noutput.dir = %s\n%s" % (out, body)))
+        "alpha = 0.2\ngrid.n_r = 64\ntime.sample_count = 3\n"
+        "output.dir = %s\n%s" % (out, body)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", path]) == 2
@@ -643,6 +659,26 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
     assert ((tmp_path / "full" / "growth.csv").read_bytes()
             == (tmp_path / "remainder" / "growth.csv").read_bytes())
     assert not (tmp_path / "full" / "remainder.csv").exists()
+
+
+@pytest.mark.parametrize("kind,alpha", [("remainder", "1e-16"),
+                                        ("full", "1e-12")])
+def test_full_march_steps_at_a_tiny_alpha(tmp_path, kind, alpha):
+    # the march's sample tolerance and step floor must scale with the
+    # horizon and the step cap: at 1e-16 the horizon is 3.7e-16, and at
+    # 1e-12 the 0.05 alpha step cap is 5e-14
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "alpha = %s\nrun.kind = %s\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 4\noutput.dir = %s\n" % (alpha, kind, out)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 0
+    assert load_manifest(out)["stats"]["steps"] > 0
+    rows = np.loadtxt(os.path.join(str(out), "growth.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    # the full field grows from its initial sup
+    assert rows[-1, 1] > rows[0, 1]
 
 
 def test_manifest_written_on_numerical_failure(tmp_path, capsys):

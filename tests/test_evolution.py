@@ -10,7 +10,7 @@ from rieszlab import model as m
 from rieszlab import evolution
 from rieszlab.evolution import (FullState, FullMarch, rhs_full, cfl_dt,
                                 step_full, step_linear, check_support,
-                                run_remainder_study, march)
+                                run_remainder_study)
 
 
 def sine_state(alpha, grid, agrid, f0=None):
@@ -217,10 +217,14 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     assert calls["solve_full"] == calls["rhs_full"] == 3 * steps + 1
     full = FullMarch(f0, alpha, agrid)
     dense = [s.omega.values.copy() for s in full.samples(times)]
-    clipped = march(FullState(alpha, full.omega0, 0.0), times,
-                    lambda s, dt: step_full(s, dt, enforce_cfl=False),
-                    lambda s: min(cfl_dt(s), 0.05 * alpha))
-    ref = [s.omega.values for s in clipped]
+    # the reference steps at min(cfl_dt, 0.05 alpha, time left to the
+    # sample), so it stops at every sample
+    ref, state = [], FullState(alpha, full.omega0, 0.0)
+    for ts in times:
+        while state.t < ts - 1e-14 * times[-1]:
+            dt = min(cfl_dt(state), 0.05 * alpha, ts - state.t)
+            state = step_full(state, dt, enforce_cfl=False)
+        ref.append(state.omega.values)
     scale = max(np.max(np.abs(r)) for r in ref)
     assert max(np.max(np.abs(d - r)) for d, r in zip(dense, ref)) \
         <= 2e-6 * scale
