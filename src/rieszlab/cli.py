@@ -58,8 +58,6 @@ _KEYS = {
     "initial.kind": ("initial_kind", "bump", ("bump", "indicator", "table")),
     "initial.center": ("center", 2.0, float),
     "initial.width": ("width", 1.0, float),
-    # None stands for delta
-    "initial.amplitude": ("amplitude", None, float),
     "initial.table_path": ("table_path", "", str),
     "run.kind": ("run_kind", "model",
                  ("model", "linear", "full", "remainder", "sweep")),
@@ -93,8 +91,6 @@ def validate_config(values):
         raise ConfigError("unknown key %s" % ", ".join(map(repr, unknown)))
     merged = {key: default for key, (_, default, _) in _KEYS.items()}
     merged.update(values)
-    if merged["initial.amplitude"] is None:
-        merged["initial.amplitude"] = merged["delta"]
     for key, (_, _, kind) in _KEYS.items():
         value = merged[key]
         if isinstance(kind, tuple):
@@ -112,8 +108,9 @@ def validate_config(values):
     alpha = merged["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha ∈ (0,1) is required, got %g" % alpha)
-    if merged["delta"] <= 0:
-        raise ConfigError("delta must be positive")
+    if not 0 <= merged["delta"] <= MAX_AMPLITUDE:
+        raise ConfigError("delta must lie in [0, %g], got %g"
+                          % (MAX_AMPLITUDE, merged["delta"]))
     if merged["grid.n_theta"] < 4 or merged["grid.n_theta"] % 4 != 0:
         raise ConfigError("grid.n_theta must be a positive multiple of 4")
     if merged["grid.n_r"] < 8:
@@ -124,10 +121,6 @@ def validate_config(values):
         raise ConfigError("time factors must be positive")
     if merged["time.sample_count"] < 2:
         raise ConfigError("time.sample_count must be at least 2")
-    if not 0 <= merged["initial.amplitude"] <= MAX_AMPLITUDE:
-        raise ConfigError("initial.amplitude (delta when unset) must lie in "
-                          "[0, %g], got %g"
-                          % (MAX_AMPLITUDE, merged["initial.amplitude"]))
     kind = merged["initial.kind"]
     if kind in ("bump", "indicator") and merged["initial.width"] <= 0:
         raise ConfigError("initial.width must be positive")
@@ -223,11 +216,11 @@ def build_profile(config, rgrid):
     kind = config.initial_kind
     if kind == "bump":
         return model_mod.make_bump(rgrid, config.center, config.width,
-                                   config.amplitude)
+                                   config.delta)
     if kind == "indicator":
         return model_mod.make_indicator(
             rgrid, config.center - 0.5 * config.width,
-            config.center + 0.5 * config.width, config.amplitude)
+            config.center + 0.5 * config.width, config.delta)
     try:
         with warnings.catch_warnings():
             # a file with no data rows warns; the check below reports it

@@ -66,7 +66,7 @@ def _recurrence_factor(n, E):
     *factors, info = dgttrf(np.full(n - 1, -E), np.ones(n), np.zeros(n - 1))
     if info != 0:
         raise EllipticError("recurrence factorization failed (dgttrf info "
-                            "%d)" % info)
+                            "%d)" % info, stage="_recurrence_factor")
     for a in factors:
         a.setflags(write=False)
     return tuple(factors)
@@ -78,7 +78,8 @@ def _recurrence(E, c):
     _, dgttrs = lapack_tridiagonal()
     y, info = dgttrs(*_recurrence_factor(c.size, float(E)), c)
     if info != 0:
-        raise EllipticError("recurrence solve failed (dgttrs info %d)" % info)
+        raise EllipticError("recurrence solve failed (dgttrs info %d)" % info,
+                            stage="_recurrence")
     out[1:] = y
     return out
 
@@ -108,7 +109,8 @@ def _solve_mode_low(w, h, n, alpha):
                 - _causal_single(w, -3.0 / alpha, h)) / (2.0 * alpha)
     if alpha * alpha == 0.0:
         raise EllipticError("mode 0 cannot be solved: alpha^2 underflows "
-                            "to zero at alpha=%g" % alpha)
+                            "to zero at alpha=%g" % alpha,
+                            stage="_solve_mode_low")
     return _causal_double(w, -2.0 / alpha, h) / (alpha * alpha)
 
 
@@ -160,7 +162,8 @@ def _stacked_factor(n_r, h, alpha, n_lo, n_hi):
     *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise EllipticError("stencil factorization failed for modes %d..%d "
-                            "(dgttrf info %d)" % (n_lo, n_hi, info))
+                            "(dgttrf info %d)" % (n_lo, n_hi, info),
+                            stage="_stacked_factor")
     for a in factors:
         a.setflags(write=False)
     return tuple(factors)
@@ -178,7 +181,8 @@ def _solve_stencil(grid, alpha, n_lo, rhs):
     # dgttrs takes and returns, so the solution reshapes without a copy
     psi, info = dgttrs(*factors, rhs.reshape(cols, blocks * n_r).T)
     if info != 0:
-        raise EllipticError("stencil solve failed (dgttrs info %d)" % info)
+        raise EllipticError("stencil solve failed (dgttrs info %d)" % info,
+                            stage="_solve_stencil")
     psi = psi.T.reshape(rhs.shape)
     if not np.all(np.isfinite(psi)):
         # a non-finite value reaches every block through the zero
@@ -188,7 +192,7 @@ def _solve_stencil(grid, alpha, n_lo, rhs):
             for k in range(blocks):
                 _solve_stencil(grid, alpha, n_lo + k, rhs[:, k:k + 1])
         raise EllipticError("mode %d solve returned non-finite values"
-                            % n_lo)
+                            % n_lo, stage="_solve_stencil")
     return psi
 
 
@@ -207,7 +211,8 @@ def _check_boundary_decay(psi, n, tol):
     if edge > tol * peak:
         raise EllipticError(
             "unresolved-boundary: mode %d carries %.2e of its sup at the "
-            "grid end; enlarge the grid" % (n, edge / peak))
+            "grid end; enlarge the grid" % (n, edge / peak),
+            stage="_check_boundary_decay")
 
 
 def solve_mode(n, omega_n, alpha, boundary_tol=0.05):

@@ -211,7 +211,8 @@ def check_support(state, threshold):
     if reach > threshold:
         raise SupportEscapeError(
             "vorticity reached the outer band at t=%g (%.3e > %.3e); "
-            "enlarge r_max" % (state.t, reach, threshold))
+            "enlarge r_max" % (state.t, reach, threshold),
+            stage="check_support")
     return reach
 
 

@@ -88,15 +88,10 @@ def trapz(values, nodes):
     return float(np.sum((values[1:] + values[:-1]) * 0.5 * np.diff(nodes)))
 
 
-def right_tail(values, nodes):
-    """Trapezoid tail integrals: out[j] approximates the integral of the
-    sampled function from nodes[j] to nodes[-1]. out[-1] is 0."""
-    return tail_sums(values, 0.5 * np.diff(nodes))
-
-
 def tail_sums(values, half_widths):
-    """right_tail on the half cell widths 0.5 * diff(nodes), for callers
-    that integrate many functions on one grid."""
+    """Trapezoid tail integrals on the half cell widths 0.5 * diff(nodes):
+    out[j] approximates the integral of the sampled function from nodes[j]
+    to nodes[-1], and out[-1] is 0."""
     seg = (values[:-1] + values[1:]) * half_widths
     out = np.empty_like(values)
     out[-1] = 0.0

@@ -17,7 +17,7 @@ closed form is checked against.
 
 import numpy as np
 
-from .grids import RadialProfile, right_tail, tail_sums, project_mode
+from .grids import RadialProfile, tail_sums, project_mode
 
 
 class KernelEval:
@@ -94,7 +94,8 @@ def tail_integrand(profile):
 def profile_tail(profile):
     """L(f) as a profile: tail integrals of f(s)/s at every node."""
     c = tail_integrand(profile)
-    return RadialProfile(profile.grid, right_tail(c, profile.grid.nodes))
+    return RadialProfile(profile.grid,
+                         tail_sums(c, 0.5 * np.diff(profile.grid.nodes)))
 
 
 def op_Ls(field):

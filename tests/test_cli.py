@@ -38,8 +38,6 @@ def test_parse_config_minimal_defaults(tmp_path):
     assert cfg.n_r == 512 and cfg.n_theta == 256
     assert cfg.r_max == 8.0
     assert cfg.initial_kind == "bump"
-    # omitted amplitude falls back to delta
-    assert cfg.amplitude == cfg.delta
 
 
 def test_parse_config_comments_and_spacing(tmp_path):
@@ -47,7 +45,6 @@ def test_parse_config_comments_and_spacing(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, body))
     assert cfg.alpha == 0.1 and cfg.delta == 2.5
     assert cfg.run_kind == "linear"
-    assert cfg.amplitude == 2.5
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):
@@ -96,8 +93,9 @@ def test_validate_rejects_out_of_range(tmp_path):
         cli.parse_config(write_config(
             tmp_path, "alpha = 0.2\ngrid.n_theta = 30\n"))
     assert "multiple of 4" in str(err.value)
-    with pytest.raises(ConfigError):
-        cli.parse_config(write_config(tmp_path, "alpha = 0.2\ndelta = 0\n"))
+    # delta = 0 is a quiescent run; a negative delta is refused
+    with pytest.raises(ConfigError, match="delta must lie in"):
+        cli.parse_config(write_config(tmp_path, "alpha = 0.2\ndelta = -1\n"))
 
 
 @pytest.mark.parametrize("values, message", [
@@ -111,8 +109,11 @@ def test_validate_rejects_out_of_range(tmp_path):
     ({"initial.table_path": 3}, "initial.table_path must be of type str"),
     ({"delta": 10 ** 400}, "delta must be finite and fit a float"),
     ({"delta": True}, "delta must be of type float, got True"),
+    # delta is the amplitude, so initial.amplitude is no key
+    ({"initial.amplitude": 1.0}, "unknown key 'initial.amplitude'"),
 ], ids=["run-kind", "spacing", "initial-kind", "unknown-key", "alpha-str",
-        "n-r-float", "table-path-int", "delta-huge-int", "delta-bool"])
+        "n-r-float", "table-path-int", "delta-huge-int", "delta-bool",
+        "retired-amplitude"])
 def test_validate_config_rejects_unknown_choices(values, message):
     # library callers reach validate_config without parse_config
     with pytest.raises(ConfigError, match=message):
@@ -133,9 +134,7 @@ def test_readme_config_table_matches_keys():
     assert sorted(rows) == sorted(cli._KEYS)
     for key, (_, default, kind) in cli._KEYS.items():
         shown, meaning = rows[key]
-        if default is None:
-            assert shown == "`delta`", key
-        elif default == "":
+        if default == "":
             assert shown == "", key
         elif isinstance(default, str):
             assert shown == "`%s`" % default, key
@@ -166,10 +165,11 @@ _KINDS = ("model", "linear", "full", "remainder", "sweep")
     # amplitudes near the float maximum overflow at set-up sites
     *["run.kind = %s\ndelta = %s\n" % (kind, delta)
       for kind in _KINDS for delta in ("1e308", "1.79e308")],
+    # delta is the amplitude, so initial.amplitude is an unknown key
     "initial.amplitude = 1.79e308\n",
     # marches that need more than MAX_FULL_STEPS steps would not end
     "run.kind = full\ntime.horizon_factor = 1e300\n",
-    "run.kind = full\ntime.horizon_factor = 1e300\ninitial.amplitude = 0\n",
+    "run.kind = full\ntime.horizon_factor = 1e300\ndelta = 0\n",
     "run.kind = remainder\ntime.horizon_factor = 1e6\ngrid.r_max = 1e6\n",
     "run.kind = sweep\nrun.alphas = 0.4\ntime.horizon_factor = 1e300\n",
 ], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
@@ -297,7 +297,7 @@ def test_stray_value_error_exits_3_with_manifest(tmp_path, capsys,
 _TINY_VALID = st.fixed_dictionaries({
     "run.kind": st.sampled_from(["model", "linear", "full", "remainder"]),
     "alpha": st.floats(min_value=0.05, max_value=0.6),
-    "delta": st.floats(min_value=0.1, max_value=4.0),
+    "delta": st.sampled_from([0.0, 1.0, 2.0]),
     "grid.n_r": st.sampled_from([33, 64]),
     "grid.n_theta": st.sampled_from([8, 12, 16]),
     "time.sample_count": st.integers(min_value=2, max_value=4),
@@ -305,17 +305,15 @@ _TINY_VALID = st.fixed_dictionaries({
     "initial.kind": st.sampled_from(["bump", "indicator", "table"]),
     "initial.center": st.floats(min_value=2.0, max_value=3.0),
     "initial.width": st.floats(min_value=0.5, max_value=1.0),
-    "initial.amplitude": st.sampled_from([0.0, 1.0, 2.0]),
 })
 _TINY_EDGES = {
     "alpha": [-0.1, 0.0, 5e-324, 1e-310, 0.99, 1.0],
-    "delta": [0.0, -1.0, 1e3],
+    "delta": [-1.0, 1e3, 1e300, 1e308, 1.79e308],
     "grid.r_max": [0.0, 3.0, 3.8],
     "grid.n_r": [4, 8],
     "grid.n_theta": [0, 4, 30],
     "time.sample_count": [0, 1],
     "time.horizon_factor": [0.0, 1.0, 1e300],
-    "initial.amplitude": [1e300, 1e308, 1.79e308],
     "time.dt_factor": [0.0, 0.5],
     "initial.center": [1.0, 6.0],
     "initial.width": [-1.0, 0.0, 2.5],
@@ -391,8 +389,8 @@ def test_every_config_exits_cleanly_with_manifest(case):
 # one key (both alpha keys, so that a sweep meets it) at the edge of the
 # float range
 _FLOAT_RANGE_EDGES = {
-    "amplitude-1e300": {"initial.amplitude": 1e300},
-    "amplitude-1.79e308": {"initial.amplitude": 1.79e308},
+    "amplitude-1e300": {"delta": 1e300},
+    "amplitude-1.79e308": {"delta": 1.79e308},
     "horizon-1e300": {"time.horizon_factor": 1e300},
     "alpha-1e-310": {"alpha": 1e-310, "run.alphas": 1e-310},
     "alpha-5e-324": {"alpha": 5e-324, "run.alphas": 5e-324},
@@ -447,7 +445,7 @@ def test_every_sweep_exits_cleanly_with_manifests(values):
 def test_model_run_with_zero_amplitude(tmp_path):
     out = tmp_path / "out"
     cfg = cli.parse_config(write_config(tmp_path, (
-        "alpha = 0.2\ninitial.amplitude = 0\ntime.sample_count = 5\n"
+        "alpha = 0.2\ndelta = 0\ntime.sample_count = 5\n"
         "grid.n_r = 64\ngrid.n_theta = 16\noutput.dir = %s\n" % out)))
     manifest = cli.run(cfg)
     assert manifest["error"] is None
@@ -485,10 +483,10 @@ def test_linear_run_matches_row_formula(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    "grid.n_theta = 64\n",
+    "grid.n_theta = 64\ndelta = 400\n",
     # the largest sin 2 theta on 12 angles is sin(pi / 3) < 1
-    "grid.n_theta = 12\n",
-    "grid.n_theta = 64\ninitial.amplitude = 0\n",
+    "grid.n_theta = 12\ndelta = 400\n",
+    "grid.n_theta = 64\ndelta = 0\n",
 ], ids=["n-theta-64", "n-theta-12", "zero-amplitude"])
 def test_linear_columns_match_a_grid_march(tmp_path, extra):
     # the run writes its rows from the closed form; the reference marches
@@ -496,7 +494,7 @@ def test_linear_columns_match_a_grid_march(tmp_path, extra):
     # takes its field_row
     out = tmp_path / "out"
     cfg = cli.parse_config(write_config(tmp_path, (
-        "alpha = 0.2\ndelta = 400\nrun.kind = linear\n"
+        "alpha = 0.2\nrun.kind = linear\n"
         "initial.kind = indicator\ninitial.center = 1.5\n"
         "grid.n_r = 128\ntime.sample_count = 25\noutput.dir = %s\n"
         % out) + extra))
@@ -693,6 +691,7 @@ def test_manifest_written_on_numerical_failure(tmp_path, capsys):
     on_disk = load_manifest(out)
     assert on_disk["error"]["type"] == "SupportEscapeError"
     assert "enlarge r_max" in on_disk["error"]["message"]
+    assert on_disk["error"]["stage"] == "check_support"
 
 
 @pytest.mark.parametrize("kind", ["full", "remainder"])
@@ -710,6 +709,7 @@ def test_underflowing_alpha_exits_3_with_manifest(tmp_path, capsys, kind):
     error = load_manifest(out)["error"]
     assert error["type"] == "EllipticError"
     assert "alpha^2 underflows" in error["message"]
+    assert error["stage"] == "_solve_mode_low"
 
 
 def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
@@ -723,7 +723,11 @@ def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
     member = load_manifest(out / "alpha_0.4")
     assert member["error"]["type"] == "SupportEscapeError"
     assert member["config"]["run.kind"] == "remainder"
-    assert load_manifest(out)["error"]["type"] == "NumericalError"
+    # the member's stage survives its way back from the worker
+    assert member["error"]["stage"] == "check_support"
+    assert load_manifest(out)["error"] == dict(
+        member["error"], type="NumericalError",
+        message="sweep member alpha=0.4 failed: " + member["error"]["message"])
 
 
 def test_sweep_member_bad_table_exits_2_with_every_manifest(tmp_path,
@@ -796,12 +800,13 @@ def test_linear_run_past_the_float_range_exits_3_with_manifest(tmp_path,
 
 
 def test_validation_bounds_the_amplitude_and_the_full_march():
-    # the amplitude bound holds for delta when it stands for the amplitude
-    cli.validate_config({"delta": 1e300})
-    for values in ({"delta": 1e308}, {"initial.amplitude": 1.79e308}):
-        with pytest.raises(ConfigError, match=r"initial\.amplitude \(delta "
-                           r"when unset\) must lie in \[0, 1e\+300\]"):
-            cli.validate_config(values)
+    # delta is the amplitude, bounded on both sides; 0 is a quiescent run
+    for delta in (0.0, 1e300):
+        cli.validate_config({"delta": delta})
+    for delta in (-1.0, 1e308, 1.79e308):
+        with pytest.raises(ConfigError,
+                           match=r"delta must lie in \[0, 1e\+300\]"):
+            cli.validate_config({"delta": delta})
     # horizon_factor |log alpha| / 0.05 steps at the least: at alpha = 0.1
     # the bound of 1e5 falls between horizon factors 2171 and 2172
     assert cli.MAX_FULL_STEPS == 1e5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz, right_tail, sup_norm, l2_norm,
+                            Field2D, trapz, tail_sums, sup_norm, l2_norm,
                             project_mode, r_ddr, r2_d2dr2,
                             theta_deriv)
 from rieszlab.model import make_indicator
@@ -125,7 +125,7 @@ def test_project_mode_recovers_random_modes():
 def test_trapz_and_right_tail():
     x = np.linspace(0.0, 2.0, 401)
     assert trapz(x, x) == pytest.approx(2.0, rel=1e-12)
-    tail = right_tail(np.ones(401), x)
+    tail = tail_sums(np.ones(401), 0.5 * np.diff(x))
     # tail integral of 1 from x to 2 is 2 - x
     assert np.allclose(tail, 2.0 - x, atol=1e-12)
     assert tail[-1] == 0.0
