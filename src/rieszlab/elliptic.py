@@ -138,8 +138,8 @@ def _bands(n_r, h, n, alpha):
 
 
 def _stencil_rhs(w, n_lo):
-    """Right-hand sides of the stencil rows of modes n_lo, n_lo + 1, ...:
-    the data, with modes along the next-to-last axis and the radial nodes
+    """Right-hand sides of the stencil rows of the stacked modes from n_lo
+    up: the data, with modes along the next-to-last axis and the radial nodes
     along the last, and the Dirichlet boundary rows zeroed (mode 2 keeps
     its ghost-node left row)."""
     rhs = np.array(w, dtype=float)
@@ -149,15 +149,16 @@ def _stencil_rhs(w, n_lo):
 
 
 @lru_cache(maxsize=8)
-def _stacked_factor(n_r, h, alpha, n_lo, n_hi):
-    """LU factors (dgttrf) of the stencil rows of modes n_lo..n_hi
-    stacked as diagonal blocks of one tridiagonal system. The boundary
-    rows of every block have no entry across the block edge, so the
-    blocks stay decoupled and eliminating them together is the same
+def _stacked_factor(n_r, h, alpha, n_lo, n_hi, step=1):
+    """LU factors (dgttrf) of the stencil rows of modes n_lo, n_lo + step,
+    ..., n_hi stacked as diagonal blocks of one tridiagonal system. The
+    boundary rows of every block have no entry across the block edge, so
+    the blocks stay decoupled and eliminating them together is the same
     arithmetic as eliminating each alone. The rows depend on the grid and
     alpha only, never on time; the cached arrays are shared by every
     caller and therefore read-only."""
-    ab = np.hstack([_bands(n_r, h, n, alpha) for n in range(n_lo, n_hi + 1)])
+    ab = np.hstack([_bands(n_r, h, n, alpha)
+                    for n in range(n_lo, n_hi + 1, step)])
     dgttrf, _ = lapack_tridiagonal()
     *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
@@ -169,13 +170,13 @@ def _stacked_factor(n_r, h, alpha, n_lo, n_hi):
     return tuple(factors)
 
 
-def _solve_stencil(grid, alpha, n_lo, rhs):
-    """Solve the stencil rows of modes n_lo, n_lo + 1, ... in one call.
+def _solve_stencil(grid, alpha, n_lo, rhs, step=1):
+    """Solve the stencil rows of modes n_lo, n_lo + step, ... in one call.
     rhs comes from _stencil_rhs with shape (columns, modes, n_r); the
     solution has the same shape."""
     cols, blocks, n_r = rhs.shape
     factors = _stacked_factor(n_r, grid.log_step, alpha, n_lo,
-                              n_lo + blocks - 1)
+                              n_lo + step * (blocks - 1), step)
     _, dgttrs = lapack_tridiagonal()
     # the transpose is the Fortran-ordered (rows, columns) matrix that
     # dgttrs takes and returns, so the solution reshapes without a copy
@@ -190,7 +191,8 @@ def _solve_stencil(grid, alpha, n_lo, rhs):
         # one at a time to name the first mode whose own solve fails
         if blocks > 1:
             for k in range(blocks):
-                _solve_stencil(grid, alpha, n_lo + k, rhs[:, k:k + 1])
+                _solve_stencil(grid, alpha, n_lo + step * k,
+                               rhs[:, k:k + 1])
         raise EllipticError("mode %d solve returned non-finite values"
                             % n_lo, stage="_solve_stencil")
     return psi
@@ -281,34 +283,44 @@ def principal_remainder_split(f, alpha):
 
 
 def solve_full(omega, alpha, n_modes=None):
-    """Project omega on angular modes up to n_modes (default n_theta // 3,
-    which also dealiases the quadratic transport terms), solve each mode,
-    and assemble. Returns psi as a Field2D.
+    """Project omega on angular modes up to transform index n_modes
+    (default n_theta // 3, which also dealiases the quadratic transport
+    terms), solve each mode, and assemble. Returns psi as a Field2D.
+
+    On a grid of one period [0, 2pi / m), index k is the physical mode
+    m k: on the half circle mode 0 keeps its causal solve, mode 1 is
+    absent, and the stencil takes modes 2, 4, ..., 2 n_modes.
 
     The assembly runs in spectral space (one inverse transform instead of
-    an outer product per mode), and the stencil modes 2..n_modes solve
-    both parities in one call against rows factored once per grid and
-    alpha; this sits on the hot path of the time stepper."""
+    an outer product per mode), and the stencil modes solve both parities
+    in one call against rows factored once per grid and alpha; this sits
+    on the hot path of the time stepper."""
     agrid = omega.agrid
     rgrid = omega.rgrid
     if n_modes is None:
         n_modes = agrid.n_theta // 3
-    if n_modes < 2:
-        raise ValueError("need at least modes 0..2, got n_modes=%d" % n_modes)
+    m = agrid.copies
+    if m * n_modes < 2:
+        raise ValueError("need at least modes 0..2, got modes up to %d"
+                         % (m * n_modes))
     if n_modes >= agrid.n_theta // 2:
-        raise ValueError("n_modes must stay below the Nyquist mode")
+        raise ValueError("mode %d must stay below the Nyquist mode %d"
+                         % (m * n_modes, m * (agrid.n_theta // 2)))
     N = agrid.n_theta
     spec = np.fft.rfft(omega.values, axis=-1)
     scale = 2.0 / N
     psi_spec = np.zeros_like(spec)
     h = rgrid.log_step
     psi_spec[:, 0] = N * _solve_mode_low(spec[:, 0].real / N, h, 0, alpha)
-    p1s = _solve_mode_low(-scale * spec[:, 1].imag, h, 1, alpha)
-    p1c = _solve_mode_low(scale * spec[:, 1].real, h, 1, alpha)
-    psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
-    stencil = spec[:, 2:n_modes + 1].T
+    # the first index whose mode has the stencil, n >= 2
+    k_lo = 2 if m == 1 else 1
+    if m == 1:
+        p1s = _solve_mode_low(-scale * spec[:, 1].imag, h, 1, alpha)
+        p1c = _solve_mode_low(scale * spec[:, 1].real, h, 1, alpha)
+        psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
+    stencil = spec[:, k_lo:n_modes + 1].T
     om_n = np.stack([-scale * stencil.imag, scale * stencil.real])
-    sin, cos = _solve_stencil(rgrid, alpha, 2, _stencil_rhs(om_n, 2))
-    psi_spec[:, 2:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
+    sin, cos = _solve_stencil(rgrid, alpha, m * k_lo,
+                              _stencil_rhs(om_n, m * k_lo), step=m)
+    psi_spec[:, k_lo:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
     return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
-

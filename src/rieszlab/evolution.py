@@ -17,8 +17,8 @@ spectrally exact throughout.
 import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
-from .grids import (RadialProfile, Field2D, r_ddr, r2_d2dr2, theta_deriv,
-                    sup_norm, l2_norm, project_mode)
+from .grids import (RadialProfile, Field2D, half_circle, r_ddr, r2_d2dr2,
+                    theta_deriv, sup_norm, l2_norm, project_mode)
 from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
@@ -225,16 +225,22 @@ def step_linear(state, dt):
     om = state.omega
     ls = op_Ls(om).values
     values = om.values + (0.5 * dt / state.alpha) * ls[:, None]
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite vorticity after linear step at t=%g"
+                             % (state.t + dt), stage="step_linear")
     return FullState(state.alpha, Field2D(om.rgrid, om.agrid, values),
                      state.t + dt)
 
 
 class FullMarch:
     """The full system from the model's initial data f0 sin(2 theta),
-    marched at min(cfl_dt, 0.05 alpha) and read at the sample times by
-    cubic Hermite interpolation between step ends, from the end values
-    and end tendencies (Hairer, Norsett and Wanner, Solving ODEs I,
-    II.6).
+    marched on the half circle [0, pi) at the dtheta of the full-circle
+    grid agrid: every term of rhs_full maps a pi-periodic field to a
+    pi-periodic one, so the other half, and every odd mode, would hold
+    only roundoff. It is marched at min(cfl_dt, 0.05 alpha) and read at
+    the sample times by cubic Hermite interpolation between step ends,
+    from the end values and end tendencies (Hairer, Norsett and Wanner,
+    Solving ODEs I, II.6).
 
     A step end's tendency is the next step's first stage, and the bound
     that sizes that step comes from the same stream function, so n steps
@@ -245,7 +251,7 @@ class FullMarch:
     def __init__(self, f0, alpha, agrid):
         self.alpha = alpha
         self.omega0 = _model.reconstruct_Omega2(_model.init_state(f0, alpha),
-                                                agrid)
+                                                half_circle(agrid))
         self.reach_threshold = 1e-4 * max(sup_norm(self.omega0), 1.0)
         self.peak_reach = 0.0
         self._dts, self._utilisation, self._local_errors = [], [], []
@@ -337,7 +343,7 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     """March the full system from the model's initial data (pure sine mode
     built on f0), take the model at the same times from its similarity
     profile, A = phi(t L(f0) / alpha), and sample how far apart they
-    drift. Returns a RemainderSeries."""
+    drift on the march's half circle of agrid. Returns a RemainderSeries."""
     if t_final is None:
         t_final = _model.default_horizon(alpha)
     if n_samples < 2:
@@ -354,7 +360,7 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
         A = RadialProfile(f0.grid, profile.phi((ts / alpha) * model0.L0))
         mstate = _model.ModelState(alpha, f0, A, ts, f0_arrays=f0_arrays)
         # the model field, then the difference; freed before the next step
-        diff = _model.reconstruct_Omega2(mstate, agrid)
+        diff = _model.reconstruct_Omega2(mstate, full.omega0.agrid)
         np.subtract(state.omega.values, diff.values, out=diff.values)
         growth.append(field_row(state.omega, j0))
         remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],

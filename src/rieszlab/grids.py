@@ -1,11 +1,12 @@
 """Grids, discretized fields, and the discrete norms shared by all solvers.
 
-Conventions. The angle theta lives on [0, 2pi), uniformly sampled, and all
-stored fields are periodic in theta. The radial coordinate R is sampled
-geometrically, so uniformly in x = log R, the coordinate every radial
-derivative and every elliptic solve uses. Norms use the measure
-dR dtheta. Radial quadrature is the trapezoid rule on the stored nodes,
-with no interpolation between nodes.
+Conventions. The angle theta lives on [0, 2pi), or on one period
+[0, 2pi / m) of a field that repeats m times around the circle, uniformly
+sampled, and all stored fields are periodic in theta. The radial
+coordinate R is sampled geometrically, so uniformly in x = log R, the
+coordinate every radial derivative and every elliptic solve uses. Norms
+use the measure dR dtheta. Radial quadrature is the trapezoid rule on the
+stored nodes, with no interpolation between nodes.
 
 All types are plain value holders and should be treated as immutable
 after construction.
@@ -48,14 +49,34 @@ def build_radial_grid(r_min, r_max, n):
 
 
 class AngularGrid:
+    """n_theta uniform nodes on [0, period). The period is the circle
+    divided by a whole number of copies, 2 pi by default; a shorter one
+    holds fields that repeat around the circle on fewer nodes at the same
+    dtheta. The full circle's node count, copies * n_theta, must be a
+    positive multiple of 4."""
 
-    def __init__(self, n_theta):
+    def __init__(self, n_theta, period=2.0 * np.pi):
         n_theta = int(n_theta)
-        if n_theta < 4 or n_theta % 4 != 0:
-            raise ValueError("n_theta must be a positive multiple of 4, got %d" % n_theta)
+        copies = int(round(2.0 * np.pi / period)) if period > 0 else 0
+        if copies < 1 or abs(copies * period - 2.0 * np.pi) > 1e-12:
+            raise ValueError("period must be 2 pi over a whole number, "
+                             "got %r" % period)
+        if n_theta < 1 or (copies * n_theta) % 4 != 0:
+            raise ValueError("n_theta must give a positive multiple of 4 "
+                             "nodes on the full circle, got %d" % n_theta)
         self.n_theta = n_theta
-        self.nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        self.dtheta = 2.0 * np.pi / n_theta
+        self.period = period
+        self.copies = copies
+        self.nodes = period * np.arange(n_theta) / n_theta
+        self.dtheta = period / n_theta
+
+
+def half_circle(agrid):
+    """The grid of [0, pi) at agrid's dtheta, for a pi-periodic field on
+    the full circle of agrid."""
+    if agrid.copies != 1:
+        raise ValueError("half_circle needs a full-circle grid")
+    return AngularGrid(agrid.n_theta // 2, period=np.pi)
 
 
 class RadialProfile:
@@ -104,21 +125,29 @@ def sup_norm(field):
 
 
 def l2_norm(field):
-    # theta is periodic, so the trapezoid rule reduces to dtheta * sum; inf
-    # when the squares pass the float range, for the caller to report
+    # theta is periodic, so the trapezoid rule reduces to dtheta * sum,
+    # once per copy of the period around the circle; inf when the squares
+    # pass the float range, for the caller to report
+    agrid = field.agrid
     with np.errstate(over="ignore"):
-        per_r = field.agrid.dtheta * np.sum(field.values ** 2, axis=1)
+        per_r = (agrid.copies * agrid.dtheta) * np.sum(field.values ** 2,
+                                                        axis=1)
         return float(np.sqrt(trapz(per_r, field.rgrid.nodes)))
 
 
 def project_mode(field, n, parity):
     """(1/pi) integral of field * trig(n theta) over theta, per radial node.
 
-    Trapezoid in theta, exact for band-limited fields on the uniform grid.
-    For n = 0 the normalization is (1/2pi) and only cos parity is defined.
+    Trapezoid in theta, exact for band-limited fields on the uniform grid;
+    the mean over one period is the mean over the circle, so n must be a
+    mode of the grid's period. For n = 0 the normalization is (1/2pi) and
+    only cos parity is defined.
     """
     if n < 0:
         raise ValueError("mode index must be nonnegative")
+    if n % field.agrid.copies:
+        raise ValueError("mode %d does not repeat with period %g"
+                         % (n, field.agrid.period))
     if parity not in ("sin", "cos"):
         raise ValueError("parity must be 'sin' or 'cos'")
     if n == 0 and parity == "sin":
@@ -159,9 +188,10 @@ def r2_d2dr2(values, rgrid):
 
 
 def theta_deriv(values, agrid, order=1):
-    """Spectral theta-derivative along the last axis of a (n_r, n_theta) array."""
+    """Spectral theta-derivative along the last axis of a (n_r, n_theta)
+    array; transform index k is the wave number copies * k."""
     coeff = np.fft.rfft(values, axis=-1)
-    k = np.arange(coeff.shape[-1])
+    k = agrid.copies * np.arange(coeff.shape[-1])
     coeff *= (1j * k) ** order
     if agrid.n_theta % 2 == 0 and order % 2 == 1:
         coeff[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative

@@ -785,7 +785,8 @@ def test_overflowing_amplitude_is_measured_not_a_warning(tmp_path, capsys,
 def test_linear_run_past_the_float_range_exits_3_with_manifest(tmp_path,
                                                                capsys):
     # at a huge horizon the marched check field passes the float range at
-    # amplitude 1; the run says so, with warnings as errors
+    # amplitude 1; the run says so and names the stage, with warnings as
+    # errors
     out = tmp_path / "out"
     path = write_config(tmp_path, (
         "run.kind = linear\ntime.horizon_factor = 1e300\ngrid.n_r = 64\n"
@@ -793,10 +794,11 @@ def test_linear_run_past_the_float_range_exits_3_with_manifest(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", path]) == 3
-    assert "field values must be finite" in capsys.readouterr().err
+    assert "numerical failure (step_linear)" in capsys.readouterr().err
     error = load_manifest(out)["error"]
-    assert error["type"] == "ValueError"
-    assert "field values must be finite" in error["message"]
+    assert error["type"] == "NumericalError"
+    assert "non-finite vorticity" in error["message"]
+    assert error["stage"] == "step_linear"
 
 
 def test_validation_bounds_the_amplitude_and_the_full_march():

@@ -110,6 +110,10 @@ def test_stacked_solve_names_the_mode_that_overflows():
     rhs[1, 3, 100:110] = 1.7e308
     with pytest.raises(EllipticError, match="mode 5 solve"):
         elliptic._solve_stencil(g, 0.3, 2, elliptic._stencil_rhs(rhs, 2))
+    # with the half circle's even modes 2, 4, ..., that block is mode 8
+    with pytest.raises(EllipticError, match="mode 8 solve"):
+        elliptic._solve_stencil(g, 0.3, 2, elliptic._stencil_rhs(rhs, 2),
+                                step=2)
 
 
 def test_mode_residual_small_and_guarded():
