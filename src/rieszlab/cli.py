@@ -7,9 +7,9 @@ files plus a manifest.json recording the resolved configuration, code
 version, wall time, per-check summary, and a sha256 digest of every
 emitted file, so identical config and code give byte-identical output.
 
-Exit codes: 0 success, 2 bad config, 3 numerical failure or a solver's
-ValueError (the manifest names the failing stage), 4 a verify subcommand
-found a failing check.
+Exit codes: 0 success, 2 bad config, 3 numerical failure, a solver's
+ValueError or a MemoryError (the manifest names the failing stage), 4 a
+verify subcommand found a failing check.
 """
 
 import argparse
@@ -38,31 +38,41 @@ from .evolution import (FullState, FullMarch, MAX_STEP_OVER_ALPHA,
                         support_edge_index)
 from .diagnostics import alpha_scaling_study
 
-# validation bounds: set-up overflows past MAX_AMPLITUDE, and a full march
+# validation bounds: set-up overflows past MAX_AMPLITUDE, every node and
+# sample count sizes arrays and may not pass MAX_COUNT, and a full march
 # to T = horizon_factor alpha |log alpha| takes at least horizon_factor
 # |log alpha| / MAX_STEP_OVER_ALPHA steps, which may not pass MAX_FULL_STEPS
 MAX_AMPLITUDE = 1e300
+MAX_COUNT = 65536
 MAX_FULL_STEPS = 1e5
+_POSITIVE = ("(", 0.0, math.inf, ")")
 
-# each key's RunConfig attribute, default, and type (int, float, str) or
-# the tuple of values it may take
+# what stops a started run with exit 3: a numerical failure, a solver
+# precondition that validation missed, or an allocation that fails
+_RUN_FAILURES = (RieszlabError, ValueError, MemoryError)
+
+# each key's RunConfig attribute, default, type (int, float, str) or the
+# tuple of values it may take, and the interval a number must lie in, as
+# (opening bracket, low end, high end, closing bracket), or None; every
+# kind needs 8 angles, as 4 sample sin 2 theta only at its zeros
 _KEYS = {
-    "alpha": ("alpha", 0.1, float),
-    "delta": ("delta", 1.0, float),
-    "grid.r_max": ("r_max", 8.0, float),
-    "grid.n_r": ("n_r", 512, int),
-    "grid.n_theta": ("n_theta", 256, int),
-    "time.dt_factor": ("dt_factor", 1.0 / 50.0, float),
-    "time.horizon_factor": ("horizon_factor", 0.1, float),
-    "time.sample_count": ("sample_count", 200, int),
-    "initial.kind": ("initial_kind", "bump", ("bump", "indicator", "table")),
-    "initial.center": ("center", 2.0, float),
-    "initial.width": ("width", 1.0, float),
-    "initial.table_path": ("table_path", "", str),
+    "alpha": ("alpha", 0.1, float, ("(", 0.0, 1.0, ")")),
+    "delta": ("delta", 1.0, float, ("[", 0.0, MAX_AMPLITUDE, "]")),
+    "grid.r_max": ("r_max", 8.0, float, _POSITIVE),
+    "grid.n_r": ("n_r", 512, int, ("[", 8, MAX_COUNT, "]")),
+    "grid.n_theta": ("n_theta", 256, int, ("[", 8, MAX_COUNT, "]")),
+    "time.dt_factor": ("dt_factor", 1.0 / 50.0, float, _POSITIVE),
+    "time.horizon_factor": ("horizon_factor", 0.1, float, _POSITIVE),
+    "time.sample_count": ("sample_count", 200, int, ("[", 2, MAX_COUNT, "]")),
+    "initial.kind": ("initial_kind", "bump", ("bump", "indicator", "table"),
+                     None),
+    "initial.center": ("center", 2.0, float, None),
+    "initial.width": ("width", 1.0, float, _POSITIVE),
+    "initial.table_path": ("table_path", "", str, None),
     "run.kind": ("run_kind", "model",
-                 ("model", "linear", "full", "remainder", "sweep")),
-    "run.alphas": ("alphas", "0.4,0.2,0.1", str),
-    "output.dir": ("output_dir", "rieszlab-out", str),
+                 ("model", "linear", "full", "remainder", "sweep"), None),
+    "run.alphas": ("alphas", "0.4,0.2,0.1", str, None),
+    "output.dir": ("output_dir", "rieszlab-out", str, None),
 }
 
 # the values validate_config accepts for each type of the table
@@ -75,7 +85,7 @@ class RunConfig:
 
     def __init__(self, values, alphas):
         self.values = dict(values)
-        for key, (attr, _, _) in _KEYS.items():
+        for key, (attr, _, _, _) in _KEYS.items():
             setattr(self, attr, values[key])
         self.alphas = alphas
 
@@ -85,13 +95,22 @@ def _member_dir_name(alpha):
     return "alpha_%g" % alpha
 
 
+def _check_range(key, value, bounds):
+    """Refuse a value of key that lies outside the interval bounds."""
+    opening, lo, hi, closing = bounds
+    if not ((lo < value or opening == "[" and value == lo)
+            and (value < hi or closing == "]" and value == hi)):
+        raise ConfigError("%s must lie in %s%g, %g%s, got %s"
+                          % (key, *bounds, value))
+
+
 def validate_config(values):
     unknown = sorted(set(values) - set(_KEYS))
     if unknown:
         raise ConfigError("unknown key %s" % ", ".join(map(repr, unknown)))
-    merged = {key: default for key, (_, default, _) in _KEYS.items()}
+    merged = {key: default for key, (_, default, _, _) in _KEYS.items()}
     merged.update(values)
-    for key, (_, _, kind) in _KEYS.items():
+    for key, (_, _, kind, bounds) in _KEYS.items():
         value = merged[key]
         if isinstance(kind, tuple):
             if value not in kind:
@@ -105,37 +124,22 @@ def validate_config(values):
         elif kind is float and not abs(value) <= sys.float_info.max:
             # compared exactly, so an int past the float range fails too
             raise ConfigError("%s must be finite and fit a float" % key)
+        elif bounds is not None:
+            _check_range(key, value, bounds)
     alpha = merged["alpha"]
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError("alpha ∈ (0,1) is required, got %g" % alpha)
-    if not 0 <= merged["delta"] <= MAX_AMPLITUDE:
-        raise ConfigError("delta must lie in [0, %g], got %g"
-                          % (MAX_AMPLITUDE, merged["delta"]))
-    if merged["grid.n_theta"] < 4 or merged["grid.n_theta"] % 4 != 0:
-        raise ConfigError("grid.n_theta must be a positive multiple of 4")
-    if merged["grid.n_r"] < 8:
-        raise ConfigError("grid.n_r must be at least 8")
-    if merged["grid.r_max"] <= 0:
-        raise ConfigError("grid.r_max must be positive")
-    if merged["time.dt_factor"] <= 0 or merged["time.horizon_factor"] <= 0:
-        raise ConfigError("time factors must be positive")
-    if merged["time.sample_count"] < 2:
-        raise ConfigError("time.sample_count must be at least 2")
+    if merged["grid.n_theta"] % 4 != 0:
+        raise ConfigError("grid.n_theta must be a multiple of 4, got %d"
+                          % merged["grid.n_theta"])
     kind = merged["initial.kind"]
-    if kind in ("bump", "indicator") and merged["initial.width"] <= 0:
-        raise ConfigError("initial.width must be positive")
-    if kind == "bump":
-        lo = merged["initial.center"] - merged["initial.width"]
-        hi = merged["initial.center"] + merged["initial.width"]
-    elif kind == "indicator":
-        lo = merged["initial.center"] - 0.5 * merged["initial.width"]
-        hi = merged["initial.center"] + 0.5 * merged["initial.width"]
-    else:
+    if kind == "table":
         if not merged["initial.table_path"]:
             raise ConfigError("initial.table_path is required for "
                               "initial.kind = table")
-        lo, hi = None, None
-    if lo is not None:
+    else:
+        # the bump's half-width, or half the indicator's width
+        half = (1.0 if kind == "bump" else 0.5) * merged["initial.width"]
+        lo = merged["initial.center"] - half
+        hi = merged["initial.center"] + half
         if lo < 1.0:
             raise ConfigError('support must avoid [0,1); initial data '
                               'starts at %g' % lo)
@@ -147,9 +151,8 @@ def validate_config(values):
                        if a != "")
     except ValueError:
         raise ConfigError("run.alphas must be comma-separated numbers")
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise ConfigError("run.alphas members must lie in (0,1), got %s"
-                          % merged["run.alphas"])
+    for a in alphas:
+        _check_range("run.alphas", a, _KEYS["alpha"][3])
     if merged["run.kind"] == "sweep" and not alphas:
         raise ConfigError("run.kind = sweep needs at least one run.alphas "
                           "member")
@@ -159,10 +162,6 @@ def validate_config(values):
                           "distinct member dirs alpha_<value>, got %s"
                           % merged["run.alphas"])
     if merged["run.kind"] in ("full", "remainder", "sweep"):
-        # the elliptic solves keep modes 0..n_theta // 3
-        if merged["grid.n_theta"] < 8:
-            raise ConfigError("run.kind = %s needs grid.n_theta >= 8"
-                              % merged["run.kind"])
         marched = alphas if merged["run.kind"] == "sweep" else (alpha,)
         steps = max(float(merged["time.horizon_factor"]) * abs(math.log(a))
                     for a in marched) / MAX_STEP_OVER_ALPHA
@@ -430,7 +429,7 @@ def _sweep_member(args):
     config, alpha, member_dir = args
     try:
         manifest = _execute(config, _run_remainder)
-    except (RieszlabError, ValueError) as exc:
+    except _RUN_FAILURES as exc:
         return alpha, float("nan"), [], exc
     files = [os.path.join(member_dir, rel) for rel in manifest["files"]]
     return alpha, manifest["stats"]["peak_rem_sup"], files, None
@@ -504,8 +503,8 @@ def _execute(config, body):
         for path in body(config, out_dir, manifest):
             manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
     except Exception as exc:
-        # recorded whatever it is; main maps RieszlabError and ValueError
-        # to exit codes
+        # recorded whatever it is; main maps ConfigError and
+        # _RUN_FAILURES to exit codes
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "stage": getattr(exc, "stage", "")}
         raise
@@ -691,11 +690,11 @@ def main(argv=None):
         except ConfigError as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 2
-        except (RieszlabError, ValueError) as exc:
-            # a ValueError is a solver precondition that validation missed
+        except _RUN_FAILURES as exc:
+            # a bare MemoryError has no message, so its type stands in
             print("numerical failure (%s): %s"
-                  % (getattr(exc, "stage", "") or "run", exc),
-                  file=sys.stderr)
+                  % (getattr(exc, "stage", "") or "run",
+                     str(exc) or type(exc).__name__), file=sys.stderr)
             return 3
         print("wrote %s (%d files, %.1f s)"
               % (os.path.join(config.output_dir, "manifest.json"),

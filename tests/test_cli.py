@@ -121,7 +121,8 @@ def test_validate_config_rejects_unknown_choices(values, message):
 
 
 def test_readme_config_table_matches_keys():
-    # every key with its default, and every value a choice key may take
+    # every key with its default, every value a choice key may take, and
+    # the interval a number must lie in
     readme = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -132,7 +133,7 @@ def test_readme_config_table_matches_keys():
         if len(cells) == 3 and cells[0].startswith("`"):
             rows[cells[0].strip("`")] = cells[1:]
     assert sorted(rows) == sorted(cli._KEYS)
-    for key, (_, default, kind) in cli._KEYS.items():
+    for key, (_, default, kind, bounds) in cli._KEYS.items():
         shown, meaning = rows[key]
         if default == "":
             assert shown == "", key
@@ -143,6 +144,8 @@ def test_readme_config_table_matches_keys():
         if isinstance(kind, tuple):
             for value in kind:
                 assert "`%s`" % value in meaning, (key, value)
+        if bounds is not None:
+            assert "`%s%g, %g%s`" % bounds in meaning, key
 
 
 _KINDS = ("model", "linear", "full", "remainder", "sweep")
@@ -157,6 +160,9 @@ _KINDS = ("model", "linear", "full", "remainder", "sweep")
     "initial.kind = indicator\ninitial.width = -1\n",
     "initial.width = 0\n",
     "grid.n_theta = 4\nrun.kind = remainder\n",
+    # 4 angles sample sin 2 theta only at its zeros
+    "grid.n_theta = 4\nrun.kind = linear\n",
+    "grid.n_theta = 4\nrun.kind = model\n",
     "run.kind = sweep\nrun.alphas = ,\n",
     "delta = nan\n",
     # members sharing a dir would write over each other's files
@@ -174,6 +180,7 @@ _KINDS = ("model", "linear", "full", "remainder", "sweep")
     "run.kind = sweep\nrun.alphas = 0.4\ntime.horizon_factor = 1e300\n",
 ], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
         "indicator-negative-width", "bump-zero-width", "n-theta-4-remainder",
+        "n-theta-4-linear", "n-theta-4-model",
         "sweep-no-alphas", "delta-nan", "sweep-repeated-alpha",
         "sweep-same-member-dir",
         *["%s-delta-%s" % (kind, delta)
@@ -192,6 +199,25 @@ def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
         warnings.simplefilter("error")
         assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [cli.MAX_COUNT + 1, 10 ** 12])
+@pytest.mark.parametrize("key", ["grid.n_r", "grid.n_theta",
+                                 "time.sample_count"])
+def test_counts_past_max_count_exit_2_naming_the_key(tmp_path, capsys, key,
+                                                     value):
+    # each count sizes arrays, so past its bound it is refused before any
+    # work, with warnings as errors, where numpy would fail to allocate
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "%s = %d\noutput.dir = %s\n"
+                        % (key, value, out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: %s must lie in [" % key in err
+    assert "%d], got %d" % (cli.MAX_COUNT, value) in err
     assert not out.exists()
 
 
@@ -292,6 +318,29 @@ def test_stray_value_error_exits_3_with_manifest(tmp_path, capsys,
                      "stage": ""}
 
 
+def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
+    # an allocation that fails stops the run like a numerical failure, in
+    # a run and in a sweep member, which is called here in-process
+    def body(config, out_dir, checks):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._BODIES, "model", body)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "output.dir = %s\n" % out)
+    assert cli.main(["run", path]) == 3
+    assert "numerical failure (run): MemoryError" in capsys.readouterr().err
+    assert load_manifest(out)["error"] == {"type": "MemoryError",
+                                           "message": "", "stage": ""}
+    monkeypatch.setattr(cli, "_run_remainder", body)
+    member = cli.validate_config({"run.kind": "remainder", "alpha": 0.4,
+                                  "output.dir": str(tmp_path / "member")})
+    alpha, peak, files, err = cli._sweep_member((member, 0.4,
+                                                 member.output_dir))
+    assert alpha == 0.4 and np.isnan(peak) and files == []
+    assert type(err) is MemoryError
+    assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
+
+
 # a config that validation accepts on a tiny grid, or one with a single
 # key moved to an edge or out of range
 _TINY_VALID = st.fixed_dictionaries({
@@ -310,9 +359,11 @@ _TINY_EDGES = {
     "alpha": [-0.1, 0.0, 5e-324, 1e-310, 0.99, 1.0],
     "delta": [-1.0, 1e3, 1e300, 1e308, 1.79e308],
     "grid.r_max": [0.0, 3.0, 3.8],
-    "grid.n_r": [4, 8],
-    "grid.n_theta": [0, 4, 30],
-    "time.sample_count": [0, 1],
+    # the counts past their bound only: a count that validates at the
+    # bound would allocate arrays of that size
+    "grid.n_r": [4, 8, 10 ** 12],
+    "grid.n_theta": [0, 4, 30, 10 ** 12],
+    "time.sample_count": [0, 1, 10 ** 12],
     "time.horizon_factor": [0.0, 1.0, 1e300],
     "time.dt_factor": [0.0, 0.5],
     "initial.center": [1.0, 6.0],
