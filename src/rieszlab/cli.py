@@ -292,16 +292,16 @@ def _run_model(config, out_dir, manifest):
     rgrid, _ = build_grids(config)
     f0 = build_profile(config, rgrid)
     alpha = config.alpha
-    state = model_mod.init_state(f0, alpha)
     times = _sample_times(config)
     # A = phi(t L0 / alpha) depends on R through L0 alone, so each sum and
     # maximum over R runs over the distinct L0 values, with the summed
     # trapezoid weights (of 1 and of f0^2) and the largest f0 of each
-    L0, group, counts = np.unique(state.L0, return_inverse=True,
-                                  return_counts=True)
+    L0, group, counts = np.unique(model_mod.init_state(f0, alpha).L0,
+                                  return_inverse=True, return_counts=True)
+    half_widths = 0.5 * np.diff(rgrid.nodes)
     weights = np.zeros(rgrid.n)
-    weights[:-1] = state.half_widths
-    weights[1:] += state.half_widths
+    weights[:-1] = half_widths
+    weights[1:] += half_widths
     f0_max = np.zeros(L0.size)
     np.maximum.at(f0_max, group, f0.values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -502,9 +502,9 @@ def _execute(config, body):
     try:
         for path in body(config, out_dir, manifest):
             manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
-    except Exception as exc:
-        # recorded whatever it is; main maps ConfigError and
-        # _RUN_FAILURES to exit codes
+    except BaseException as exc:
+        # recorded whatever it is, an interrupt or exit too, and raised
+        # unchanged; main maps ConfigError and _RUN_FAILURES to exit codes
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "stage": getattr(exc, "stage", "")}
         raise

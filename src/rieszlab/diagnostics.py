@@ -40,19 +40,16 @@ class GrowthCurve:
 
 
 class FitResult:
-    """Fitted growth constants. Log fits carry c_amp and c_rate for
-    delta + c_amp*log(1 + c_rate*t/alpha); linear fits carry slope.
-    rms is the root mean square residual of the fit; log fits also
-    record the rms of the best straight line through the same data, so
-    a curve that is secretly linear flags itself."""
+    """Fitted growth constants. rms is the root mean square residual of
+    the fit. Log fits also carry c_amp and c_rate for
+    delta + c_amp*log(1 + c_rate*t/alpha), and the rms of the best
+    straight line through the same data, so a curve that is secretly
+    linear flags itself."""
 
-    def __init__(self, kind, rms, c_amp=None, c_rate=None, slope=None,
-                 linear_rms=None):
-        self.kind = kind
+    def __init__(self, rms, c_amp=None, c_rate=None, linear_rms=None):
         self.rms = rms
         self.c_amp = c_amp
         self.c_rate = c_rate
-        self.slope = slope
         self.linear_rms = linear_rms
 
     @property
@@ -66,7 +63,7 @@ class FitResult:
 
 def _line_rms(t, y):
     coef = np.polyfit(t, y, 1)
-    return float(np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2))), coef
+    return float(np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2)))
 
 
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
@@ -95,8 +92,7 @@ def _golden_min(f, a, b, xtol):
 
 def fit_linear_growth(curve):
     """Least-squares straight line through sup_norm(t)."""
-    rms, coef = _line_rms(curve.t, curve.sup_norm)
-    return FitResult("linear", rms, slope=float(coef[0]))
+    return FitResult(_line_rms(curve.t, curve.sup_norm))
 
 
 def fit_log_growth(curve):
@@ -145,9 +141,8 @@ def fit_log_growth(curve):
     if c_amp <= 0.0:
         raise ValueError("degenerate-curve: fitted amplitude is not positive")
     rms = float(np.sqrt(sse / t.size))
-    lin_rms, _ = _line_rms(t, y)
-    return FitResult("log", rms, c_amp=c_amp, c_rate=c_rate,
-                     linear_rms=lin_rms)
+    return FitResult(rms, c_amp=c_amp, c_rate=c_rate,
+                     linear_rms=_line_rms(t, y))
 
 
 class ScalingReport:

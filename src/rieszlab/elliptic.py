@@ -149,34 +149,32 @@ def _stencil_rhs(w, n_lo):
 
 
 @lru_cache(maxsize=8)
-def _stacked_factor(n_r, h, alpha, n_lo, n_hi, step=1):
-    """LU factors (dgttrf) of the stencil rows of modes n_lo, n_lo + step,
-    ..., n_hi stacked as diagonal blocks of one tridiagonal system. The
-    boundary rows of every block have no entry across the block edge, so
-    the blocks stay decoupled and eliminating them together is the same
-    arithmetic as eliminating each alone. The rows depend on the grid and
-    alpha only, never on time; the cached arrays are shared by every
-    caller and therefore read-only."""
-    ab = np.hstack([_bands(n_r, h, n, alpha)
-                    for n in range(n_lo, n_hi + 1, step)])
+def _stacked_factor(n_r, h, alpha, modes):
+    """LU factors (dgttrf) of the stencil rows of each physical mode in
+    the range modes, stacked in its order as diagonal blocks of one
+    tridiagonal system. The boundary rows of every block have no entry
+    across the block edge, so the blocks stay decoupled and eliminating
+    them together is the same arithmetic as eliminating each alone. The
+    rows depend on the grid and alpha only, never on time; the cached
+    arrays are shared by every caller and therefore read-only."""
+    ab = np.hstack([_bands(n_r, h, n, alpha) for n in modes])
     dgttrf, _ = lapack_tridiagonal()
     *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise EllipticError("stencil factorization failed for modes %d..%d "
-                            "(dgttrf info %d)" % (n_lo, n_hi, info),
+                            "(dgttrf info %d)" % (modes[0], modes[-1], info),
                             stage="_stacked_factor")
     for a in factors:
         a.setflags(write=False)
     return tuple(factors)
 
 
-def _solve_stencil(grid, alpha, n_lo, rhs, step=1):
-    """Solve the stencil rows of modes n_lo, n_lo + step, ... in one call.
-    rhs comes from _stencil_rhs with shape (columns, modes, n_r); the
-    solution has the same shape."""
+def _solve_stencil(grid, alpha, modes, rhs):
+    """Solve the stencil rows of each physical mode in the range modes in
+    one call. rhs comes from _stencil_rhs with shape (columns, len(modes),
+    n_r); the solution has the same shape."""
     cols, blocks, n_r = rhs.shape
-    factors = _stacked_factor(n_r, grid.log_step, alpha, n_lo,
-                              n_lo + step * (blocks - 1), step)
+    factors = _stacked_factor(n_r, grid.log_step, alpha, modes)
     _, dgttrs = lapack_tridiagonal()
     # the transpose is the Fortran-ordered (rows, columns) matrix that
     # dgttrs takes and returns, so the solution reshapes without a copy
@@ -191,10 +189,9 @@ def _solve_stencil(grid, alpha, n_lo, rhs, step=1):
         # one at a time to name the first mode whose own solve fails
         if blocks > 1:
             for k in range(blocks):
-                _solve_stencil(grid, alpha, n_lo + step * k,
-                               rhs[:, k:k + 1])
+                _solve_stencil(grid, alpha, modes[k:k + 1], rhs[:, k:k + 1])
         raise EllipticError("mode %d solve returned non-finite values"
-                            % n_lo, stage="_solve_stencil")
+                            % modes[0], stage="_solve_stencil")
     return psi
 
 
@@ -227,7 +224,7 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
         psi = _solve_mode_low(omega_n.values, grid.log_step, n, alpha)
     else:
         rhs = _stencil_rhs(omega_n.values[None, None], n)
-        psi = _solve_stencil(grid, alpha, n, rhs)[0, 0]
+        psi = _solve_stencil(grid, alpha, range(n, n + 1), rhs)[0, 0]
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     return RadialProfile(grid, psi)
@@ -320,7 +317,8 @@ def solve_full(omega, alpha, n_modes=None):
         psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, k_lo:n_modes + 1].T
     om_n = np.stack([-scale * stencil.imag, scale * stencil.real])
-    sin, cos = _solve_stencil(rgrid, alpha, m * k_lo,
-                              _stencil_rhs(om_n, m * k_lo), step=m)
+    modes = range(m * k_lo, m * n_modes + 1, m)
+    sin, cos = _solve_stencil(rgrid, alpha, modes,
+                              _stencil_rhs(om_n, modes[0]))
     psi_spec[:, k_lo:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
     return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))

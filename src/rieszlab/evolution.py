@@ -281,16 +281,15 @@ class FullMarch:
                     raise NumericalError("time step collapsed at t=%g"
                                          % state.t, stage="full-march")
                 dt = min(dt, t_final - state.t)
-                # the last step's start tendency is spent; dt already
-                # honors the bound of this state's own first stage
-                start, start_rate = state, None
+                # dt already honors the bound of this state's own first
+                # stage, and its tendency is the Hermite start slope
+                start, start_rate = state, rate
                 state = step_full(state, dt, enforce_cfl=False, rate=rate)
                 reach = check_support(state, self.reach_threshold)
                 self.peak_reach = max(self.peak_reach, reach)
                 self._dts.append(float(dt))
                 self._utilisation.append(float(dt / bound))
                 self._local_errors.append(state.local_error)
-                start_rate = rate
                 rate, bound = rhs_full(state, with_bound=True)
                 rate = rate.values
             if state.t - ts <= tol:
@@ -351,14 +350,12 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     full = FullMarch(f0, alpha, agrid)
     times = np.linspace(0.0, t_final, n_samples)
     j0 = support_edge_index(f0)
-    model0 = _model.init_state(f0, alpha)
-    f0_arrays = model0.c, model0.half_widths, model0.L0
-    profile = _model.similarity_profile((t_final / alpha)
-                                        * float(np.max(model0.L0)))
+    L0 = _model.init_state(f0, alpha).L0
+    profile = _model.similarity_profile((t_final / alpha) * float(np.max(L0)))
     growth, remainder = [], []
     for state, ts in zip(full.samples(times), times):
-        A = RadialProfile(f0.grid, profile.phi((ts / alpha) * model0.L0))
-        mstate = _model.ModelState(alpha, f0, A, ts, f0_arrays=f0_arrays)
+        A = RadialProfile(f0.grid, profile.phi((ts / alpha) * L0))
+        mstate = _model.ModelState(alpha, f0, A, ts)
         # the model field, then the difference; freed before the next step
         diff = _model.reconstruct_Omega2(mstate, full.omega0.agrid)
         np.subtract(state.omega.values, diff.values, out=diff.values)

@@ -49,26 +49,25 @@ def build_radial_grid(r_min, r_max, n):
 
 
 class AngularGrid:
-    """n_theta uniform nodes on [0, period). The period is the circle
-    divided by a whole number of copies, 2 pi by default; a shorter one
-    holds fields that repeat around the circle on fewer nodes at the same
-    dtheta. The full circle's node count, copies * n_theta, must be a
+    """n_theta uniform nodes on [0, period), period = 2 pi / copies: one
+    period of a field that repeats copies times around the circle, held
+    on fewer nodes at the same dtheta. n_theta and copies are whole
+    numbers, and the full circle's node count, copies * n_theta, must be a
     positive multiple of 4."""
 
-    def __init__(self, n_theta, period=2.0 * np.pi):
-        n_theta = int(n_theta)
-        copies = int(round(2.0 * np.pi / period)) if period > 0 else 0
-        if copies < 1 or abs(copies * period - 2.0 * np.pi) > 1e-12:
-            raise ValueError("period must be 2 pi over a whole number, "
-                             "got %r" % period)
+    def __init__(self, n_theta, copies=1):
+        if not (n_theta == int(n_theta) and copies == int(copies) >= 1):
+            raise ValueError("n_theta and copies must be whole numbers, "
+                             "copies >= 1, got %r and %r" % (n_theta, copies))
+        n_theta, copies = int(n_theta), int(copies)
         if n_theta < 1 or (copies * n_theta) % 4 != 0:
             raise ValueError("n_theta must give a positive multiple of 4 "
                              "nodes on the full circle, got %d" % n_theta)
         self.n_theta = n_theta
-        self.period = period
         self.copies = copies
-        self.nodes = period * np.arange(n_theta) / n_theta
-        self.dtheta = period / n_theta
+        self.period = 2.0 * np.pi / copies
+        self.nodes = self.period * np.arange(n_theta) / n_theta
+        self.dtheta = self.period / n_theta
 
 
 def half_circle(agrid):
@@ -76,7 +75,7 @@ def half_circle(agrid):
     the full circle of agrid."""
     if agrid.copies != 1:
         raise ValueError("half_circle needs a full-circle grid")
-    return AngularGrid(agrid.n_theta // 2, period=np.pi)
+    return AngularGrid(agrid.n_theta // 2, copies=2)
 
 
 class RadialProfile:

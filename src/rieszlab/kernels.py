@@ -22,9 +22,8 @@ from .grids import RadialProfile, tail_sums, project_mode
 
 class KernelEval:
 
-    def __init__(self, value, err):
+    def __init__(self, value):
         self.value = value
-        self.err = err
 
 
 def _integrand(phi, ea):
@@ -51,8 +50,7 @@ def gamma_kernel(a):
     This leaves a boundary layer of width ~e^-a at phi = pi/2 (the image
     of gamma ~ e^a); that piece is integrated in log(pi/2 - phi), where
     the layer is O(1) wide for every a. Tolerances scale with e^-a so the
-    result carries relative accuracy ~1e-10; err adds both error
-    estimates.
+    result carries relative accuracy ~1e-10.
     scipy.integrate is imported on the first call: no run path needs it.
     """
     from scipy.integrate import quad
@@ -60,13 +58,12 @@ def gamma_kernel(a):
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
     ea = np.exp(-a)
     eps = 0.5 * 1e-10 * ea + 1e-300
-    v1, e1 = quad(_integrand, 0.0, 0.5 * np.pi - 0.7, args=(ea,),
-                  epsabs=eps, epsrel=1e-11, limit=200)
+    v1, _ = quad(_integrand, 0.0, 0.5 * np.pi - 0.7, args=(ea,),
+                 epsabs=eps, epsrel=1e-11, limit=200)
     # below psi = e^-a * 1e-6 the integrand is under e^-2a * 1e-18: ignorable
-    v2, e2 = quad(_layer_integrand, -a - 14.0, np.log(0.7), args=(ea,),
-                  epsabs=eps, epsrel=1e-11, limit=200)
-    scale = 16.0 / np.pi
-    return KernelEval(scale * (v1 + v2), scale * (e1 + e2))
+    v2, _ = quad(_layer_integrand, -a - 14.0, np.log(0.7), args=(ea,),
+                 epsabs=eps, epsrel=1e-11, limit=200)
+    return KernelEval(16.0 / np.pi * (v1 + v2))
 
 
 def kernel_values(a):

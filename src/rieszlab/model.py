@@ -37,10 +37,11 @@ the grid.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from .grids import RadialProfile, Field2D, tail_sums
+from .grids import RadialProfile, Field2D
 from .kernels import profile_tail, lf_tail, tail_integrand
 
 C1 = 1.0
@@ -52,24 +53,19 @@ PROFILE_Z0 = 1e-3
 
 
 class ModelState:
-    """Immutable snapshot: step() returns a new state.
+    """Immutable snapshot: step() returns a new state. L0, the tail L(f0)
+    at every node, is computed on its first read."""
 
-    c, half_widths and L0 depend on f0 alone: the tail integrand f0/R,
-    the half cell widths 0.5 * diff(nodes) and L(f0). A state made from
-    f0 computes them, and step() hands them on, so a march computes them
-    once."""
-
-    def __init__(self, alpha, f0, A, t, kernel=None, f0_arrays=None):
+    def __init__(self, alpha, f0, A, t, kernel=None):
         self.alpha = alpha
         self.f0 = f0
         self.A = A
         self.t = t
         self.kernel = kernel
-        if f0_arrays is None:
-            c = tail_integrand(f0)
-            half_widths = 0.5 * np.diff(f0.grid.nodes)
-            f0_arrays = c, half_widths, tail_sums(c, half_widths)
-        self.c, self.half_widths, self.L0 = f0_arrays
+
+    @cached_property
+    def L0(self):
+        return profile_tail(self.f0).values
 
 
 class SandwichReport:
@@ -101,11 +97,13 @@ def init_state(f0, alpha, kernel=None):
 
 def step(state, dt):
     """Classical 4th-order one-step advance of A at all nodes. Each stage
-    is one lf_tail on plain arrays; only the new A is checked finite."""
+    is one lf_tail on plain arrays: the tail integrand f0/R and the half
+    cell widths, made once per step. Only the new A is checked finite."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
-    c, half_widths, kernel, alpha = (state.c, state.half_widths,
-                                     state.kernel, state.alpha)
+    kernel, alpha = state.kernel, state.alpha
+    c = tail_integrand(state.f0)
+    half_widths = 0.5 * np.diff(state.f0.grid.nodes)
 
     def rate(a):
         return lf_tail(c, half_widths, a, kernel) / alpha
@@ -117,8 +115,7 @@ def step(state, dt):
     k4 = rate(a + dt * k3)
     a_new = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     A_new = RadialProfile(state.f0.grid, a_new)
-    return ModelState(alpha, state.f0, A_new, state.t + dt, kernel,
-                      (c, half_widths, state.L0))
+    return ModelState(alpha, state.f0, A_new, state.t + dt, kernel)
 
 
 def _interp_profile(profile, R):

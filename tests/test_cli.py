@@ -341,6 +341,25 @@ def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
 
 
+def test_interrupted_run_records_the_interrupt_in_its_manifest(tmp_path,
+                                                                monkeypatch):
+    # an interrupt is no Exception, yet a run it stops is no success: the
+    # manifest names it and the interrupt itself propagates unchanged
+    def body(config, out_dir, manifest):
+        manifest["checks"]["sandwich"] = "pass"
+        raise KeyboardInterrupt("stopped")
+
+    monkeypatch.setitem(cli._BODIES, "model", body)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt, match="stopped"):
+        cli.run(cli.validate_config({"output.dir": str(out)}))
+    manifest = load_manifest(out)
+    assert manifest["error"] == {"type": "KeyboardInterrupt",
+                                 "message": "stopped", "stage": ""}
+    assert manifest["checks"] == {"sandwich": "pass"}
+    assert manifest["files"] == {}
+
+
 # a config that validation accepts on a tiny grid, or one with a single
 # key moved to an edge or out of range
 _TINY_VALID = st.fixed_dictionaries({
@@ -595,6 +614,35 @@ def test_rerun_is_byte_identical(tmp_path):
         assert not any(rel.endswith("manifest.json") for rel in files)
     # three members' growth.csv and remainder.csv, and scaling_report.csv
     assert len(files) == 7
+
+
+# the last row of each output file of a 64 x 16 run at alpha 0.2 with 4
+# samples, its time column left out, as the code wrote them when every
+# check passed; a change that keeps the arithmetic keeps these values
+PINNED_LAST_ROWS = {
+    "model": {"growth.csv": (1.0186043107826435, 1.7685797188378538,
+                             0.6304509633800043, 0.10172257072916752)},
+    "linear": {"growth.csv": (1.0186059463565567, 1.7691590717934587,
+                              0.6309925191223023, 0.1017518098631703)},
+    "full": {"growth.csv": (1.013887914158215, 1.7683186509429356,
+                            0.6307548848769949, 0.1015367434016826)},
+    "remainder": {
+        "growth.csv": (1.013887914158215, 1.7683186509429356,
+                       0.6307548848769949, 0.1015367434016826),
+        "remainder.csv": (0.016274602569655294, 0.027145150390113806,
+                          1.013887914158215, 1.0186043107826435)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_LAST_ROWS))
+def test_run_outputs_match_their_pinned_values(tmp_path, kind):
+    out = tmp_path / kind
+    cli.run(cli.validate_config({
+        "run.kind": kind, "alpha": 0.2, "grid.n_r": 64, "grid.n_theta": 16,
+        "time.sample_count": 4, "output.dir": str(out)}))
+    for name, want in PINNED_LAST_ROWS[kind].items():
+        got = np.loadtxt(out / name, delimiter=",", skiprows=1)[-1, 1:]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_sweep_layout_and_scaling_report(tmp_path):

@@ -109,11 +109,12 @@ def test_stacked_solve_names_the_mode_that_overflows():
     rhs = np.zeros((2, 6, g.n))
     rhs[1, 3, 100:110] = 1.7e308
     with pytest.raises(EllipticError, match="mode 5 solve"):
-        elliptic._solve_stencil(g, 0.3, 2, elliptic._stencil_rhs(rhs, 2))
+        elliptic._solve_stencil(g, 0.3, range(2, 8),
+                                elliptic._stencil_rhs(rhs, 2))
     # with the half circle's even modes 2, 4, ..., that block is mode 8
     with pytest.raises(EllipticError, match="mode 8 solve"):
-        elliptic._solve_stencil(g, 0.3, 2, elliptic._stencil_rhs(rhs, 2),
-                                step=2)
+        elliptic._solve_stencil(g, 0.3, range(2, 13, 2),
+                                elliptic._stencil_rhs(rhs, 2))
 
 
 def test_mode_residual_small_and_guarded():
@@ -256,7 +257,7 @@ def test_cached_factors_are_read_only():
     g = aligned_grid(257)
     solve_full(Field2D(g, AngularGrid(24), np.zeros((g.n, 24))), 0.3)
     h = float(np.log(g.nodes[1] / g.nodes[0]))
-    factors = elliptic._stacked_factor(g.n, h, 0.3, 2, 8)
+    factors = elliptic._stacked_factor(g.n, h, 0.3, range(2, 9))
     assert len(factors) == 5
     for a in factors:
         with pytest.raises(ValueError, match="read-only"):

@@ -41,16 +41,19 @@ def test_half_circle_grid():
     full = AngularGrid(12)
     half = half_circle(full)
     assert (half.n_theta, half.period, half.copies) == (6, np.pi, 2)
+    assert full.period == 2.0 * np.pi
     # the nodes are the full circle's first half, bit for bit
     assert half.dtheta == full.dtheta
     assert np.array_equal(half.nodes, full.nodes[:6])
     # the node-count rule holds on the full circle: 2 x 6 nodes are fine,
     # 2 x 5 are not
-    AngularGrid(6, period=np.pi)
+    AngularGrid(6, copies=2)
     with pytest.raises(ValueError, match="multiple of 4"):
-        AngularGrid(5, period=np.pi)
-    with pytest.raises(ValueError, match="whole number"):
-        AngularGrid(8, period=1.0)
+        AngularGrid(5, copies=2)
+    # counts are whole numbers, never rounded down
+    for n_theta, copies in ((8.7, 1), (8, 1.5), (8, 0)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            AngularGrid(n_theta, copies=copies)
     with pytest.raises(ValueError, match="full-circle"):
         half_circle(half)
 

@@ -6,8 +6,7 @@ import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             l2_norm)
-from rieszlab.kernels import (profile_tail, kernel_values, apply_lf_kernel,
-                              lf_tail)
+from rieszlab.kernels import profile_tail, kernel_values, apply_lf_kernel
 from rieszlab import cli
 from rieszlab import model as m
 
@@ -25,8 +24,8 @@ def march(state, t_final, dt):
 
 
 def current_Ls(state):
-    """The current L_s of a model state: lf_tail on the state's arrays."""
-    return lf_tail(state.c, state.half_widths, state.A.values, state.kernel)
+    """The current L_s of a model state."""
+    return apply_lf_kernel(state.f0, state.A, kernel=state.kernel).values
 
 
 def profile_state(state, t):
@@ -110,6 +109,9 @@ def test_long_time_log_bracket():
 
 def test_eval_Ls_at_zero_time_and_constant_A():
     g, f0, state = default_setup()
+    # L0 is L(f0) bit for bit, made on the first read and kept
+    assert np.array_equal(state.L0, profile_tail(f0).values)
+    assert state.L0 is state.L0
     assert np.allclose(current_Ls(state), profile_tail(f0).values,
                        atol=1e-14)
     shifted = m.ModelState(0.2, f0, RadialProfile(g, np.full(g.n, 2.0)),
