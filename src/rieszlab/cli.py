@@ -170,7 +170,11 @@ def validate_config(values):
                               "full-march steps, over the %g allowed"
                               % (merged["time.horizon_factor"], steps,
                                  MAX_FULL_STEPS))
-    return RunConfig(merged, alphas)
+    config = RunConfig(merged, alphas)
+    if kind != "table":
+        _check_sampled(build_profile(config, build_grids(config)[0]),
+                       config.delta > 0, "initial.center, initial.width")
+    return config
 
 
 def parse_config(path):
@@ -204,6 +208,23 @@ def parse_config(path):
             raise ConfigError("%s:%d: bad value %r for %s"
                               % (path, ln, val, key))
     return validate_config(values)
+
+
+def _check_sampled(f0, nonzero, keys):
+    """Refuse initial data that the radial nodes miss, else return it: it
+    must vanish at the first node, where the causal recurrences start
+    from 0, and data that is nonzero must be nonzero at some node. keys
+    name what moves the data."""
+    first = f0.grid.nodes[0]
+    if f0.values[0] != 0:
+        raise ConfigError("initial data must vanish at the first radial node "
+                          "1e-3*r_max = %g; lower grid.r_max or move the "
+                          "data up (%s)" % (first, keys))
+    if nonzero and not np.any(f0.values):
+        raise ConfigError("no radial node on [%g, %g] samples the initial "
+                          "data; raise grid.n_r, lower grid.r_max or widen "
+                          "the data (%s)" % (first, f0.grid.r_max, keys))
+    return f0
 
 
 def build_grids(config):
@@ -253,7 +274,8 @@ def build_profile(config, rgrid):
                               "at %g" % nz.min())
         if nz.max() > 0.8 * config.r_max:
             raise ConfigError("support must end inside 0.8*r_max")
-    return RadialProfile(rgrid, vals)
+    return _check_sampled(RadialProfile(rgrid, vals), np.any(table[:, 1]),
+                          "initial.table_path")
 
 
 def _write_csv(path, header, keys, rows):

@@ -46,55 +46,65 @@ def lapack_tridiagonal():
     return dgttrf, dgttrs
 
 
-def _exp_cell_weights(lam, h):
-    """Exact integral over one cell of e^{lam u} against the linear
-    interpolant, u measured from the near node: returns (E, w_near, w_far)
-    with E = e^{lam h}."""
-    E = np.exp(lam * h)
-    S = np.expm1(lam * h) / lam
-    M1 = (h * E - S) / lam
-    return E, S - M1 / h, M1 / h
-
-
-@lru_cache(maxsize=16)
-def _recurrence_factor(n, E):
-    """LU factors (dgttrf) of the n lower-bidiagonal rows
-    y_k - E y_{k-1} = c_k. With 0 <= E <= 1 nothing pivots, so solving
-    against them runs y_k = c_k + E y_{k-1} left to right; the cached
-    arrays are shared by every caller and therefore read-only."""
+def _factor(dl, d, du, failure, stage):
+    """dgttrf's LU factors of the tridiagonal rows (dl, d, du), read-only
+    as the lru caches share them; a failure raises failure at stage."""
     dgttrf, _ = lapack_tridiagonal()
-    *factors, info = dgttrf(np.full(n - 1, -E), np.ones(n), np.zeros(n - 1))
+    *factors, info = dgttrf(dl, d, du)
     if info != 0:
-        raise EllipticError("recurrence factorization failed (dgttrf info "
-                            "%d)" % info, stage="_recurrence_factor")
+        raise EllipticError("%s (dgttrf info %d)" % (failure, info),
+                            stage=stage)
     for a in factors:
         a.setflags(write=False)
     return tuple(factors)
 
 
+def _solve(factors, rhs, failure, stage):
+    """dgttrs against _factor's factors; a failure raises failure at stage."""
+    _, dgttrs = lapack_tridiagonal()
+    x, info = dgttrs(*factors, rhs)
+    if info != 0:
+        raise EllipticError("%s (dgttrs info %d)" % (failure, info),
+                            stage=stage)
+    return x
+
+
+def _exp_cell_weights(lam, h):
+    """Exact integral over one cell of e^{lam u} against the linear
+    interpolant, u measured from the near node: (E, w_near, w_far, M1)
+    with E = e^{lam h} and the first moment M1 = integral of u e^{lam u}."""
+    E = np.exp(lam * h)
+    S = np.expm1(lam * h) / lam
+    M1 = (h * E - S) / lam
+    return E, S - M1 / h, M1 / h, M1
+
+
+@lru_cache(maxsize=16)
+def _recurrence_factor(n, E):
+    """LU factors of the n lower-bidiagonal rows y_k - E y_{k-1} = c_k.
+    With 0 <= E <= 1 nothing pivots, so solving against them runs
+    y_k = c_k + E y_{k-1} left to right."""
+    return _factor(np.full(n - 1, -E), np.ones(n), np.zeros(n - 1),
+                   "recurrence factorization failed", "_recurrence_factor")
+
+
 def _recurrence(E, c):
     """y with y_0 = 0 and y_{k+1} = E y_k + c_k."""
     out = np.zeros(c.size + 1)
-    _, dgttrs = lapack_tridiagonal()
-    y, info = dgttrs(*_recurrence_factor(c.size, float(E)), c)
-    if info != 0:
-        raise EllipticError("recurrence solve failed (dgttrs info %d)" % info,
-                            stage="_recurrence")
-    out[1:] = y
+    out[1:] = _solve(_recurrence_factor(c.size, float(E)), c,
+                     "recurrence solve failed", "_recurrence")
     return out
 
 
 def _causal_single(w, lam, h):
-    E, w_near, w_far = _exp_cell_weights(lam, h)
+    E, w_near, w_far, _ = _exp_cell_weights(lam, h)
     return _recurrence(E, w_near * w[1:] + w_far * w[:-1])
 
 
 def _causal_double(w, lam, h):
     """Convolution with (x - y) e^{lam (x - y)} for the double root, via
     the coupled recurrences P' = E P + cell, Q' = E (Q + h P) + cell."""
-    E, w_near, w_far = _exp_cell_weights(lam, h)
-    S = np.expm1(lam * h) / lam
-    M1 = (h * E - S) / lam
+    E, w_near, w_far, M1 = _exp_cell_weights(lam, h)
     M2 = (h * h * E - 2.0 * M1) / lam
     cp = w_near * w[1:] + w_far * w[:-1]
     cq = (M1 - M2 / h) * w[1:] + (M2 / h) * w[:-1]
@@ -155,18 +165,11 @@ def _stacked_factor(n_r, h, alpha, modes):
     tridiagonal system. The boundary rows of every block have no entry
     across the block edge, so the blocks stay decoupled and eliminating
     them together is the same arithmetic as eliminating each alone. The
-    rows depend on the grid and alpha only, never on time; the cached
-    arrays are shared by every caller and therefore read-only."""
+    rows depend on the grid and alpha only, never on time."""
     ab = np.hstack([_bands(n_r, h, n, alpha) for n in modes])
-    dgttrf, _ = lapack_tridiagonal()
-    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info != 0:
-        raise EllipticError("stencil factorization failed for modes %d..%d "
-                            "(dgttrf info %d)" % (modes[0], modes[-1], info),
-                            stage="_stacked_factor")
-    for a in factors:
-        a.setflags(write=False)
-    return tuple(factors)
+    return _factor(ab[2, :-1], ab[1], ab[0, 1:],
+                   "stencil factorization failed for modes %d..%d"
+                   % (modes[0], modes[-1]), "_stacked_factor")
 
 
 def _solve_stencil(grid, alpha, modes, rhs):
@@ -175,13 +178,10 @@ def _solve_stencil(grid, alpha, modes, rhs):
     n_r); the solution has the same shape."""
     cols, blocks, n_r = rhs.shape
     factors = _stacked_factor(n_r, grid.log_step, alpha, modes)
-    _, dgttrs = lapack_tridiagonal()
     # the transpose is the Fortran-ordered (rows, columns) matrix that
     # dgttrs takes and returns, so the solution reshapes without a copy
-    psi, info = dgttrs(*factors, rhs.reshape(cols, blocks * n_r).T)
-    if info != 0:
-        raise EllipticError("stencil solve failed (dgttrs info %d)" % info,
-                            stage="_solve_stencil")
+    psi = _solve(factors, rhs.reshape(cols, blocks * n_r).T,
+                 "stencil solve failed", "_solve_stencil")
     psi = psi.T.reshape(rhs.shape)
     if not np.all(np.isfinite(psi)):
         # a non-finite value reaches every block through the zero

@@ -17,10 +17,10 @@ spectrally exact throughout.
 import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
-from .grids import (RadialProfile, Field2D, half_circle, r_ddr, r2_d2dr2,
+from .grids import (RadialProfile, Field2D, half_circle, r_ddr, d2_dx2,
                     theta_deriv, sup_norm, l2_norm, project_mode)
 from .elliptic import solve_full
-from .kernels import op_Ls
+from .kernels import op_Ls, profile_tail
 from . import model as _model
 
 # the longest full-march step, over alpha
@@ -112,16 +112,16 @@ def _tendency(state, include_forcing, with_bound):
         sc = (np.sin(theta) * np.cos(theta))[None, :]
         c2 = np.cos(2.0 * theta)[None, :]
         # the forcing sum, term by term left to right in scratch; each
-        # derivative is a fresh array and is scaled where it lies
+        # derivative is a fresh array and is scaled where it lies, and
+        # dx_psi's array takes R^2 d_R^2 psi = d_x^2 psi - d_x psi
         np.multiply((2.0 * alpha + alpha ** 2) * sc, dx_psi, out=scratch)
-        np.multiply(c2, dth_psi, out=dx_psi)
-        scratch += dx_psi
+        r2_psi = np.subtract(d2_dx2(psi, rgrid), dx_psi, out=dx_psi)
+        scratch += c2 * dth_psi
         term = r_ddr(dth_psi, rgrid)
         term *= alpha * c2
         scratch += term
-        term = r2_d2dr2(psi, rgrid)
-        term *= alpha ** 2 * sc
-        scratch += term
+        r2_psi *= alpha ** 2 * sc
+        scratch += r2_psi
         term = theta_deriv(psi, agrid, order=2)
         term *= sc
         scratch -= term
@@ -350,7 +350,7 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     full = FullMarch(f0, alpha, agrid)
     times = np.linspace(0.0, t_final, n_samples)
     j0 = support_edge_index(f0)
-    L0 = _model.init_state(f0, alpha).L0
+    L0 = profile_tail(f0).values
     profile = _model.similarity_profile((t_final / alpha) * float(np.max(L0)))
     growth, remainder = [], []
     for state, ts in zip(full.samples(times), times):

@@ -158,8 +158,18 @@ def project_mode(field, n, parity):
     return RadialProfile(field.rgrid, coeff)
 
 
-def _d2_uniform(values, h):
+def r_ddr(values, rgrid):
+    """R dF/dR = dF/dx along the leading (radial) axis of a geometric
+    grid, second order on the uniform log grid, with no division by R."""
+    return np.gradient(values, rgrid.log_step, axis=0, edge_order=2)
+
+
+def d2_dx2(values, rgrid):
+    """d2F/dx2 along the leading (radial) axis of a geometric grid, second
+    order on the uniform log grid, one-sided at the ends; R^2 d2F/dR2 is
+    d2_dx2 - r_ddr."""
     v = np.asarray(values, dtype=float)
+    h = rgrid.log_step
     out = np.empty_like(v)
     # (v[:-2] - 2 v[1:-1] + v[2:]) / h^2 in the interior rows of out,
     # the same operations in the same order without temporaries
@@ -169,20 +179,6 @@ def _d2_uniform(values, h):
     mid /= h ** 2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
-    return out
-
-
-def r_ddr(values, rgrid):
-    """R dF/dR = dF/dx along the leading (radial) axis of a geometric
-    grid, second order on the uniform log grid, with no division by R."""
-    return np.gradient(values, rgrid.log_step, axis=0, edge_order=2)
-
-
-def r2_d2dr2(values, rgrid):
-    """R^2 d2F/dR2 = d2F/dx2 - dF/dx along the leading axis of a
-    geometric grid."""
-    out = _d2_uniform(values, rgrid.log_step)
-    out -= r_ddr(values, rgrid)
     return out
 
 

@@ -176,7 +176,8 @@ _KINDS = ("model", "linear", "full", "remainder", "sweep")
     # marches that need more than MAX_FULL_STEPS steps would not end
     "run.kind = full\ntime.horizon_factor = 1e300\n",
     "run.kind = full\ntime.horizon_factor = 1e300\ndelta = 0\n",
-    "run.kind = remainder\ntime.horizon_factor = 1e6\ngrid.r_max = 1e6\n",
+    "run.kind = remainder\ntime.horizon_factor = 1e6\ngrid.r_max = 1e6\n"
+    "initial.center = 2000\ninitial.width = 500\n",
     "run.kind = sweep\nrun.alphas = 0.4\ntime.horizon_factor = 1e300\n",
 ], ids=["n-theta-zero", "r-max-inf", "uniform-remainder", "sweep-alpha-1.5",
         "indicator-negative-width", "bump-zero-width", "n-theta-4-remainder",
@@ -200,6 +201,97 @@ def test_main_rejects_bad_config_before_running(tmp_path, capsys, body):
         assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+_FIRST_NODE = (r"initial data must vanish at the first radial node "
+               r"1e-3\*r_max = %s; lower grid\.r_max or move the data up "
+               r"\(%s\)")
+_UNSAMPLED = (r"no radial node on \[%s, %s\] samples the initial data; "
+              r"raise grid\.n_r, lower grid\.r_max or widen the data "
+              r"\(%s\)")
+_BUMP_KEYS = r"initial\.center, initial\.width"
+
+
+@pytest.mark.parametrize("body, message", [
+    # the grid starts at R = 2, where the bump peaks
+    ("run.kind = remainder\ngrid.r_max = 2000\n",
+     _FIRST_NODE % ("2", _BUMP_KEYS)),
+    ("run.kind = sweep\nrun.alphas = 0.4\ngrid.r_max = 2000\n",
+     _FIRST_NODE % ("2", _BUMP_KEYS)),
+    # the first node is the indicator's edge, which carries half its value
+    ("run.kind = model\ninitial.kind = indicator\ngrid.r_max = 1500\n",
+     _FIRST_NODE % ("1.5", _BUMP_KEYS)),
+    # the whole bump lies below the grid
+    ("run.kind = linear\ngrid.r_max = 1e6\n",
+     _UNSAMPLED % ("1000", r"1e\+06", _BUMP_KEYS)),
+    # supports that fall between two nodes
+    ("run.kind = model\ninitial.width = 1e-3\n",
+     _UNSAMPLED % (r"0\.008", "8", _BUMP_KEYS)),
+    ("run.kind = remainder\ninitial.width = 1e-3\n",
+     _UNSAMPLED % (r"0\.008", "8", _BUMP_KEYS)),
+    ("run.kind = full\ninitial.kind = indicator\ninitial.width = 2e-3\n",
+     _UNSAMPLED % (r"0\.008", "8", _BUMP_KEYS)),
+], ids=["remainder-first-node", "sweep-first-node", "indicator-edge-node",
+        "linear-below-grid", "model-between-nodes",
+        "remainder-between-nodes", "full-indicator-between-nodes"])
+def test_unsampled_initial_data_exits_2_naming_the_rule(tmp_path, capsys,
+                                                        body, message):
+    # data that the radial grid misses or cuts at its first node would run
+    # on all-zero or clipped rows; it is refused before any work, with
+    # warnings as errors, naming the rule and the keys to change
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+        "output.dir = %s\n%s" % (out, body)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 2
+    assert re.search("config error: " + message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, extra, message", [
+    ("1 0\n2 1\n3 0\n", "grid.r_max = 2000\n",
+     _FIRST_NODE % ("2", r"initial\.table_path")),
+    ("2 0\n2.0001 1\n2.0002 0\n", "",
+     _UNSAMPLED % (r"0\.008", "8", r"initial\.table_path")),
+], ids=["first-node", "between-nodes"])
+def test_unsampled_table_exits_2_with_its_manifest(tmp_path, capsys, rows,
+                                                   extra, message):
+    # a table is read when the run starts, so its refusal leaves the
+    # manifest
+    out = tmp_path / "out"
+    table = tmp_path / "table.txt"
+    table.write_text(rows, encoding="utf-8")
+    path = write_config(tmp_path, (
+        "initial.kind = table\ninitial.table_path = %s\ngrid.n_r = 64\n"
+        "time.sample_count = 4\noutput.dir = %s\n%s" % (table, out, extra)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", path]) == 2
+    assert re.search("config error: " + message, capsys.readouterr().err)
+    assert load_manifest(out)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("kind", ["model", "linear", "full", "remainder"])
+def test_sampled_data_on_a_large_domain_runs(tmp_path, kind):
+    # the first node at R = 2 lies below a bump on (400, 600), and zero
+    # data needs no node at all
+    for name, extra in (("bump", "initial.center = 500\n"
+                                 "initial.width = 100\n"),
+                        ("quiescent", "delta = 0\n")):
+        out = tmp_path / name
+        path = write_config(tmp_path, (
+            "run.kind = %s\ngrid.r_max = 2000\ngrid.n_r = 64\n"
+            "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n%s"
+            % (kind, out, extra)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", path]) == 0
+        manifest = load_manifest(out)
+        assert manifest["error"] is None
+        assert all(status.startswith("pass")
+                   for status in manifest["checks"].values())
 
 
 @pytest.mark.parametrize("value", [cli.MAX_COUNT + 1, 10 ** 12])

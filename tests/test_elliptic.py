@@ -117,6 +117,44 @@ def test_stacked_solve_names_the_mode_that_overflows():
                                 elliptic._stencil_rhs(rhs, 2))
 
 
+def test_lapack_failures_name_their_stage(monkeypatch):
+    # LAPACK reports info 1 from the factorization, then from the solve:
+    # the stencil and the causal recurrence each raise an EllipticError of
+    # their own stage, and the stencil's factorization names its modes
+    dgttrf, dgttrs = elliptic.lapack_tridiagonal()
+
+    def failing(fn):
+        return lambda *args: (*fn(*args)[:-1], 1)
+
+    g = aligned_grid(257)
+    rhs = elliptic._stencil_rhs(np.ones((2, 6, g.n)), 2)
+    cases = [
+        ((failing(dgttrf), dgttrs), "_stacked_factor",
+         r"stencil factorization failed for modes 2\.\.12 \(dgttrf info 1\)",
+         "_recurrence_factor",
+         r"recurrence factorization failed \(dgttrf info 1\)"),
+        ((dgttrf, failing(dgttrs)), "_solve_stencil",
+         r"stencil solve failed \(dgttrs info 1\)",
+         "_recurrence", r"recurrence solve failed \(dgttrs info 1\)"),
+    ]
+    try:
+        for fakes, stencil_stage, stencil_msg, rec_stage, rec_msg in cases:
+            elliptic._stacked_factor.cache_clear()
+            elliptic._recurrence_factor.cache_clear()
+            monkeypatch.setattr(elliptic, "lapack_tridiagonal",
+                                lambda: fakes)
+            with pytest.raises(EllipticError, match=stencil_msg) as exc:
+                elliptic._solve_stencil(g, 0.3, range(2, 13, 2), rhs)
+            assert exc.value.stage == stencil_stage
+            with pytest.raises(EllipticError, match=rec_msg) as exc:
+                elliptic._recurrence(0.5, np.ones(g.n - 1))
+            assert exc.value.stage == rec_stage
+    finally:
+        # no factor made under a fake stays cached
+        elliptic._stacked_factor.cache_clear()
+        elliptic._recurrence_factor.cache_clear()
+
+
 def test_mode_residual_small_and_guarded():
     g = aligned_grid()
     f = m.make_bump(g)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, theta_deriv, sup_norm, r_ddr, r2_d2dr2)
+                            Field2D, theta_deriv, sup_norm, r_ddr, d2_dx2)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
 from rieszlab.elliptic import exact_mode2, solve_full
@@ -61,7 +61,7 @@ def _rhs_out_of_place(state, include_forcing):
         tend = tend + ((2.0 * alpha + alpha ** 2) * sc * dx_psi
                        + c2 * dth_psi
                        + alpha * c2 * r_ddr(dth_psi, rgrid)
-                       + alpha ** 2 * sc * r2_d2dr2(psi, rgrid)
+                       + alpha ** 2 * sc * (d2_dx2(psi, rgrid) - dx_psi)
                        - sc * theta_deriv(psi, agrid, order=2))
     spec = np.fft.rfft(tend, axis=-1)
     spec[:, nm + 1:] = 0.0
@@ -161,8 +161,8 @@ def test_dense_samples_on_step_ends_are_the_marched_states():
                 <= 1e-3 * np.max(np.abs(hi - lo))
 
 
-def count_calls(patch, calls):
-    # route each evolution function named in calls through a counter
+def count_calls(patch, calls, module=evolution):
+    # route each function of module named in calls through a counter
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -171,7 +171,7 @@ def count_calls(patch, calls):
         return wrapper
 
     for name in calls:
-        patch.setattr(evolution, name, counted(name, getattr(evolution, name)))
+        patch.setattr(module, name, counted(name, getattr(module, name)))
 
 
 def test_default_step_solves_once_per_tendency(monkeypatch):
@@ -195,6 +195,15 @@ def test_default_step_solves_once_per_tendency(monkeypatch):
         assert calls == {"rhs_full": 5, "solve_full": 5}
         step_full(state, 0.5 * bound, rate=rate.values)
         assert calls == {"rhs_full": 8, "solve_full": 8}
+    # a tendency takes the radial derivatives of psi, omega and d_theta psi
+    # once each, and R^2 d_R^2 psi reuses psi's
+    gradients = {"gradient": 0}
+    with monkeypatch.context() as patch:
+        count_calls(patch, gradients, np)
+        rhs_full(state)
+        assert gradients == {"gradient": 3}
+        rhs_full(state, include_forcing=False)
+        assert gradients == {"gradient": 5}
 
 
 def test_remainder_study_solves_once_per_tendency(monkeypatch):
