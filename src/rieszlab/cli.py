@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError
-from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
-                    trapz)
+from .grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
@@ -46,6 +45,12 @@ MAX_AMPLITUDE = 1e300
 MAX_COUNT = 65536
 MAX_FULL_STEPS = 1e5
 _POSITIVE = ("(", 0.0, math.inf, ")")
+
+# the entries of one (samples, n_r) array of a linear run's rows, so that
+# its memory does not grow with time.sample_count * grid.n_r. Blocks of
+# 8192 and 32768 entries run equally fast, but 32768 raised a growth
+# pass's peak RSS by 0.4 MB over one sample at a time, and 8192 does not
+_LINEAR_BLOCK = 8192
 
 # what stops a started run with exit 3: a numerical failure, a solver
 # precondition that validation missed, or an allocation that fails
@@ -279,11 +284,15 @@ def build_profile(config, rgrid):
 
 
 def _write_csv(path, header, keys, rows):
-    """The header, then per key (a sample time or an alpha) key and row."""
+    """The header, then per key (a sample time or an alpha) key and row,
+    one %.17g field per column of the header."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for key, row in zip(keys, rows):
-            fh.write(",".join("%.17g" % v for v in (key, *row)) + "\n")
+        # Python floats, which % formats faster than numpy scalars
+        for key, row in zip(np.asarray(keys).tolist(),
+                            np.asarray(rows).tolist()):
+            fh.write(line % (key, *row))
 
 
 def _sha256(path):
@@ -306,7 +315,7 @@ def _write_growth(out_dir, manifest, times, rows):
     _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", times,
                rows)
     manifest["checks"]["finite_norms"] = (
-        "pass" if np.all(np.isfinite([row[:2] for row in rows])) else "fail")
+        "pass" if np.all(np.isfinite(np.asarray(rows)[:, :2])) else "fail")
     return path
 
 
@@ -318,7 +327,7 @@ def _run_model(config, out_dir, manifest):
     # A = phi(t L0 / alpha) depends on R through L0 alone, so each sum and
     # maximum over R runs over the distinct L0 values, with the summed
     # trapezoid weights (of 1 and of f0^2) and the largest f0 of each
-    L0, group, counts = np.unique(model_mod.init_state(f0, alpha).L0,
+    L0, group, counts = np.unique(profile_tail(f0).values,
                                   return_inverse=True, return_counts=True)
     half_widths = 0.5 * np.diff(rgrid.nodes)
     weights = np.zeros(rgrid.n)
@@ -378,16 +387,26 @@ def _run_linear(config, out_dir, manifest):
         sq0 = (agrid.dtheta * sum2) * f ** 2
         sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
         sq2 = (agrid.dtheta * n) * ls0 ** 2
-        rows = []
-        for ts in times:
-            s = 0.5 * ts / config.alpha
+        widths = np.diff(rgrid.nodes)
+        # the rows of a block of samples at once, each column in
+        # whole-array passes over a (samples, n_r) array of about
+        # _LINEAR_BLOCK entries, with the arithmetic of one row per entry:
+        # the sup keeps max(top, bottom)'s choice and nan, and the l2
+        # column is grids.trapz along each row
+        rows = np.empty((times.size, 4))
+        rows[:, 2] = ls0[j0]
+        size = max(1, _LINEAR_BLOCK // rgrid.n)
+        for start in range(0, times.size, size):
+            block = rows[start:start + size]
+            s = (0.5 * times[start:start + size] / config.alpha)[:, None]
             src = s * ls0
-            rows.append((max(float(np.max(np.abs(hi + src))),
-                             float(np.max(np.abs(lo + src)))),
-                         float(np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2,
-                                             rgrid.nodes))),
-                         float(ls0[j0]),
-                         2.0 * float(np.max(mean0 + src))))
+            top = np.max(np.abs(hi + src), axis=1)
+            bottom = np.max(np.abs(lo + src), axis=1)
+            block[:, 0] = np.where(bottom > top, bottom, top)
+            sq = sq0 + s * sq1 + s * s * sq2
+            block[:, 1] = np.sqrt(np.sum((sq[:, 1:] + sq[:, :-1]) * 0.5
+                                         * widths, axis=1))
+            block[:, 3] = 2.0 * np.max(mean0 + src, axis=1)
         # the check marches the grid field to the horizon in two steps, so
         # the second takes L_s from an evolved field, and holds the march
         # and its growth columns against the closed form
@@ -397,8 +416,10 @@ def _run_linear(config, out_dir, manifest):
         exact = omega0.values + (0.5 * times[-1] / config.alpha) * ls0[:, None]
     gaps = [float(np.max(np.abs(state.omega.values - exact)))
             / max(float(np.max(np.abs(exact))), 1e-300)]
+    # Python floats: an inf - inf gap is a nan, where numpy would warn
+    last = rows[-1].tolist()
     gaps += [abs(got - want) / max(abs(want), 1e-300)
-             for got, want in zip(field_row(state.omega, j0), rows[-1])]
+             for got, want in zip(field_row(state.omega, j0), last)]
     # np.max keeps a nan gap, which then fails, where max would skip it
     worst = float(np.max(gaps))
     manifest["checks"]["closed_form"] = (
@@ -496,7 +517,7 @@ def _run_sweep(config, out_dir, manifest):
     manifest["stats"] = {"local_slopes": local}
     spath = os.path.join(out_dir, "scaling_report.csv")
     _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
-               zip(peaks, cumulative))
+               np.column_stack((peaks, cumulative)))
     return paths + [spath]
 
 

@@ -247,6 +247,12 @@ def mode_residual(psi_n, omega_n, n, alpha):
     return float(np.max(np.abs(applied - rhs)))
 
 
+def _mode2_values(f, alpha, tail):
+    """exact_mode2's values on f's grid, given f's tail L(f)."""
+    hist = _causal_single(f.values, -4.0 / alpha, f.grid.log_step)
+    return -(tail + hist) / (4.0 * alpha)
+
+
 def exact_mode2(f, alpha, R=None):
     """Quadrature form of the mode-2 solution. The history integral I is
     mode 1's causal convolution (_causal_single) at rate -4/alpha,
@@ -259,9 +265,7 @@ def exact_mode2(f, alpha, R=None):
     log R, constant below the grid where the solution is its own limit)
     when R is given."""
     grid = f.grid
-    hist = _causal_single(f.values, -4.0 / alpha, grid.log_step)
-    tail = profile_tail(f).values
-    prof = RadialProfile(grid, -(tail + hist) / (4.0 * alpha))
+    prof = RadialProfile(grid, _mode2_values(f, alpha, profile_tail(f).values))
     if R is None:
         return prof
     if R <= 0:
@@ -273,9 +277,10 @@ def principal_remainder_split(f, alpha):
     """psi_2 = principal + remainder with principal = -L(f)/(4 alpha);
     the remainder obeys |remainder| <= sup|f| / 16 uniformly in alpha."""
     grid = f.grid
-    principal = RadialProfile(grid, -profile_tail(f).values / (4.0 * alpha))
-    full = exact_mode2(f, alpha)
-    remainder = RadialProfile(grid, full.values - principal.values)
+    tail = profile_tail(f).values
+    principal = RadialProfile(grid, -tail / (4.0 * alpha))
+    remainder = RadialProfile(grid, _mode2_values(f, alpha, tail)
+                              - principal.values)
     return principal, remainder
 
 

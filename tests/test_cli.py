@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ from rieszlab.errors import ConfigError
 from rieszlab import cli
 from rieszlab.evolution import (FullState, field_row, step_linear,
                                 support_edge_index)
-from rieszlab.grids import Field2D
-from rieszlab.kernels import profile_tail
+from rieszlab.grids import Field2D, trapz
+from rieszlab.kernels import op_Ls, profile_tail
 
 
 def write_config(tmp_path, body, name="run.txt"):
@@ -680,6 +681,81 @@ def test_linear_columns_match_a_grid_march(tmp_path, extra):
         # a zero-amplitude run has scale 0 and must match exactly
         scale = np.max(np.abs(ref[:, k]))
         assert np.max(np.abs(got[:, k + 1] - ref[:, k])) <= 1e-12 * scale
+
+
+def _linear_growth_one_sample_at_a_time(cfg):
+    """growth.csv of a linear run as the per-sample loop wrote it before
+    the rows came from block passes: the oracle of the block passes."""
+    rgrid, agrid = cli.build_grids(cfg)
+    f0 = cli.build_profile(cfg, rgrid)
+    sin2 = np.sin(2.0 * agrid.nodes)
+    j0 = support_edge_index(f0)
+    f = f0.values
+    ls0 = op_Ls(Field2D(rgrid, agrid, np.outer(f, sin2))).values
+    n = agrid.n_theta
+    sum1, sum2 = float(np.sum(sin2)), float(np.sum(sin2 ** 2))
+    hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
+    mean0 = f * (sum1 / n)
+    sq0 = (agrid.dtheta * sum2) * f ** 2
+    sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
+    sq2 = (agrid.dtheta * n) * ls0 ** 2
+    lines = ["t,sup_norm,l2_norm,Ls_at_support_inf,A_max\n"]
+    for ts in cli._sample_times(cfg):
+        s = 0.5 * ts / cfg.alpha
+        src = s * ls0
+        row = (max(float(np.max(np.abs(hi + src))),
+                   float(np.max(np.abs(lo + src)))),
+               float(np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2,
+                                   rgrid.nodes))),
+               float(ls0[j0]),
+               2.0 * float(np.max(mean0 + src)))
+        lines.append(",".join("%.17g" % v for v in (ts, *row)) + "\n")
+    return "".join(lines)
+
+
+_PER_BLOCK_512 = cli._LINEAR_BLOCK // 512
+
+
+@pytest.mark.parametrize("n_r, samples", [
+    (512, _PER_BLOCK_512 - 1), (512, _PER_BLOCK_512),
+    (512, _PER_BLOCK_512 + 1), (512, 200), (4000, 33)])
+def test_linear_block_passes_write_the_per_sample_bytes(tmp_path, n_r,
+                                                        samples):
+    # a block holds _LINEAR_BLOCK // n_r samples, so these counts end
+    # inside, on and past the first block's edge, and 4000 nodes take
+    # few samples per block
+    out = tmp_path / "out"
+    cfg = cli.validate_config({
+        "run.kind": "linear", "alpha": 0.05, "delta": 400.0,
+        "initial.kind": "indicator", "initial.center": 1.5,
+        "grid.n_r": n_r, "grid.n_theta": 64, "time.sample_count": samples,
+        "output.dir": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = cli.run(cfg)
+        want = _linear_growth_one_sample_at_a_time(cfg)
+    assert manifest["checks"]["closed_form"].startswith("pass")
+    with open(os.path.join(str(out), "growth.csv"), encoding="utf-8",
+              newline="") as fh:
+        assert fh.read() == want
+
+
+def test_linear_run_memory_does_not_grow_with_samples_times_nodes(tmp_path):
+    # one (4096, 4096) array of the rows would add 128 MiB to the 41 MiB
+    # that the grid field and its check take
+    cfg = cli.validate_config({
+        "run.kind": "linear", "grid.n_r": 4096, "time.sample_count": 4096,
+        "output.dir": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            manifest = cli.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert manifest["checks"]["closed_form"].startswith("pass")
+    assert peak < 64 * 2 ** 20
 
 
 def test_rerun_is_byte_identical(tmp_path):
