@@ -8,11 +8,13 @@ version, wall time, per-check summary, and a sha256 digest of every
 emitted file, so identical config and code give byte-identical output.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure, a solver's
-ValueError or a MemoryError (the manifest names the failing stage), 4 a
+ValueError, a MemoryError, a sweep worker that died or an output file
+that could not be written (the manifest names the failing stage), 4 a
 verify subcommand found a failing check.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalError, RieszlabError
+from .errors import ConfigError, NumericalError, RieszlabError, WriteError
 from .grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
@@ -283,11 +285,23 @@ def build_profile(config, rgrid):
                           "initial.table_path")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """path opened for writing text; an OSError while it is open, written
+    or closed (a full disk, a revoked permission) is a WriteError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise WriteError("cannot write %s: %s"
+                         % (path, exc.strerror or exc)) from exc
+
+
 def _write_csv(path, header, keys, rows):
     """The header, then per key (a sample time or an alpha) key and row,
     one %.17g field per column of the header."""
     line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path) as fh:
         fh.write(header + "\n")
         # Python floats, which % formats faster than numpy scalars
         for key, row in zip(np.asarray(keys).tolist(),
@@ -341,7 +355,8 @@ def _run_model(config, out_dir, manifest):
         z = (times / alpha)[:, None] * L0
     profile = model_mod.similarity_profile(float(z[-1, -1]))
     manifest["stats"] = {"z_max": profile.z_max,
-                         "profile_steps": profile.steps}
+                         "profile_steps": profile.steps,
+                         "profile_steps_marched": profile.marched}
     A = profile.phi(z)
     # both norms are exact in the angle, so no angular grid is sampled:
     # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
@@ -480,6 +495,7 @@ def _sweep_member(args):
 
 def _run_sweep(config, out_dir, manifest):
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     jobs = []
     for alpha in config.alphas:
         member = validate_config(dict(config.values, alpha=alpha, **{
@@ -492,8 +508,23 @@ def _run_sweep(config, out_dir, manifest):
     # each importing scipy.linalg on its own. Under spawn or forkserver a
     # worker imports rieszlab afresh and binds LAPACK on its first solve
     lapack_tridiagonal()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_sweep_member, jobs))
+    futures = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for job in jobs:
+                futures.append(pool.submit(_sweep_member, job))
+            results = [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        # a worker that dies (a signal, the OOM killer) fails every member
+        # not yet finished, its own among them: named alone when only it was
+        finished = {future.result()[0] for future in futures
+                    if future.exception() is None}
+        lost = ["%g" % alpha for _, alpha, _ in jobs
+                if alpha not in finished]
+        raise NumericalError("a sweep worker died before member%s alpha=%s "
+                             "finished: %s" % ("s" * (len(lost) > 1),
+                                               ", ".join(lost), exc),
+                             stage="sweep") from exc
     paths = []
     for alpha, peak, member_paths, err in results:
         paths.extend(member_paths)
@@ -553,8 +584,7 @@ def _execute(config, body):
         raise
     finally:
         manifest["wall_time_s"] = time.perf_counter() - t0
-        with open(os.path.join(out_dir, "manifest.json"), "w",
-                  encoding="utf-8") as fh:
+        with _writing(os.path.join(out_dir, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return manifest

@@ -2,7 +2,7 @@
 
 Precondition violations in library calls raise plain ValueError.
 The classes here mark failures the command line maps to exit codes:
-ConfigError -> 2, NumericalError and subclasses -> 3.
+ConfigError -> 2, NumericalError and subclasses and WriteError -> 3.
 """
 
 
@@ -20,6 +20,12 @@ class NumericalError(RieszlabError):
     def __init__(self, message, stage=""):
         super().__init__(message)
         self.stage = stage
+
+
+class WriteError(RieszlabError):
+    """An output file could not be written once output.dir existed."""
+
+    stage = "write"
 
 
 class SupportEscapeError(NumericalError):

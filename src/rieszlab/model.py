@@ -192,16 +192,17 @@ def check_sandwich(state):
 
 class SimilarityProfile:
     """phi and w = z phi' on s = log z at s0 + k h, k = 0..steps, with
-    their slopes in s: phi_s = w and w_s = z K(phi). Below z0 both come
-    from the series phi = z + a z^2 + b z^3 the table starts on."""
+    their slopes in s: phi_s = w and w_s = z K(phi), as read-only arrays.
+    Below z0 both come from the series phi = z + a z^2 + b z^3 the table
+    starts on. marched counts the RK4 steps the call that made it took."""
 
-    def __init__(self, z_max, h, series, phi, w, dw):
+    def __init__(self, z_max, h, series, table, marched):
         self.z_max = z_max
         self.h = h
         self.a, self.b = series
-        self.steps = len(phi) - 1
-        self._phi, self._w, self._dw = (np.array(phi), np.array(w),
-                                        np.array(dw))
+        self._phi, self._w, self._dw = table
+        self.steps = len(self._phi) - 1
+        self.marched = marched
 
     def _hermite(self, z, values, slopes):
         """Cubic Hermite interpolation in s of a table and its s-slopes,
@@ -237,6 +238,43 @@ def _sech2_half_float(p):
     return 4.0 * b / (1.0 + b) ** 2
 
 
+# the production kernel's table of (phi, w, w_s) per step in s, each a
+# read-only float64 array, made on the first call that needs it and
+# extended by later ones; a finite z_max takes fewer than 71700 steps,
+# so a table holds at most about 1.7 MB
+_TABLES = {}
+
+
+def _march(K, h, start, first, last):
+    """Table entries first + 1 .. last by classical RK4 in s = log z, from
+    entry first, whose (phi, w, w_s) is start, as Python floats; returns
+    the three new columns as lists. Entry k sits at z = exp(log z0 + k h),
+    but entry 0 at z0 itself, so the entries do not depend on where a
+    march starts."""
+    s = math.log(PROFILE_Z0)
+    z = PROFILE_Z0 if first == 0 else math.exp(s + first * h)
+    p, w, dw = start
+    phi, ws, dws = [], [], []
+    grow = math.exp(0.5 * h)
+    for k in range(first + 1, last + 1):
+        zm, zn = z * grow, math.exp(s + k * h)
+        k1p, k1w = w, dw
+        k2p = w + 0.5 * h * k1w
+        k2w = zm * K(p + 0.5 * h * k1p)
+        k3p = w + 0.5 * h * k2w
+        k3w = zm * K(p + 0.5 * h * k2p)
+        k4p = w + h * k3w
+        k4w = zn * K(p + h * k3p)
+        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        w += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        z = zn
+        dw = z * K(p)
+        phi.append(p)
+        ws.append(w)
+        dws.append(dw)
+    return phi, ws, dws
+
+
 def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
     """Tabulate phi, with A(t, R) = phi(t L(f0)(R) / alpha) (module
     docstring), from z0 to at least z_max.
@@ -248,10 +286,16 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
     9 b = K'(0) a + K''(0) / 2 (K(0) = 1), which for the production
     kernel is z - z^3/36, w = z - z^3/12. The derivatives of an override
     `kernel` are taken by one-sided differences at 1e-4. For K = e^-a,
-    phi = 2 log(1 + z/2), whose value closed_form_L gives."""
+    phi = 2 log(1 + z/2), whose value closed_form_L gives.
+
+    The production kernel's table is kept per step for the process and
+    marched on only past its last entry: the entries up to any z_max are
+    the same floats whichever calls came before."""
     if not 0.0 <= z_max <= np.finfo(float).max:
         raise ValueError("the profile needs a finite z_max >= 0, got %g"
                          % z_max)
+    if not step > 0.0:
+        raise ValueError("the profile needs a step > 0, got %g" % step)
     if kernel is None:
         K, k1, k2 = _sech2_half_float, 0.0, -0.25
     else:
@@ -263,28 +307,28 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
         k2 = (k2d - 2.0 * kd + k0) / (2.0 * d * d)
     a = 0.25 * k1
     b = (k1 * a + k2) / 9.0
-    s, z, h = math.log(PROFILE_Z0), PROFILE_Z0, step
-    steps = math.ceil((math.log(z_max) - s) / h) if z_max > z else 1
-    p = z * (1.0 + z * (a + z * b))
-    w = z * (1.0 + z * (2.0 * a + z * 3.0 * b))
-    phi, ws, dws = [p], [w], [z * K(p)]
-    grow = math.exp(0.5 * h)
-    for k in range(1, steps + 1):
-        zm, zn = z * grow, math.exp(s + k * h)
-        k1p, k1w = w, dws[-1]
-        k2p = w + 0.5 * h * k1w
-        k2w = zm * K(p + 0.5 * h * k1p)
-        k3p = w + 0.5 * h * k2w
-        k3w = zm * K(p + 0.5 * h * k2p)
-        k4p = w + h * k3w
-        k4w = zn * K(p + h * k3p)
-        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        w += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        z = zn
-        phi.append(p)
-        ws.append(w)
-        dws.append(z * K(p))
-    return SimilarityProfile(z_max, h, (a, b), phi, ws, dws)
+    z, h = PROFILE_Z0, step
+    steps = math.ceil((math.log(z_max) - math.log(z)) / h) if z_max > z else 1
+    table = _TABLES.get(h) if kernel is None else None
+    if table is None:
+        p = z * (1.0 + z * (a + z * b))
+        w = z * (1.0 + z * (2.0 * a + z * 3.0 * b))
+        table = tuple(np.array([x]) for x in (p, w, z * K(p)))
+    marched = max(0, steps + 1 - len(table[0]))
+    if marched:
+        new = _march(K, h, [float(column[-1]) for column in table],
+                     len(table[0]) - 1, steps)
+        table = tuple(np.concatenate((column, more))
+                      for column, more in zip(table, new))
+        for column in table:
+            column.flags.writeable = False
+    if kernel is None:
+        # committed whole, after the march: an error or an interrupt
+        # inside it leaves the kept table as it was
+        _TABLES[h] = table
+    return SimilarityProfile(z_max, h, (a, b),
+                             tuple(column[:steps + 1] for column in table),
+                             marched)
 
 
 def default_horizon(alpha, horizon_factor=0.1):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -432,6 +433,89 @@ def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     assert alpha == 0.4 and np.isnan(peak) and files == []
     assert type(err) is MemoryError
     assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
+
+
+@pytest.mark.parametrize("alphas, lost", [
+    ("0.4", "member alpha=0.4"), ("0.4,0.2", "members alpha=0.4, 0.2")])
+def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capfd,
+                                                 monkeypatch, alphas, lost):
+    # a worker killed mid-member (a signal, the OOM killer) fails the sweep
+    # at stage sweep and names the members it left unfinished; the forked
+    # workers inherit the patched body, and the parent never calls it
+    parent = os.getpid()
+
+    def killed(config, out_dir, manifest):
+        if os.getpid() != parent:
+            os._exit(9)
+        raise AssertionError("the sweep parent ran a member")
+
+    monkeypatch.setattr(cli, "_run_remainder", killed)
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, (
+        "run.kind = sweep\nrun.alphas = %s\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (alphas, out)))
+    assert cli.main(["run", path]) == 3
+    err = capfd.readouterr().err
+    assert ("numerical failure (sweep): a sweep worker died before "
+            + lost) in err
+    assert "Traceback" not in err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "NumericalError" and error["stage"] == "sweep"
+    assert lost in error["message"]
+
+
+def failing_open(monkeypatch, suffix):
+    """Make cli's open fail with a full disk on paths ending in suffix."""
+    real = open
+
+    def fake(path, *args, **kwargs):
+        if str(path).endswith(suffix):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake, raising=False)
+
+
+@pytest.mark.parametrize("kind, stage_of", [
+    ("model", ""), ("sweep", "sweep member alpha=0.4 failed: ")])
+def test_csv_write_failure_exits_3_with_manifest(tmp_path, capfd,
+                                                 monkeypatch, kind, stage_of):
+    # a CSV that cannot be written once output.dir exists stops the run at
+    # stage write, in a run and in a sweep member, whose forked worker
+    # inherits the failing open; the manifest still records it
+    failing_open(monkeypatch, ".csv")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "run.kind = %s\nrun.alphas = 0.4\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+        "time.sample_count = 4\noutput.dir = %s\n" % (kind, out)))
+    assert cli.main(["run", path]) == 3
+    csv = out / "alpha_0.4" / "growth.csv" if kind == "sweep" else (
+        out / "growth.csv")
+    message = "%scannot write %s: No space left on device" % (stage_of, csv)
+    err = capfd.readouterr().err
+    assert "numerical failure (write): " + message in err
+    assert "Traceback" not in err
+    assert load_manifest(out)["error"] == {
+        "type": "NumericalError" if kind == "sweep" else "WriteError",
+        "message": message, "stage": "write"}
+    assert not csv.exists()
+
+
+def test_manifest_write_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # with no manifest to record it in, stderr names the stage and file
+    failing_open(monkeypatch, "manifest.json")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, (
+        "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+        "output.dir = %s\n" % out))
+    assert cli.main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert ("numerical failure (write): cannot write %s: No space left on "
+            "device" % (out / "manifest.json")) in err
+    assert "Traceback" not in err
+    assert (out / "growth.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_interrupted_run_records_the_interrupt_in_its_manifest(tmp_path,
@@ -896,9 +980,12 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
         assert on_disk["stats"] == manifest["stats"]
         stats[kind] = got = on_disk["stats"]
         if kind == "model":
-            assert sorted(got) == ["profile_steps", "z_max"]
+            assert sorted(got) == ["profile_steps", "profile_steps_marched",
+                                   "z_max"]
             # z_max = T max L(f0) / alpha, and the table takes steps of
-            # 0.01 in log z from 1e-3 to it
+            # 0.01 in log z from 1e-3 to it, of which this run marched
+            # those past the process's table
+            assert 0 <= got["profile_steps_marched"] <= got["profile_steps"]
             f0 = cli.build_profile(config, cli.build_grids(config)[0])
             L0max = float(np.max(profile_tail(f0).values))
             T = 0.1 * 0.3 * abs(np.log(0.3))

@@ -197,13 +197,13 @@ def test_default_step_solves_once_per_tendency(monkeypatch):
         assert calls == {"rhs_full": 8, "solve_full": 8}
     # a tendency takes the radial derivatives of psi, omega and d_theta psi
     # once each, and R^2 d_R^2 psi reuses psi's
-    gradients = {"gradient": 0}
+    gradients = {"r_ddr": 0}
     with monkeypatch.context() as patch:
-        count_calls(patch, gradients, np)
+        count_calls(patch, gradients)
         rhs_full(state)
-        assert gradients == {"gradient": 3}
+        assert gradients == {"r_ddr": 3}
         rhs_full(state, include_forcing=False)
-        assert gradients == {"gradient": 5}
+        assert gradients == {"r_ddr": 5}
 
 
 def test_remainder_study_solves_once_per_tendency(monkeypatch):

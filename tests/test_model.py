@@ -381,6 +381,103 @@ def test_profile_derivative_against_closed_form_and_differences():
     assert profile.phi(0.0) == 0.0 and profile.dphi(0.0) == 1.0
 
 
+PROFILE_REACHES = (5e-4, 0.5, 25.3, 44.4, 83.0, 1e4)
+
+
+def fresh_profile(monkeypatch, z_max):
+    """The production profile tabulated from an empty table."""
+    monkeypatch.setattr(m, "_TABLES", {})
+    return m.similarity_profile(z_max)
+
+
+def assert_same_table(got, want):
+    assert got.steps == want.steps
+    for a, b in ((got._phi, want._phi), (got._w, want._w),
+                 (got._dw, want._dw)):
+        assert a.shape == (got.steps + 1,) and np.array_equal(a, b)
+
+
+def test_profile_table_is_kept_and_extended_bit_for_bit(monkeypatch):
+    # the process keeps one table and marches it on only past its last
+    # entry, so every reach reads the floats of a fresh tabulation, in
+    # ascending then descending order, and a warm call marches nothing
+    fresh = {z: fresh_profile(monkeypatch, z) for z in PROFILE_REACHES}
+    for z, profile in fresh.items():
+        assert profile.marched == profile.steps
+    monkeypatch.setattr(m, "_TABLES", {})
+    reached = 0
+    for z in PROFILE_REACHES + PROFILE_REACHES[::-1]:
+        profile = m.similarity_profile(z)
+        assert_same_table(profile, fresh[z])
+        assert profile.marched == max(0, profile.steps - reached)
+        reached = max(reached, profile.steps)
+        for column in (profile._phi, profile._w, profile._dw):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+    assert len(m._TABLES[m.PROFILE_STEP][0]) == reached + 1
+    # one step per call starts a march at every entry, where one ulp off
+    # in an entry's z or slope shows in the floats that follow
+    monkeypatch.setattr(m, "_TABLES", {})
+    for k in range(1, fresh[1e4].steps + 1):
+        profile = m.similarity_profile(np.exp(np.log(1e-3) + (k - 0.5) * 0.01))
+        assert profile.marched == 1
+    assert_same_table(profile, fresh[1e4])
+
+
+def test_profile_kernel_override_leaves_the_table_alone(monkeypatch):
+    monkeypatch.setattr(m, "_TABLES", {})
+    kept = m.similarity_profile(2.0)
+    columns = m._TABLES[m.PROFILE_STEP]
+    for step in (m.PROFILE_STEP, 0.2):
+        profile = m.similarity_profile(
+            1e4, kernel=lambda a: np.exp(-np.asarray(a)), step=step)
+        assert profile.marched == profile.steps
+    assert list(m._TABLES) == [m.PROFILE_STEP]
+    assert m._TABLES[m.PROFILE_STEP] is columns
+    assert_same_table(m.similarity_profile(2.0), kept)
+
+
+def test_profile_interrupted_mid_extension_keeps_the_table(monkeypatch):
+    # an interrupt inside the march commits none of it: the three columns
+    # keep their length, and the next call still reads fresh floats
+    want = fresh_profile(monkeypatch, 1e4)
+    monkeypatch.setattr(m, "_TABLES", {})
+    m.similarity_profile(0.5)
+    before = m._TABLES[m.PROFILE_STEP]
+    calls = []
+    kernel = m._sech2_half_float
+
+    def interrupted(p):
+        calls.append(p)
+        if len(calls) > 100:
+            raise KeyboardInterrupt("stopped")
+        return kernel(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "_sech2_half_float", interrupted)
+        with pytest.raises(KeyboardInterrupt, match="stopped"):
+            m.similarity_profile(1e4)
+    assert m._TABLES[m.PROFILE_STEP] is before
+    assert len({len(column) for column in before}) == 1
+    assert_same_table(m.similarity_profile(1e4), want)
+
+
+def test_model_runs_share_the_table_and_keep_their_csvs(tmp_path,
+                                                        monkeypatch):
+    # a model run after one that reached further marches nothing, and
+    # writes the growth.csv of a run in a fresh process
+    monkeypatch.setattr(m, "_TABLES", {})
+    _, far = growth_run(tmp_path / "far", 0.05, 9)
+    _, warm = growth_run(tmp_path / "warm", 0.4, 9)
+    monkeypatch.setattr(m, "_TABLES", {})
+    _, cold = growth_run(tmp_path / "cold", 0.4, 9)
+    assert far["profile_steps_marched"] == far["profile_steps"]
+    assert warm["z_max"] < far["z_max"] and warm["profile_steps_marched"] == 0
+    assert cold["profile_steps_marched"] == cold["profile_steps"]
+    assert ((tmp_path / "warm" / "growth.csv").read_bytes()
+            == (tmp_path / "cold" / "growth.csv").read_bytes())
+
+
 def test_march_converges_to_the_profile_under_radial_refinement():
     # the march's sup-norm growth over the horizon approaches the
     # profile's at second order in the radial grid: at alpha = 0.05 on
