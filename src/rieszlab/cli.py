@@ -573,6 +573,13 @@ def _execute(config, body):
     manifest = {"config": config.values, "version": __version__,
                 "wall_time_s": 0.0, "checks": {}, "files": {}, "error": None}
     t0 = time.perf_counter()
+
+    def write_manifest():
+        manifest["wall_time_s"] = time.perf_counter() - t0
+        with _writing(os.path.join(out_dir, "manifest.json")) as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
     try:
         for path in body(config, out_dir, manifest):
             manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
@@ -581,12 +588,13 @@ def _execute(config, body):
         # unchanged; main maps ConfigError and _RUN_FAILURES to exit codes
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "stage": getattr(exc, "stage", "")}
+        try:
+            write_manifest()
+        except WriteError as lost:
+            # the run's own failure keeps its exit code and message
+            print("numerical failure (write): %s" % lost, file=sys.stderr)
         raise
-    finally:
-        manifest["wall_time_s"] = time.perf_counter() - t0
-        with _writing(os.path.join(out_dir, "manifest.json")) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_manifest()
     return manifest
 
 

@@ -160,17 +160,8 @@ def project_mode(field, n, parity):
 
 def r_ddr(values, rgrid):
     """R dF/dR = dF/dx along the leading (radial) axis of a geometric
-    grid, second order on the uniform log grid, with no division by R.
-    np.gradient(values, rgrid.log_step, axis=0, edge_order=2)'s
-    arithmetic, and so its floats, without its general-spacing set-up."""
-    v = np.asarray(values, dtype=float)
-    h = rgrid.log_step
-    out = np.empty_like(v)
-    mid = np.subtract(v[2:], v[:-2], out=out[1:-1])
-    mid /= 2.0 * h
-    out[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
-    out[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
-    return out
+    grid, second order on the uniform log grid, with no division by R."""
+    return np.gradient(values, rgrid.log_step, axis=0, edge_order=2)
 
 
 def d2_dx2(values, rgrid):

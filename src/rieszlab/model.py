@@ -238,11 +238,11 @@ def _sech2_half_float(p):
     return 4.0 * b / (1.0 + b) ** 2
 
 
-# the production kernel's table of (phi, w, w_s) per step in s, each a
-# read-only float64 array, made on the first call that needs it and
-# extended by later ones; a finite z_max takes fewer than 71700 steps,
-# so a table holds at most about 1.7 MB
-_TABLES = {}
+# the production kernel's (phi, w, w_s) at PROFILE_STEP, read-only
+# float64 arrays made by the first call that needs them and extended by
+# later ones; a finite z_max takes fewer than 71700 steps, so the table
+# holds at most about 1.7 MB. Other steps and kernels are not kept
+_table = None
 
 
 def _march(K, h, start, first, last):
@@ -288,9 +288,10 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
     `kernel` are taken by one-sided differences at 1e-4. For K = e^-a,
     phi = 2 log(1 + z/2), whose value closed_form_L gives.
 
-    The production kernel's table is kept per step for the process and
-    marched on only past its last entry: the entries up to any z_max are
-    the same floats whichever calls came before."""
+    The production kernel's table at PROFILE_STEP is kept for the process
+    and marched on only past its last entry: the entries up to any z_max
+    are the same floats whichever calls came before."""
+    global _table
     if not 0.0 <= z_max <= np.finfo(float).max:
         raise ValueError("the profile needs a finite z_max >= 0, got %g"
                          % z_max)
@@ -309,7 +310,8 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
     b = (k1 * a + k2) / 9.0
     z, h = PROFILE_Z0, step
     steps = math.ceil((math.log(z_max) - math.log(z)) / h) if z_max > z else 1
-    table = _TABLES.get(h) if kernel is None else None
+    kept = kernel is None and h == PROFILE_STEP
+    table = _table if kept else None
     if table is None:
         p = z * (1.0 + z * (a + z * b))
         w = z * (1.0 + z * (2.0 * a + z * 3.0 * b))
@@ -322,10 +324,10 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
                       for column, more in zip(table, new))
         for column in table:
             column.flags.writeable = False
-    if kernel is None:
+    if kept:
         # committed whole, after the march: an error or an interrupt
         # inside it leaves the kept table as it was
-        _TABLES[h] = table
+        _table = table
     return SimilarityProfile(z_max, h, (a, b),
                              tuple(column[:steps + 1] for column in table),
                              marched)

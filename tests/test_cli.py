@@ -1,5 +1,7 @@
+import concurrent.futures
 import errno
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -435,13 +439,68 @@ def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
 
 
+class InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs each job as it is
+    submitted, in this process, so monkeypatched code runs in the sweep's
+    members whatever the start method."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def sweep_config(tmp_path, alphas, out):
+    return write_config(tmp_path, (
+        "run.kind = sweep\nrun.alphas = %s\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (alphas, out)))
+
+
+def assert_dead_worker_exit(err, out, lost):
+    assert ("numerical failure (sweep): a sweep worker died before "
+            + lost) in err
+    assert "Traceback" not in err
+    error = load_manifest(out)["error"]
+    assert error["type"] == "NumericalError" and error["stage"] == "sweep"
+    assert lost in error["message"]
+
+
 @pytest.mark.parametrize("alphas, lost", [
     ("0.4", "member alpha=0.4"), ("0.4,0.2", "members alpha=0.4, 0.2")])
-def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capfd,
+def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capsys,
                                                  monkeypatch, alphas, lost):
-    # a worker killed mid-member (a signal, the OOM killer) fails the sweep
-    # at stage sweep and names the members it left unfinished; the forked
-    # workers inherit the patched body, and the parent never calls it
+    # a worker that dies (a signal, the OOM killer) breaks the pool, and
+    # every member not yet finished reads BrokenProcessPool: the sweep
+    # fails at stage sweep and names them. The members run in-process
+    def broken(config, out_dir, manifest):
+        raise BrokenProcessPool("a worker was terminated abruptly")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool, raising=False)
+    monkeypatch.setattr(cli, "_run_remainder", broken)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, alphas, out)]) == 3
+    assert_dead_worker_exit(capsys.readouterr().err, out, lost)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched body")
+def test_killed_sweep_worker_exits_3_with_manifest(tmp_path, capfd,
+                                                   monkeypatch):
+    # a worker process really killed mid-member takes the same exit
     parent = os.getpid()
 
     def killed(config, out_dir, manifest):
@@ -451,18 +510,8 @@ def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capfd,
 
     monkeypatch.setattr(cli, "_run_remainder", killed)
     out = tmp_path / "sweep"
-    path = write_config(tmp_path, (
-        "run.kind = sweep\nrun.alphas = %s\ngrid.n_r = 64\n"
-        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
-        % (alphas, out)))
-    assert cli.main(["run", path]) == 3
-    err = capfd.readouterr().err
-    assert ("numerical failure (sweep): a sweep worker died before "
-            + lost) in err
-    assert "Traceback" not in err
-    error = load_manifest(out)["error"]
-    assert error["type"] == "NumericalError" and error["stage"] == "sweep"
-    assert lost in error["message"]
+    assert cli.main(["run", sweep_config(tmp_path, "0.4", out)]) == 3
+    assert_dead_worker_exit(capfd.readouterr().err, out, "member alpha=0.4")
 
 
 def failing_open(monkeypatch, suffix):
@@ -479,12 +528,14 @@ def failing_open(monkeypatch, suffix):
 
 @pytest.mark.parametrize("kind, stage_of", [
     ("model", ""), ("sweep", "sweep member alpha=0.4 failed: ")])
-def test_csv_write_failure_exits_3_with_manifest(tmp_path, capfd,
+def test_csv_write_failure_exits_3_with_manifest(tmp_path, capsys,
                                                  monkeypatch, kind, stage_of):
     # a CSV that cannot be written once output.dir exists stops the run at
-    # stage write, in a run and in a sweep member, whose forked worker
-    # inherits the failing open; the manifest still records it
+    # stage write, in a run and in a sweep member, here run in-process;
+    # the manifest still records it
     failing_open(monkeypatch, ".csv")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool, raising=False)
     out = tmp_path / "out"
     path = write_config(tmp_path, (
         "run.kind = %s\nrun.alphas = 0.4\ngrid.n_r = 64\ngrid.n_theta = 16\n"
@@ -493,7 +544,7 @@ def test_csv_write_failure_exits_3_with_manifest(tmp_path, capfd,
     csv = out / "alpha_0.4" / "growth.csv" if kind == "sweep" else (
         out / "growth.csv")
     message = "%scannot write %s: No space left on device" % (stage_of, csv)
-    err = capfd.readouterr().err
+    err = capsys.readouterr().err
     assert "numerical failure (write): " + message in err
     assert "Traceback" not in err
     assert load_manifest(out)["error"] == {
@@ -516,6 +567,19 @@ def test_manifest_write_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
     assert (out / "growth.csv").exists()
     assert not (out / "manifest.json").exists()
+
+    # a run that fails on its own keeps its exit code and message, and
+    # stderr names the manifest it could not write as well
+    def body(config, out_dir, manifest):
+        raise ConfigError("a bad initial table")
+
+    monkeypatch.setitem(cli._BODIES, "model", body)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: a bad initial table" in err
+    assert ("numerical failure (write): cannot write %s: No space left on "
+            "device" % (out / "manifest.json")) in err
+    assert "Traceback" not in err
 
 
 def test_interrupted_run_records_the_interrupt_in_its_manifest(tmp_path,

@@ -141,18 +141,6 @@ def test_radial_derivatives_power_law():
     assert np.allclose(d2[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-4)
 
 
-@pytest.mark.parametrize("shape", [(512, 128), (256, 64), (64, 8),
-                                   (2048, 512), (8, 4), (512,)])
-def test_r_ddr_is_numpy_gradient_bit_for_bit(shape):
-    # the slices take np.gradient's second-order steps, ends included, so
-    # every tendency keeps its floats; values span 40 orders of magnitude
-    rng = np.random.default_rng(7)
-    g = build_radial_grid(8e-3, 8.0, shape[0])
-    v = rng.standard_normal(shape) * np.exp(rng.uniform(-46.0, 46.0, shape))
-    want = np.gradient(v, g.log_step, axis=0, edge_order=2)
-    assert np.array_equal(r_ddr(v, g), want)
-
-
 def test_radial_grid_log_step_is_the_uniform_step_in_log_r():
     geo = build_radial_grid(0.5, 8.0, 65)
     assert geo.log_step == pytest.approx(np.log(16.0) / 64.0, rel=1e-14)

@@ -386,7 +386,7 @@ PROFILE_REACHES = (5e-4, 0.5, 25.3, 44.4, 83.0, 1e4)
 
 def fresh_profile(monkeypatch, z_max):
     """The production profile tabulated from an empty table."""
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     return m.similarity_profile(z_max)
 
 
@@ -404,7 +404,7 @@ def test_profile_table_is_kept_and_extended_bit_for_bit(monkeypatch):
     fresh = {z: fresh_profile(monkeypatch, z) for z in PROFILE_REACHES}
     for z, profile in fresh.items():
         assert profile.marched == profile.steps
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     reached = 0
     for z in PROFILE_REACHES + PROFILE_REACHES[::-1]:
         profile = m.similarity_profile(z)
@@ -414,10 +414,10 @@ def test_profile_table_is_kept_and_extended_bit_for_bit(monkeypatch):
         for column in (profile._phi, profile._w, profile._dw):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0.0
-    assert len(m._TABLES[m.PROFILE_STEP][0]) == reached + 1
+    assert len(m._table[0]) == reached + 1
     # one step per call starts a march at every entry, where one ulp off
     # in an entry's z or slope shows in the floats that follow
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     for k in range(1, fresh[1e4].steps + 1):
         profile = m.similarity_profile(np.exp(np.log(1e-3) + (k - 0.5) * 0.01))
         assert profile.marched == 1
@@ -425,15 +425,17 @@ def test_profile_table_is_kept_and_extended_bit_for_bit(monkeypatch):
 
 
 def test_profile_kernel_override_leaves_the_table_alone(monkeypatch):
-    monkeypatch.setattr(m, "_TABLES", {})
+    # only the production kernel at PROFILE_STEP is kept: an override
+    # kernel, or another step, tabulates afresh and keeps nothing
+    monkeypatch.setattr(m, "_table", None)
     kept = m.similarity_profile(2.0)
-    columns = m._TABLES[m.PROFILE_STEP]
-    for step in (m.PROFILE_STEP, 0.2):
-        profile = m.similarity_profile(
-            1e4, kernel=lambda a: np.exp(-np.asarray(a)), step=step)
+    columns = m._table
+    for kernel, step in ((lambda a: np.exp(-np.asarray(a)), m.PROFILE_STEP),
+                         (lambda a: np.exp(-np.asarray(a)), 0.2),
+                         (None, 0.2), (None, 0.005)):
+        profile = m.similarity_profile(1e4, kernel=kernel, step=step)
         assert profile.marched == profile.steps
-    assert list(m._TABLES) == [m.PROFILE_STEP]
-    assert m._TABLES[m.PROFILE_STEP] is columns
+        assert m._table is columns
     assert_same_table(m.similarity_profile(2.0), kept)
 
 
@@ -441,9 +443,9 @@ def test_profile_interrupted_mid_extension_keeps_the_table(monkeypatch):
     # an interrupt inside the march commits none of it: the three columns
     # keep their length, and the next call still reads fresh floats
     want = fresh_profile(monkeypatch, 1e4)
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     m.similarity_profile(0.5)
-    before = m._TABLES[m.PROFILE_STEP]
+    before = m._table
     calls = []
     kernel = m._sech2_half_float
 
@@ -457,7 +459,7 @@ def test_profile_interrupted_mid_extension_keeps_the_table(monkeypatch):
         patch.setattr(m, "_sech2_half_float", interrupted)
         with pytest.raises(KeyboardInterrupt, match="stopped"):
             m.similarity_profile(1e4)
-    assert m._TABLES[m.PROFILE_STEP] is before
+    assert m._table is before
     assert len({len(column) for column in before}) == 1
     assert_same_table(m.similarity_profile(1e4), want)
 
@@ -466,10 +468,10 @@ def test_model_runs_share_the_table_and_keep_their_csvs(tmp_path,
                                                         monkeypatch):
     # a model run after one that reached further marches nothing, and
     # writes the growth.csv of a run in a fresh process
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     _, far = growth_run(tmp_path / "far", 0.05, 9)
     _, warm = growth_run(tmp_path / "warm", 0.4, 9)
-    monkeypatch.setattr(m, "_TABLES", {})
+    monkeypatch.setattr(m, "_table", None)
     _, cold = growth_run(tmp_path / "cold", 0.4, 9)
     assert far["profile_steps_marched"] == far["profile_steps"]
     assert warm["z_max"] < far["z_max"] and warm["profile_steps_marched"] == 0
