@@ -51,8 +51,12 @@ _POSITIVE = ("(", 0.0, math.inf, ")")
 # the entries of one (samples, n_r) array of a linear run's rows, so that
 # its memory does not grow with time.sample_count * grid.n_r. Blocks of
 # 8192 and 32768 entries run equally fast, but 32768 raised a growth
-# pass's peak RSS by 0.4 MB over one sample at a time, and 8192 does not
+# pass's peak RSS by 0.4 MB over one sample at a time, and 8192 does not.
+# The same for a model run's (samples, distinct L0) arrays, whose l2
+# column's products are not bitwise stable when their rows are split, so
+# one block holds the default and benchmark runs whole
 _LINEAR_BLOCK = 8192
+_MODEL_BLOCK = 1 << 18
 
 # what stops a started run with exit 3: a numerical failure, a solver
 # precondition that validation missed, or an allocation that fails
@@ -349,32 +353,39 @@ def _run_model(config, out_dir, manifest):
     weights[1:] += half_widths
     f0_max = np.zeros(L0.size)
     np.maximum.at(f0_max, group, f0.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a z past the float range, from a huge horizon over a tiny alpha,
-        # is refused by similarity_profile as a numerical failure
-        z = (times / alpha)[:, None] * L0
-    profile = model_mod.similarity_profile(float(z[-1, -1]))
-    manifest["stats"] = {"z_max": profile.z_max,
-                         "profile_steps": profile.steps,
-                         "profile_steps_marched": profile.marched}
-    A = profile.phi(z)
+    j = group[support_edge_index(f0)]
     # both norms are exact in the angle, so no angular grid is sampled:
     # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
     # theta turns the angular integral of f_t^2 into a rational one,
     # pi f0^2 K(A); f_t is odd in theta, so the cross term with A/2
     # vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2/2) dR.
-    # Squares past the float range give an inf or nan l2 for finite_norms
+    # Squares past the float range give an inf or nan l2 for finite_norms,
+    # and the run's largest z past it (a huge horizon over a tiny alpha)
+    # is refused by similarity_profile as a numerical failure
     with np.errstate(over="ignore", invalid="ignore"):
+        z_max = float((times[-1] / alpha) * L0[-1])
         f0_sq = np.bincount(group, weights * f0.values * f0.values)
-        l2 = np.sqrt(np.pi * (kernel_values(A) @ f0_sq
-                              + 0.5 * (A * A) @ np.bincount(group, weights)))
-    j = group[support_edge_index(f0)]
-    rows = np.column_stack((np.max(f0_max + 0.5 * A, axis=1), l2,
-                            L0[j] * profile.dphi(z[:, j]),
-                            np.max(A, axis=1)))
-    lower, upper = model_mod.sandwich_bounds(alpha, times[:, None], L0)
-    violated = model_mod.SandwichReport(lower, alpha * A, upper).violated
-    violations = int(np.sum(violated * counts))
+    w_sum = np.bincount(group, weights)
+    profile = model_mod.similarity_profile(z_max)
+    manifest["stats"] = {"z_max": profile.z_max,
+                         "profile_steps": profile.steps,
+                         "profile_steps_marched": profile.marched}
+    rows = np.empty((times.size, 4))
+    violations = 0
+    size = max(1, _MODEL_BLOCK // L0.size)
+    for start in range(0, times.size, size):
+        t = times[start:start + size, None]
+        z = (t / alpha) * L0
+        A = profile.phi(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = np.sqrt(np.pi * (kernel_values(A) @ f0_sq
+                                  + 0.5 * (A * A) @ w_sum))
+        rows[start:start + size] = np.column_stack((
+            np.max(f0_max + 0.5 * A, axis=1), l2,
+            L0[j] * profile.dphi(z[:, j]), np.max(A, axis=1)))
+        lower, upper = model_mod.sandwich_bounds(alpha, t, L0)
+        violated = model_mod.SandwichReport(lower, alpha * A, upper).violated
+        violations += int(np.sum(violated * counts))
     manifest["checks"]["sandwich"] = (
         "pass" if violations == 0 else "fail: %d node-times" % violations)
     return [_write_growth(out_dir, manifest, times, rows)]
@@ -481,16 +492,13 @@ def _run_full(config, out_dir, manifest):
 
 def _sweep_member(args):
     """One sweep alpha in a worker process; args is (member config, alpha,
-    member output dir). Returns (alpha, peak rem_sup, output files,
-    error). The member's manifest is not among the files: its wall time
+    member output dir). Returns (peak rem_sup, output files); a failure
+    raises. The member's manifest is not among the files: its wall time
     differs between identical runs."""
-    config, alpha, member_dir = args
-    try:
-        manifest = _execute(config, _run_remainder)
-    except _RUN_FAILURES as exc:
-        return alpha, float("nan"), [], exc
+    config, _, member_dir = args
+    manifest = _execute(config, _run_remainder)
     files = [os.path.join(member_dir, rel) for rel in manifest["files"]]
-    return alpha, manifest["stats"]["peak_rem_sup"], files, None
+    return manifest["stats"]["peak_rem_sup"], files
 
 
 def _run_sweep(config, out_dir, manifest):
@@ -509,33 +517,36 @@ def _run_sweep(config, out_dir, manifest):
     # worker imports rieszlab afresh and binds LAPACK on its first solve
     lapack_tridiagonal()
     futures = []
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for job in jobs:
-                futures.append(pool.submit(_sweep_member, job))
-            results = [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        # a worker that dies (a signal, the OOM killer) fails every member
-        # not yet finished, its own among them: named alone when only it was
-        finished = {future.result()[0] for future in futures
-                    if future.exception() is None}
-        lost = ["%g" % alpha for _, alpha, _ in jobs
-                if alpha not in finished]
+    # a worker that dies (a signal, the OOM killer) breaks the pool: every
+    # member not yet finished, its own among them, then reads
+    # BrokenProcessPool, and so does every submit after it
+    with contextlib.suppress(BrokenProcessPool), \
+            ProcessPoolExecutor(max_workers=workers) as pool:
+        for job in jobs:
+            futures.append(pool.submit(_sweep_member, job))
+    errors = [future.exception() for future in futures]
+    errors += [BrokenProcessPool()] * (len(jobs) - len(futures))
+    lost = [(alpha, err) for alpha, err in zip(config.alphas, errors)
+            if isinstance(err, BrokenProcessPool)]
+    if lost:
+        # named alone when only the dead worker's member was lost
+        names = ", ".join("%g" % alpha for alpha, _ in lost)
         raise NumericalError("a sweep worker died before member%s alpha=%s "
-                             "finished: %s" % ("s" * (len(lost) > 1),
-                                               ", ".join(lost), exc),
-                             stage="sweep") from exc
-    paths = []
-    for alpha, peak, member_paths, err in results:
-        paths.extend(member_paths)
+                             "finished: %s" % ("s" * (len(lost) > 1), names,
+                                               lost[0][1]),
+                             stage="sweep") from lost[0][1]
+    for alpha, err in zip(config.alphas, errors):
         if isinstance(err, ConfigError):  # a bad initial table
             raise ConfigError("sweep member alpha=%g: %s" % (alpha, err))
-        if err is not None:
+        if isinstance(err, _RUN_FAILURES):
             raise NumericalError("sweep member alpha=%g failed: %s"
                                  % (alpha, err),
                                  stage=getattr(err, "stage", "sweep"))
-    alphas = np.array([r[0] for r in results])
-    peaks = np.array([r[1] for r in results])
+        if err is not None:
+            raise err
+    results = [future.result() for future in futures]
+    alphas = np.array(config.alphas)
+    peaks = np.array([peak for peak, _ in results])
     checks = manifest["checks"]
     try:
         report = alpha_scaling_study(list(zip(alphas, peaks)))
@@ -549,7 +560,7 @@ def _run_sweep(config, out_dir, manifest):
     spath = os.path.join(out_dir, "scaling_report.csv")
     _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
                np.column_stack((peaks, cumulative)))
-    return paths + [spath]
+    return [path for _, files in results for path in files] + [spath]
 
 
 _BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,

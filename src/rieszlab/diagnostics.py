@@ -34,10 +34,6 @@ class GrowthCurve:
         self.delta = float(delta)
         self.kind = kind
 
-    @property
-    def n_samples(self):
-        return self.t.size
-
 
 class FitResult:
     """Fitted growth constants. rms is the root mean square residual of
@@ -108,9 +104,9 @@ def fit_log_growth(curve):
     Raises ValueError for fewer than 10 samples (insufficient-samples) or
     a curve with no growth to fit (degenerate-curve)."""
     alpha = curve.alpha
-    if curve.n_samples < 10:
+    if curve.t.size < 10:
         raise ValueError("insufficient-samples: need at least 10, got %d"
-                         % curve.n_samples)
+                         % curve.t.size)
     t = curve.t
     y = curve.sup_norm - curve.sup_norm[0]
     scale = max(float(np.max(np.abs(curve.sup_norm))), 1e-300)

@@ -37,7 +37,6 @@ the grid.
 """
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +52,7 @@ PROFILE_Z0 = 1e-3
 
 
 class ModelState:
-    """Immutable snapshot: step() returns a new state. L0, the tail L(f0)
-    at every node, is computed on its first read."""
+    """Immutable snapshot: step() returns a new state."""
 
     def __init__(self, alpha, f0, A, t, kernel=None):
         self.alpha = alpha
@@ -62,10 +60,6 @@ class ModelState:
         self.A = A
         self.t = t
         self.kernel = kernel
-
-    @cached_property
-    def L0(self):
-        return profile_tail(self.f0).values
 
 
 class SandwichReport:
@@ -118,8 +112,16 @@ def step(state, dt):
     return ModelState(alpha, state.f0, A_new, state.t + dt, kernel)
 
 
-def _interp_profile(profile, R):
-    return np.interp(R, profile.grid.nodes, profile.values)
+def _compressed(f0R, e, s, c):
+    """f0R * e * 2 s c / (c c + e e s s) in two arrays of the broadcast
+    shape, evaluated in that order (products and sums commute exactly)."""
+    f = f0R * e * 2.0 * s
+    f *= c
+    den = e * e * s
+    den *= s
+    den += c * c
+    f /= den
+    return f
 
 
 def eval_f(state, R, theta):
@@ -129,31 +131,20 @@ def eval_f(state, R, theta):
     f_t = f0(R) * e^-A sin(2 theta) / (cos^2 theta + e^-2A sin^2 theta),
     valid on all four quadrants (the sign pattern of sin(2 theta)).
     """
-    R = np.asarray(R, dtype=float)
+    nodes = state.f0.grid.nodes
     theta = np.asarray(theta, dtype=float)
-    f0R = _interp_profile(state.f0, R)
-    e = np.exp(-_interp_profile(state.A, R))
-    s = np.sin(theta)
-    c = np.cos(theta)
-    out = f0R * e * 2.0 * s * c / (c * c + e * e * s * s)
+    out = _compressed(np.interp(R, nodes, state.f0.values),
+                      np.exp(-np.interp(R, nodes, state.A.values)),
+                      np.sin(theta), np.cos(theta))
     return out if out.ndim else float(out)
 
 
 def reconstruct_Omega2(state, agrid):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
     theta = agrid.nodes[None, :]
-    f0R = state.f0.values[:, None]
-    e = np.exp(-state.A.values)[:, None]
-    s = np.sin(theta)
-    c = np.cos(theta)
-    # f0R * e * 2 s c / (c c + e e s s) + A/2, evaluated in that order in
-    # two grid-sized arrays (products and sums commute exactly)
-    f = f0R * e * 2.0 * s
-    f *= c
-    den = e * e * s
-    den *= s
-    den += c * c
-    f /= den
+    f = _compressed(state.f0.values[:, None],
+                    np.exp(-state.A.values)[:, None], np.sin(theta),
+                    np.cos(theta))
     f += 0.5 * state.A.values[:, None]
     return Field2D(state.f0.grid, agrid, f)
 
@@ -186,7 +177,8 @@ def sandwich_bounds(alpha, t, L0):
 def check_sandwich(state):
     """Pinch alpha * A_t(R) between the two closed-form logarithms;
     violations are reported in the margins, never raised."""
-    lower, upper = sandwich_bounds(state.alpha, state.t, state.L0)
+    lower, upper = sandwich_bounds(state.alpha, state.t,
+                                  profile_tail(state.f0).values)
     return SandwichReport(lower, state.alpha * state.A.values, upper)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab.errors import ConfigError
+from rieszlab.errors import ConfigError, NumericalError, WriteError
 from rieszlab import cli
 from rieszlab.evolution import (FullState, field_row, step_linear,
                                 support_edge_index)
@@ -432,10 +432,8 @@ def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_remainder", body)
     member = cli.validate_config({"run.kind": "remainder", "alpha": 0.4,
                                   "output.dir": str(tmp_path / "member")})
-    alpha, peak, files, err = cli._sweep_member((member, 0.4,
-                                                 member.output_dir))
-    assert alpha == 0.4 and np.isnan(peak) and files == []
-    assert type(err) is MemoryError
+    with pytest.raises(MemoryError):
+        cli._sweep_member((member, 0.4, member.output_dir))
     assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
 
 
@@ -494,6 +492,80 @@ def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capsys,
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, alphas, out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out, lost)
+
+
+def test_dead_sweep_worker_outranks_an_earlier_member_failure(
+        tmp_path, capsys, monkeypatch):
+    # the first member fails on its own, then a worker dies in the
+    # second: the sweep fails at stage sweep and names only the lost member
+    def body(config, out_dir, manifest):
+        if config.alpha == 0.4:
+            raise NumericalError("first member", stage="rhs_full")
+        raise BrokenProcessPool("a worker was terminated abruptly")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool, raising=False)
+    monkeypatch.setattr(cli, "_run_remainder", body)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
+    err = capsys.readouterr().err
+    assert_dead_worker_exit(err, out, "member alpha=0.2 finished")
+    assert "0.4" not in load_manifest(out)["error"]["message"]
+    assert load_manifest(out / "alpha_0.4")["error"]["stage"] == "rhs_full"
+
+
+def test_sweep_member_never_submitted_is_lost_too(tmp_path, capsys,
+                                                  monkeypatch):
+    # a worker that dies while members are still being submitted makes
+    # the next submit raise: the member it would have run is named too
+    class BreakingPool(InProcessPool):
+        broken = False
+
+        def submit(self, fn, *args):
+            if self.broken:
+                raise BrokenProcessPool("the pool is not usable anymore")
+            self.broken = True
+            future = Future()
+            future.set_exception(
+                BrokenProcessPool("a worker was terminated abruptly"))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        BreakingPool, raising=False)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
+    assert_dead_worker_exit(capsys.readouterr().err, out,
+                            "members alpha=0.4, 0.2 finished")
+
+
+@pytest.mark.parametrize("first, second, code, printed", [
+    (NumericalError("first", stage="check_support"),
+     ConfigError("second"), 3,
+     "numerical failure (check_support): sweep member alpha=0.1 failed: "
+     "first"),
+    (ConfigError("first"), WriteError("second"), 2,
+     "config error: sweep member alpha=0.1: first"),
+    (MemoryError(), NumericalError("second", stage="rhs_full"), 3,
+     "numerical failure (sweep): sweep member alpha=0.1 failed: \n")],
+    ids=["numerical", "config", "memory"])
+def test_first_failing_sweep_member_in_run_alphas_order_is_named(
+        tmp_path, capsys, monkeypatch, first, second, code, printed):
+    # both members fail; the one first in run.alphas (not in value order)
+    # decides the exit, with its own stage
+    def body(config, out_dir, manifest):
+        raise first if config.alpha == 0.1 else second
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool, raising=False)
+    monkeypatch.setattr(cli, "_run_remainder", body)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, "0.1,0.4", out)]) == code
+    err = capsys.readouterr().err
+    assert printed in err and "alpha=0.4" not in err
+    assert "alpha=0.1" in load_manifest(out)["error"]["message"]
+    for alpha, raised in (("0.1", first), ("0.4", second)):
+        member = load_manifest(out / ("alpha_" + alpha))["error"]
+        assert member["type"] == type(raised).__name__
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -904,6 +976,56 @@ def test_linear_run_memory_does_not_grow_with_samples_times_nodes(tmp_path):
             tracemalloc.stop()
     assert manifest["checks"]["closed_form"].startswith("pass")
     assert peak < 64 * 2 ** 20
+
+
+def test_model_run_memory_does_not_grow_with_samples_times_distinct_tails(
+        tmp_path):
+    # 4096 samples over the 644 distinct tails of 4096 nodes, held whole,
+    # peaked at 244 MiB; blocks of _MODEL_BLOCK entries stay near 31 MiB
+    cfg = cli.validate_config({
+        "run.kind": "model", "grid.n_r": 4096, "time.sample_count": 4096,
+        "output.dir": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            manifest = cli.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert manifest["checks"] == {"finite_norms": "pass", "sandwich": "pass"}
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples", [6, 7, 8, 50])
+def test_model_blocks_keep_the_rows_of_one_block(tmp_path, monkeypatch,
+                                                 samples):
+    # 7 samples a block: the counts end inside, on and past the first
+    # block's edge, and 50 ends in a partial block. Every column but l2 is
+    # elementwise and keeps its bytes; l2's products may move in the last
+    # place when their rows are split
+    def growth(out):
+        cfg = cli.validate_config({
+            "run.kind": "model", "alpha": 0.05, "delta": 400.0,
+            "initial.kind": "indicator", "initial.center": 1.5,
+            "grid.n_r": 512, "time.sample_count": samples,
+            "output.dir": str(tmp_path / out)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest = cli.run(cfg)
+        rows = np.loadtxt(os.path.join(cfg.output_dir, "growth.csv"),
+                          delimiter=",", skiprows=1)
+        return manifest["checks"], rows, cfg
+
+    checks, whole, cfg = growth("whole")
+    tails = profile_tail(cli.build_profile(cfg, cli.build_grids(cfg)[0]))
+    monkeypatch.setattr(cli, "_MODEL_BLOCK",
+                        7 * np.unique(tails.values).size)
+    blocked_checks, blocked, _ = growth("blocked")
+    assert blocked_checks == checks
+    assert np.array_equal(blocked[:, [0, 1, 3, 4]], whole[:, [0, 1, 3, 4]])
+    np.testing.assert_allclose(blocked[:, 2], whole[:, 2], rtol=2e-15,
+                               atol=0)
 
 
 def test_rerun_is_byte_identical(tmp_path):

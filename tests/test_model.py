@@ -31,7 +31,7 @@ def current_Ls(state):
 def profile_state(state, t):
     """The model state at time t from its similarity profile: A = phi(z)
     with z = (t / alpha) L(f0), on a table that ends at t's largest z."""
-    z = (t / state.alpha) * state.L0
+    z = (t / state.alpha) * profile_tail(state.f0).values
     A = m.similarity_profile(float(np.max(z))).phi(z)
     return m.ModelState(state.alpha, state.f0,
                         RadialProfile(state.f0.grid, A), t)
@@ -109,9 +109,6 @@ def test_long_time_log_bracket():
 
 def test_eval_Ls_at_zero_time_and_constant_A():
     g, f0, state = default_setup()
-    # L0 is L(f0) bit for bit, made on the first read and kept
-    assert np.array_equal(state.L0, profile_tail(f0).values)
-    assert state.L0 is state.L0
     assert np.allclose(current_Ls(state), profile_tail(f0).values,
                        atol=1e-14)
     shifted = m.ModelState(0.2, f0, RadialProfile(g, np.full(g.n, 2.0)),
@@ -171,6 +168,42 @@ def test_reconstruct_matches_out_of_place_formula():
     expect = f + 0.5 * state.A.values[:, None]
     assert np.max(state.A.values) > 0
     assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, expect)
+
+
+def eval_f_one_line(state, R, theta):
+    """eval_f as one expression, the form it had before it shared its
+    formula with reconstruct_Omega2."""
+    nodes = state.f0.grid.nodes
+    R = np.asarray(R, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    f0R = np.interp(R, nodes, state.f0.values)
+    e = np.exp(-np.interp(R, nodes, state.A.values))
+    s, c = np.sin(theta), np.cos(theta)
+    out = f0R * e * 2.0 * s * c / (c * c + e * e * s * s)
+    return out if out.ndim else float(out)
+
+
+def test_eval_f_and_reconstruct_share_one_formula():
+    # reconstruct_Omega2 is eval_f at the nodes plus A/2, bit for bit, at
+    # A = 0 and at a marched A; eval_f keeps its one-line value for
+    # scalar, 1-d and 2-d broadcast arguments
+    g, f0, state = default_setup(alpha=0.1)
+    marched = march(state, 0.05, 0.002)
+    assert np.max(marched.A.values) > 0
+    agrid = AngularGrid(64)
+    for st in (state, marched):
+        want = (m.eval_f(st, g.nodes[:, None], agrid.nodes[None, :])
+                + 0.5 * st.A.values[:, None])
+        assert np.array_equal(m.reconstruct_Omega2(st, agrid).values, want)
+    R = np.linspace(0.5, 3.5, 13)
+    theta = np.linspace(-np.pi, np.pi, 17)
+    for args in [(2.0, 0.3), (2, np.pi / 2.0), (R, 0.7), (2.5, theta),
+                 (list(R), list(R)), (R[:, None], theta[None, :]),
+                 (R[None, :], theta[:, None])]:
+        got = m.eval_f(marched, *args)
+        want = eval_f_one_line(marched, *args)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
 
 
 def test_reconstruct_zero_profile():
