@@ -516,16 +516,20 @@ def _run_sweep(config, out_dir, manifest):
     # each importing scipy.linalg on its own. Under spawn or forkserver a
     # worker imports rieszlab afresh and binds LAPACK on its first solve
     lapack_tridiagonal()
-    futures = []
+    # longest first (Graham's longest-processing-time rule): a member
+    # marches about 2 log(1/alpha) steps at its 0.05 alpha step cap, so
+    # the smallest alpha is submitted first, and no worker idles while a
+    # long member started last runs on; futures stay in run.alphas order
+    futures = [None] * len(jobs)
     # a worker that dies (a signal, the OOM killer) breaks the pool: every
     # member not yet finished, its own among them, then reads
     # BrokenProcessPool, and so does every submit after it
     with contextlib.suppress(BrokenProcessPool), \
             ProcessPoolExecutor(max_workers=workers) as pool:
-        for job in jobs:
-            futures.append(pool.submit(_sweep_member, job))
-    errors = [future.exception() for future in futures]
-    errors += [BrokenProcessPool()] * (len(jobs) - len(futures))
+        for k in sorted(range(len(jobs)), key=config.alphas.__getitem__):
+            futures[k] = pool.submit(_sweep_member, jobs[k])
+    errors = [BrokenProcessPool() if future is None else future.exception()
+              for future in futures]
     lost = [(alpha, err) for alpha, err in zip(config.alphas, errors)
             if isinstance(err, BrokenProcessPool)]
     if lost:

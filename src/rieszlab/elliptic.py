@@ -295,8 +295,19 @@ def solve_full(omega, alpha, n_modes=None):
 
     The assembly runs in spectral space (one inverse transform instead of
     an outer product per mode), and the stencil modes solve both parities
-    in one call against rows factored once per grid and alpha; this sits
-    on the hot path of the time stepper."""
+    in one call against rows factored once per grid and alpha. The time
+    stepper calls _spectra, the whole solve but that last transform, and
+    reads omega's spectrum and psi's from it."""
+    _, psi_spec = _spectra(omega, alpha, n_modes)
+    return Field2D(omega.rgrid, omega.agrid,
+                   np.fft.irfft(psi_spec, n=omega.agrid.n_theta, axis=-1))
+
+
+def _spectra(omega, alpha, n_modes=None, out=None):
+    """solve_full's two spectra along the angle: omega's rfft and psi's,
+    which is zero past index n_modes. out is a pair of complex arrays of
+    the rfft's shape to write them into, psi's already zero past n_modes,
+    as this writes only the indices up to it. Returns the pair."""
     agrid = omega.agrid
     rgrid = omega.rgrid
     if n_modes is None:
@@ -309,9 +320,12 @@ def solve_full(omega, alpha, n_modes=None):
         raise ValueError("mode %d must stay below the Nyquist mode %d"
                          % (m * n_modes, m * (agrid.n_theta // 2)))
     N = agrid.n_theta
-    spec = np.fft.rfft(omega.values, axis=-1)
+    if out is None:
+        shape = (rgrid.n, N // 2 + 1)
+        out = np.empty(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    spec, psi_spec = out
+    np.fft.rfft(omega.values, axis=-1, out=spec)
     scale = 2.0 / N
-    psi_spec = np.zeros_like(spec)
     h = rgrid.log_step
     psi_spec[:, 0] = N * _solve_mode_low(spec[:, 0].real / N, h, 0, alpha)
     # the first index whose mode has the stencil, n >= 2
@@ -321,9 +335,11 @@ def solve_full(omega, alpha, n_modes=None):
         p1c = _solve_mode_low(scale * spec[:, 1].real, h, 1, alpha)
         psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, k_lo:n_modes + 1].T
-    om_n = np.stack([-scale * stencil.imag, scale * stencil.real])
     modes = range(m * k_lo, m * n_modes + 1, m)
-    sin, cos = _solve_stencil(rgrid, alpha, modes,
-                              _stencil_rhs(om_n, modes[0]))
-    psi_spec[:, k_lo:n_modes + 1] = (0.5 * N * (cos - 1j * sin)).T
-    return Field2D(rgrid, agrid, np.fft.irfft(psi_spec, n=N, axis=-1))
+    sin, cos = _solve_stencil(rgrid, alpha, modes, _stencil_rhs(
+        np.stack([-scale * stencil.imag, scale * stencil.real]), modes[0]))
+    # 0.5 N (cos - i sin), a part at a time
+    block = psi_spec[:, k_lo:n_modes + 1]
+    np.multiply(0.5 * N, cos.T, out=block.real)
+    np.multiply(-0.5 * N, sin.T, out=block.imag)
+    return out

@@ -14,12 +14,14 @@ started on low modes stay band-limited and the theta derivatives are
 spectrally exact throughout.
 """
 
+import time
+
 import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
 from .grids import (RadialProfile, Field2D, half_circle, r_ddr, d2_dx2,
-                    theta_deriv, sup_norm, l2_norm, project_mode)
-from .elliptic import solve_full
+                    _spectral_deriv, sup_norm, l2_norm, project_mode)
+from .elliptic import _spectra
 from .kernels import op_Ls, profile_tail
 from . import model as _model
 
@@ -54,79 +56,108 @@ class RemainderSeries:
         return float(np.max([row[0] for row in self.remainder]))
 
 
-def _band_limit(values, agrid, n_modes):
-    spec = np.fft.rfft(values, axis=-1)
-    spec[:, n_modes + 1:] = 0.0
-    return np.fft.irfft(spec, n=agrid.n_theta, axis=-1)
+class _Buffers:
+    """The grid-sized arrays that a march reuses, for fields of one
+    shape: a pair of spectra for _spectra (psi's zero past the resolved
+    band) and five real arrays. A tendency works in all of them; between
+    steps the real ones are free for the march's samples. rhs_full and
+    step_full make their own when given none."""
+
+    def __init__(self, shape):
+        spec = (shape[0], shape[1] // 2 + 1)
+        self.spectra = (np.empty(spec, dtype=complex),
+                        np.zeros(spec, dtype=complex))
+        self.grid = tuple(np.empty(shape) for _ in range(5))
 
 
-def rhs_full(state, include_forcing=True, with_bound=False):
+def rhs_full(state, include_forcing=True, with_bound=False, work=None):
     """Tendency of the vorticity field at one instant. with_bound returns
     (tendency, bound), with the advective step bound (Courant number 0.5
     on the (log R, theta) grid, infinite when both speeds vanish) read
     off the stream function the tendency solves for: the one place where
     the angular speed 2 psi + alpha R d_R psi and the radial speed
-    -alpha R d_theta psi are formed. A product past the float range
-    stops the run where it is made, as a NumericalError of this stage."""
+    -alpha R d_theta psi are formed. work is the _Buffers of a march that
+    makes many tendencies; the tendency itself is a fresh array. A
+    product past the float range stops the run where it is made, as a
+    NumericalError of this stage."""
+    if work is None:
+        work = _Buffers(state.omega.values.shape)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _tendency(state, include_forcing, with_bound)
+            return _tendency(state, include_forcing, with_bound, work)
     except FloatingPointError as exc:
         raise NumericalError("%s at t=%g" % (exc, state.t), stage="rhs_full")
 
 
-def _tendency(state, include_forcing, with_bound):
+def _tendency(state, include_forcing, with_bound, work):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
-    nm = agrid.n_theta // 3
-    psi = solve_full(state.omega, alpha, n_modes=nm).values
-    np.negative(psi, out=psi)
+    n_theta = agrid.n_theta
+    nm = n_theta // 3
+    psi, dx_psi, dth_psi, tend, term = work.grid
+    om_spec, psi_spec = _spectra(state.omega, alpha, nm, out=work.spectra)
+    # psi is minus the solve's field; every theta derivative is taken from
+    # a spectrum, so each field is transformed once
+    np.negative(psi_spec, out=psi_spec)
+    np.fft.irfft(psi_spec, n=n_theta, axis=-1, out=psi)
     om = state.omega.values
-    dth_psi = theta_deriv(psi, agrid)
-    dx_psi = r_ddr(psi, rgrid)
+    r_ddr(psi, rgrid, out=dx_psi)
     # tend = alpha dth_psi R d_R om - (2 psi + alpha dx_psi) d_theta om,
-    # built in place with one scratch array, in the same order of
-    # operations (products and sums commute exactly)
-    tend = np.multiply(2.0, psi)
-    scratch = np.multiply(alpha, dx_psi)
-    tend += scratch
+    # each product in the order of operations of the plain expression
+    # (products and sums commute exactly), in five real buffers
+    np.multiply(2.0, psi, out=tend)
+    tend += np.multiply(alpha, dx_psi, out=term)
     if with_bound:
-        # tend is the angular speed of -psi and scratch takes the radial
-        # speed over R; the bound sees magnitudes only, and no grid-sized
-        # temporary is made
-        np.multiply(-alpha * rgrid.nodes[:, None], dth_psi, out=scratch)
-        scratch /= rgrid.nodes[:, None]
-        vmax_x = float(np.max(np.abs(scratch, out=scratch)))
+        # tend is the angular speed of -psi
         vmax_t = float(max(np.max(tend), -np.min(tend)))
+    if include_forcing:
+        # psi's buffer takes R^2 d_R^2 psi = d_x^2 psi - d_x psi
+        r2_psi = np.subtract(d2_dx2(psi, rgrid, out=term), dx_psi, out=psi)
+    # omega's spectrum is spent on d_theta omega; its array is then the
+    # scratch spectrum
+    tend *= np.fft.irfft(_spectral_deriv(om_spec, agrid, 1, out=om_spec),
+                         n=n_theta, axis=-1, out=term)
+    spec = om_spec
+    np.fft.irfft(_spectral_deriv(psi_spec, agrid, 1, out=spec), n=n_theta,
+                 axis=-1, out=dth_psi)
+    if include_forcing:
+        theta = agrid.nodes
+        sc = (np.sin(theta) * np.cos(theta))[None, :]
+        c2 = np.cos(2.0 * theta)[None, :]
+        # the forcing sum, term by term left to right in dx_psi's buffer
+        forcing = np.multiply((2.0 * alpha + alpha ** 2) * sc, dx_psi,
+                              out=dx_psi)
+        forcing += np.multiply(c2, dth_psi, out=term)
+        r_ddr(dth_psi, rgrid, out=term)
+        term *= alpha * c2
+        forcing += term
+        r2_psi *= alpha ** 2 * sc
+        forcing += r2_psi
+        np.fft.irfft(_spectral_deriv(psi_spec, agrid, 2, out=spec),
+                     n=n_theta, axis=-1, out=term)
+        term *= sc
+        forcing -= term
+    # psi's buffer is free from here on
+    if with_bound:
+        # the radial speed over R
+        nodes = rgrid.nodes[:, None]
+        radial = np.multiply(-alpha * nodes, dth_psi, out=psi)
+        radial /= nodes
+        vmax_x = float(np.max(np.abs(radial, out=radial)))
         bound = np.inf
         if vmax_x > 0:
             bound = 0.5 * rgrid.log_step / vmax_x
         if vmax_t > 0:
             bound = min(bound, 0.5 * agrid.dtheta / vmax_t)
-    tend *= theta_deriv(om, agrid)
-    np.multiply(alpha, dth_psi, out=scratch)
-    scratch *= r_ddr(om, rgrid)
-    np.subtract(scratch, tend, out=tend)
+    np.multiply(alpha, dth_psi, out=term)
+    term *= r_ddr(om, rgrid, out=psi)
+    np.subtract(term, tend, out=tend)
     if include_forcing:
-        theta = agrid.nodes
-        sc = (np.sin(theta) * np.cos(theta))[None, :]
-        c2 = np.cos(2.0 * theta)[None, :]
-        # the forcing sum, term by term left to right in scratch; each
-        # derivative is a fresh array and is scaled where it lies, and
-        # dx_psi's array takes R^2 d_R^2 psi = d_x^2 psi - d_x psi
-        np.multiply((2.0 * alpha + alpha ** 2) * sc, dx_psi, out=scratch)
-        r2_psi = np.subtract(d2_dx2(psi, rgrid), dx_psi, out=dx_psi)
-        scratch += c2 * dth_psi
-        term = r_ddr(dth_psi, rgrid)
-        term *= alpha * c2
-        scratch += term
-        r2_psi *= alpha ** 2 * sc
-        scratch += r2_psi
-        term = theta_deriv(psi, agrid, order=2)
-        term *= sc
-        scratch -= term
-        tend += scratch
-    tend = Field2D(rgrid, agrid, _band_limit(tend, agrid, nm))
+        tend += forcing
+    # the tendency, truncated to the resolved band
+    np.fft.rfft(tend, axis=-1, out=spec)
+    spec[:, nm + 1:] = 0.0
+    tend = Field2D(rgrid, agrid, np.fft.irfft(spec, n=n_theta, axis=-1))
     return (tend, bound) if with_bound else tend
 
 
@@ -136,22 +167,26 @@ def cfl_dt(state):
 
 
 def step_full(state, dt, include_forcing=True, enforce_cfl=True,
-              rate=None):
+              rate=None, work=None):
     """One strong-stability-preserving third-order step.
 
     enforce_cfl rechecks the advective bound; drivers that already sized
     dt from it switch it off. rate is the first stage when the caller
     already has it: rhs_full's values at state, with the same
     include_forcing; it is read, never written. Without it the first
-    stage and the bound come from one rhs_full call. The new state's
-    local_error is max|v3 - (2 v2 - v0)|, the gap to the embedded
-    second-order (Heun) solution 2 v2 - v0 (Conde, Fekete and Shadid)."""
+    stage and the bound come from one rhs_full call. Every tendency of
+    the step works in work, rhs_full's buffers, made here when not
+    given. The new state's local_error is max|v3 - (2 v2 - v0)|, the gap
+    to the embedded second-order (Heun) solution 2 v2 - v0 (Conde, Fekete
+    and Shadid)."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
+    if work is None:
+        work = _Buffers(state.omega.values.shape)
     made = rate is None
     if made:
         rate, bound = rhs_full(state, include_forcing=include_forcing,
-                               with_bound=True)
+                               with_bound=True, work=work)
         rate = rate.values
     elif enforce_cfl:
         bound = cfl_dt(state)
@@ -164,7 +199,7 @@ def step_full(state, dt, include_forcing=True, enforce_cfl=True,
     def rhs_of(values, t):
         return rhs_full(FullState(state.alpha,
                                   Field2D(om.rgrid, om.agrid, values), t),
-                        include_forcing=include_forcing).values
+                        include_forcing=include_forcing, work=work).values
 
     # v1 = v0 + dt r(v0), v2 = 0.75 v0 + 0.25 (v1 + dt r(v1)) and
     # v3 = (v0 + 2 (v2 + dt r(v2))) / 3, each stage built in place in the
@@ -244,9 +279,14 @@ class FullMarch:
 
     A step end's tendency is the next step's first stage, and the bound
     that sizes that step comes from the same stream function, so n steps
-    cost 3 n + 1 rhs_full calls and one elliptic solve each. Every step
-    end must pass check_support at reach_threshold; peak_reach is the
-    largest reach seen."""
+    cost 3 n + 1 rhs_full calls and one elliptic solve each, all in one
+    set of buffers. Every step end must pass check_support at
+    reach_threshold; peak_reach is the largest reach seen.
+
+    The samples are made in those buffers too, as no step runs while a
+    caller holds one: sample_scratch is a pair of grid arrays that a
+    caller may use for what it makes of each sample, until it asks for
+    the next."""
 
     def __init__(self, f0, alpha, agrid):
         self.alpha = alpha
@@ -255,6 +295,9 @@ class FullMarch:
         self.reach_threshold = 1e-4 * max(sup_norm(self.omega0), 1.0)
         self.peak_reach = 0.0
         self._dts, self._utilisation, self._local_errors = [], [], []
+        self._work = _Buffers(self.omega0.values.shape)
+        self.sample_scratch = self._work.grid[1:3]
+        self._march_s = self._sampling_s = 0.0
 
     def samples(self, times):
         """Yield the full state at each of times, from t = 0. The steps run
@@ -262,17 +305,22 @@ class FullMarch:
         min(bound, 0.05 alpha, time left); a step of under 1e-10 of the
         0.05 alpha cap raises. A sample within 1e-14 times[-1] of a step
         end yields that state, and one inside a step the step's Hermite
-        interpolant, in one scratch array that the next sample
-        overwrites."""
+        interpolant, in a buffer that the next step overwrites. stats
+        counts the time spent stepping as march_s, and the rest until
+        the next sample is asked for, the Hermite sum and what the caller
+        makes of the sample, as sampling_s."""
         alpha, t_final = self.alpha, times[-1]
         max_dt = MAX_STEP_OVER_ALPHA * alpha
         tol = 1e-14 * t_final
         rgrid, agrid = self.omega0.rgrid, self.omega0.agrid
-        sample = np.empty_like(self.omega0.values)
+        work = self._work
+        sample = work.grid[0]
+        clock = time.perf_counter
+        begun = clock()
         state = FullState(alpha, self.omega0, 0.0)
         # the tendency at the latest step end, and the advective bound read
         # off its stream function
-        rate, bound = rhs_full(state, with_bound=True)
+        rate, bound = rhs_full(state, with_bound=True, work=work)
         rate = rate.values
         for ts in times:
             while state.t < ts - tol:
@@ -284,16 +332,21 @@ class FullMarch:
                 # dt already honors the bound of this state's own first
                 # stage, and its tendency is the Hermite start slope
                 start, start_rate = state, rate
-                state = step_full(state, dt, enforce_cfl=False, rate=rate)
+                state = step_full(state, dt, enforce_cfl=False, rate=rate,
+                                  work=work)
                 reach = check_support(state, self.reach_threshold)
                 self.peak_reach = max(self.peak_reach, reach)
                 self._dts.append(float(dt))
                 self._utilisation.append(float(dt / bound))
                 self._local_errors.append(state.local_error)
-                rate, bound = rhs_full(state, with_bound=True)
+                rate, bound = rhs_full(state, with_bound=True, work=work)
                 rate = rate.values
+            stepped = clock()
+            self._march_s += stepped - begun
             if state.t - ts <= tol:
                 yield state
+                begun = clock()
+                self._sampling_s += begun - stepped
                 continue
             h = state.t - start.t
             s = (ts - start.t) / h
@@ -312,17 +365,21 @@ class FullMarch:
             out += start.omega.values
             out *= a
             yield FullState(alpha, Field2D(rgrid, agrid, out), ts)
+            begun = clock()
+            self._sampling_s += begun - stepped
 
     def stats(self):
         """What the march did so far: steps, the dt range, the range of dt
-        over the advective bound of the step's own first stage, and the
-        largest embedded local error estimate of step_full."""
+        over the advective bound of the step's own first stage, the
+        largest embedded local error estimate of step_full, and the wall
+        time spent in the march and in the samples (seconds)."""
         return {"steps": len(self._dts),
                 "dt_min": min(self._dts, default=0.0),
                 "dt_max": max(self._dts, default=0.0),
                 "cfl_utilisation_min": min(self._utilisation, default=0.0),
                 "cfl_utilisation_max": max(self._utilisation, default=0.0),
-                "local_error_max": max(self._local_errors, default=0.0)}
+                "local_error_max": max(self._local_errors, default=0.0),
+                "march_s": self._march_s, "sampling_s": self._sampling_s}
 
 
 def support_edge_index(f0):
@@ -352,15 +409,17 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     j0 = support_edge_index(f0)
     L0 = profile_tail(f0).values
     profile = _model.similarity_profile((t_final / alpha) * float(np.max(L0)))
+    mgrid = full.omega0.agrid
+    factors = _model.angular_factors(mgrid.nodes[None, :])
     growth, remainder = [], []
     for state, ts in zip(full.samples(times), times):
         A = RadialProfile(f0.grid, profile.phi((ts / alpha) * L0))
         mstate = _model.ModelState(alpha, f0, A, ts)
-        # the model field, then the difference; freed before the next step
-        diff = _model.reconstruct_Omega2(mstate, full.omega0.agrid)
+        # the model field, then the difference, in the march's buffers
+        diff = _model.reconstruct_Omega2(mstate, mgrid, factors,
+                                         full.sample_scratch)
         np.subtract(state.omega.values, diff.values, out=diff.values)
         growth.append(field_row(state.omega, j0))
         remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
                           _model.sup_omega2(mstate)))
-        del diff
     return RemainderSeries(growth, remainder, full)

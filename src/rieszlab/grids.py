@@ -158,19 +158,28 @@ def project_mode(field, n, parity):
     return RadialProfile(field.rgrid, coeff)
 
 
-def r_ddr(values, rgrid):
+def r_ddr(values, rgrid, out=None):
     """R dF/dR = dF/dx along the leading (radial) axis of a geometric
-    grid, second order on the uniform log grid, with no division by R."""
-    return np.gradient(values, rgrid.log_step, axis=0, edge_order=2)
-
-
-def d2_dx2(values, rgrid):
-    """d2F/dx2 along the leading (radial) axis of a geometric grid, second
-    order on the uniform log grid, one-sided at the ends; R^2 d2F/dR2 is
-    d2_dx2 - r_ddr."""
+    grid, second order on the uniform log grid, with no division by R:
+    np.gradient(values, h, axis=0, edge_order=2) bit for bit, in its
+    order of operations, written into out when given."""
     v = np.asarray(values, dtype=float)
     h = rgrid.log_step
-    out = np.empty_like(v)
+    out = np.empty_like(v) if out is None else out
+    mid = np.subtract(v[2:], v[:-2], out=out[1:-1])
+    mid /= 2.0 * h
+    out[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
+    out[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
+    return out
+
+
+def d2_dx2(values, rgrid, out=None):
+    """d2F/dx2 along the leading (radial) axis of a geometric grid, second
+    order on the uniform log grid, one-sided at the ends, written into out
+    when given; R^2 d2F/dR2 is d2_dx2 - r_ddr."""
+    v = np.asarray(values, dtype=float)
+    h = rgrid.log_step
+    out = np.empty_like(v) if out is None else out
     # (v[:-2] - 2 v[1:-1] + v[2:]) / h^2 in the interior rows of out,
     # the same operations in the same order without temporaries
     mid = np.multiply(2.0, v[1:-1], out=out[1:-1])
@@ -182,12 +191,12 @@ def d2_dx2(values, rgrid):
     return out
 
 
-def theta_deriv(values, agrid, order=1):
-    """Spectral theta-derivative along the last axis of a (n_r, n_theta)
-    array; transform index k is the wave number copies * k."""
-    coeff = np.fft.rfft(values, axis=-1)
+def _spectral_deriv(coeff, agrid, order, out=None):
+    """A spectrum along the last axis times (i copies k)^order at
+    transform index k, into out when given (coeff itself may be out):
+    the spectrum of the order-th theta derivative."""
     k = agrid.copies * np.arange(coeff.shape[-1])
-    coeff *= (1j * k) ** order
+    out = np.multiply(coeff, (1j * k) ** order, out=out)
     if agrid.n_theta % 2 == 0 and order % 2 == 1:
-        coeff[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    return np.fft.irfft(coeff, n=agrid.n_theta, axis=-1)
+        out[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
+    return out

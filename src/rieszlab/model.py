@@ -112,14 +112,24 @@ def step(state, dt):
     return ModelState(alpha, state.f0, A_new, state.t + dt, kernel)
 
 
-def _compressed(f0R, e, s, c):
-    """f0R * e * 2 s c / (c c + e e s s) in two arrays of the broadcast
-    shape, evaluated in that order (products and sums commute exactly)."""
-    f = f0R * e * 2.0 * s
-    f *= c
-    den = e * e * s
-    den *= s
-    den += c * c
+def angular_factors(theta):
+    """(sin 2 theta, cos^2 theta, sin^2 theta) at every entry of theta:
+    the angular factors of the transported profile, which
+    reconstruct_Omega2 takes once per angular grid."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.sin(2.0 * theta), c * c, s * s
+
+
+def _compressed(f0e, ee, factors, out=None, scratch=None):
+    """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
+    f0e = f0 e, ee = e e and factors = angular_factors(theta), evaluated
+    in that order, into out and scratch (arrays of the broadcast shape)
+    when given."""
+    sin2, cc, ss = factors
+    den = np.multiply(ee, ss, out=scratch)
+    den += cc
+    f = np.multiply(f0e, sin2, out=out)
     f /= den
     return f
 
@@ -132,19 +142,23 @@ def eval_f(state, R, theta):
     valid on all four quadrants (the sign pattern of sin(2 theta)).
     """
     nodes = state.f0.grid.nodes
-    theta = np.asarray(theta, dtype=float)
-    out = _compressed(np.interp(R, nodes, state.f0.values),
-                      np.exp(-np.interp(R, nodes, state.A.values)),
-                      np.sin(theta), np.cos(theta))
+    e = np.exp(-np.interp(R, nodes, state.A.values))
+    out = _compressed(np.interp(R, nodes, state.f0.values) * e, e * e,
+                      angular_factors(theta))
     return out if out.ndim else float(out)
 
 
-def reconstruct_Omega2(state, agrid):
-    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
-    theta = agrid.nodes[None, :]
-    f = _compressed(state.f0.values[:, None],
-                    np.exp(-state.A.values)[:, None], np.sin(theta),
-                    np.cos(theta))
+def reconstruct_Omega2(state, agrid, factors=None, out=None):
+    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
+    factors is angular_factors(agrid.nodes[None, :]), made here when not
+    given; out is a pair of arrays of the grid's shape that the values
+    and their scratch are written into, the values in the first."""
+    if factors is None:
+        factors = angular_factors(agrid.nodes[None, :])
+    values, scratch = out or (None, None)
+    e = np.exp(-state.A.values)
+    f = _compressed((state.f0.values * e)[:, None], (e * e)[:, None],
+                    factors, values, scratch)
     f += 0.5 * state.A.values[:, None]
     return Field2D(state.f0.grid, agrid, f)
 

@@ -496,8 +496,8 @@ def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capsys,
 
 def test_dead_sweep_worker_outranks_an_earlier_member_failure(
         tmp_path, capsys, monkeypatch):
-    # the first member fails on its own, then a worker dies in the
-    # second: the sweep fails at stage sweep and names only the lost member
+    # one member fails on its own and a worker dies in the other: the
+    # sweep fails at stage sweep and names only the lost member
     def body(config, out_dir, manifest):
         if config.alpha == 0.4:
             raise NumericalError("first member", stage="rhs_full")
@@ -536,6 +536,89 @@ def test_sweep_member_never_submitted_is_lost_too(tmp_path, capsys,
     assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out,
                             "members alpha=0.4, 0.2 finished")
+
+
+class RecordingPool(InProcessPool):
+    """InProcessPool that notes the alpha of each job submitted to it."""
+
+    submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[0][1])
+        return super().submit(fn, *args)
+
+
+def test_sweep_submits_longest_first_and_reports_in_run_alphas_order(
+        tmp_path, monkeypatch):
+    # the smallest alpha marches longest, so the members are submitted in
+    # ascending alpha; the scaling report's rows and the manifest's files
+    # keep run.alphas as given
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool, raising=False)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    out = tmp_path / "sweep"
+    manifest = cli.run(cli.parse_config(sweep_config(tmp_path, "0.2,0.1,0.4",
+                                                     out)))
+    assert RecordingPool.submitted == [0.1, 0.2, 0.4]
+    report = np.loadtxt(out / "scaling_report.csv", delimiter=",",
+                        skiprows=1)
+    assert report[:, 0].tolist() == [0.2, 0.1, 0.4]
+    for alpha, peak in report[:, :2]:
+        member = load_manifest(out / ("alpha_%g" % alpha))
+        assert member["stats"]["peak_rem_sup"] == peak
+    assert list(manifest["files"]) == [
+        "alpha_%s/%s" % (a, name) for a in ("0.2", "0.1", "0.4")
+        for name in ("growth.csv", "remainder.csv")] + ["scaling_report.csv"]
+
+
+def test_sweep_names_the_first_failure_in_run_alphas_not_in_submission(
+        tmp_path, capsys, monkeypatch):
+    # every member fails; 0.1 and 0.2 ran before 0.4, but 0.4 comes
+    # first in run.alphas and is the one named
+    def body(config, out_dir, manifest):
+        raise NumericalError("member %g" % config.alpha, stage="rhs_full")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool, raising=False)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    monkeypatch.setattr(cli, "_run_remainder", body)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.1,0.2", out)]) == 3
+    assert RecordingPool.submitted == [0.1, 0.2, 0.4]
+    err = capsys.readouterr().err
+    assert ("numerical failure (rhs_full): sweep member alpha=0.4 failed: "
+            "member 0.4") in err
+    assert "alpha=0.1" not in err and "alpha=0.2" not in err
+    assert load_manifest(out)["error"]["stage"] == "rhs_full"
+
+
+def test_dead_worker_names_the_members_left_unfinished(tmp_path, capsys,
+                                                       monkeypatch):
+    # submitted in ascending alpha, 0.1 finishes, 0.2's worker dies and
+    # the submit of 0.4 finds the pool broken: the sweep names 0.4 and
+    # 0.2, in run.alphas order, and not the member that finished
+    class DyingPool(InProcessPool):
+        submits = 0
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            if self.submits == 1:
+                return super().submit(fn, *args)
+            if self.submits > 2:
+                raise BrokenProcessPool("the pool is not usable anymore")
+            future = Future()
+            future.set_exception(
+                BrokenProcessPool("a worker was terminated abruptly"))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        DyingPool, raising=False)
+    out = tmp_path / "sweep"
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.1,0.2", out)]) == 3
+    assert_dead_worker_exit(capsys.readouterr().err, out,
+                            "members alpha=0.4, 0.2 finished")
+    assert load_manifest(out / "alpha_0.1")["error"] is None
+    assert not (out / "alpha_0.4").exists()
 
 
 @pytest.mark.parametrize("first, second, code, printed", [
@@ -1186,7 +1269,10 @@ def test_full_and_remainder_manifests_report_march_stats(tmp_path):
             assert got.pop("peak_rem_sup") == float(np.max(rem[:, 1])) > 0.0
         assert sorted(got) == ["cfl_utilisation_max", "cfl_utilisation_min",
                                "dt_max", "dt_min", "local_error_max",
-                               "steps"]
+                               "march_s", "sampling_s", "steps"]
+        # wall times, which differ between the two kinds' runs
+        for key in ("march_s", "sampling_s"):
+            assert 0.0 <= got.pop(key) < manifest["wall_time_s"]
         # fewer steps than the 5 sample intervals, each within its bound
         assert 1 <= got["steps"] < 5
         assert 0.0 < got["dt_min"] <= got["dt_max"] <= 0.05 * 0.3

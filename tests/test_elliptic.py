@@ -4,11 +4,12 @@ from scipy.linalg import solve_banded
 from scipy.signal import lfilter
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz, project_mode, r_ddr, theta_deriv)
+                            Field2D, trapz, project_mode, r_ddr)
 from rieszlab.kernels import profile_tail
 from rieszlab.errors import EllipticError
 from rieszlab import model as m
 from rieszlab import elliptic
+from spectral import theta_deriv
 from rieszlab.elliptic import (solve_mode, mode_residual,
                                exact_mode2, principal_remainder_split,
                                solve_full)

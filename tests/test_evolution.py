@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, theta_deriv, sup_norm, r_ddr, d2_dx2)
+                            Field2D, sup_norm, r_ddr, d2_dx2, _spectral_deriv)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
-from rieszlab.elliptic import exact_mode2, solve_full
+from rieszlab.elliptic import exact_mode2, solve_full, _spectra
 from rieszlab import model as m
 from rieszlab import evolution
 from rieszlab.evolution import (FullState, FullMarch, rhs_full, cfl_dt,
                                 step_full, step_linear, check_support,
                                 run_remainder_study)
+from spectral import theta_deriv
 
 
 def sine_state(alpha, grid, agrid, f0=None):
@@ -43,17 +46,32 @@ def _noisy_model_state(alpha):
     return FullState(alpha, Field2D(g, agrid, values), 0.0)
 
 
-def _rhs_out_of_place(state, include_forcing):
-    # rhs_full as plain expressions, one temporary per operation
+def spectral_deriv(spec, agrid, order=1):
+    # the theta derivative of the field whose spectrum is spec
+    return np.fft.irfft(_spectral_deriv(spec, agrid, order),
+                        n=agrid.n_theta, axis=-1)
+
+
+def _rhs_out_of_place(state, include_forcing, from_spectra=True):
+    # rhs_full as plain expressions, one temporary per operation. The
+    # theta derivatives of psi come from the solve's spectrum of psi, as
+    # rhs_full takes them, or with from_spectra False from transforms of
+    # psi's values, as theta_deriv takes them (rhs_full's earlier form)
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
+    om_spec, psi_spec = _spectra(state.omega, alpha, nm)
     psi = -solve_full(state.omega, alpha, n_modes=nm).values
     om = state.omega.values
-    dth_psi = theta_deriv(psi, agrid)
+    if from_spectra:
+        dth_psi = spectral_deriv(-psi_spec, agrid)
+        dth2_psi = spectral_deriv(-psi_spec, agrid, order=2)
+    else:
+        dth_psi = theta_deriv(psi, agrid)
+        dth2_psi = theta_deriv(psi, agrid, order=2)
     dx_psi = r_ddr(psi, rgrid)
     tend = (alpha * dth_psi * r_ddr(om, rgrid)
-            - (2.0 * psi + alpha * dx_psi) * theta_deriv(om, agrid))
+            - (2.0 * psi + alpha * dx_psi) * spectral_deriv(om_spec, agrid))
     if include_forcing:
         theta = agrid.nodes
         sc = (np.sin(theta) * np.cos(theta))[None, :]
@@ -62,7 +80,7 @@ def _rhs_out_of_place(state, include_forcing):
                        + c2 * dth_psi
                        + alpha * c2 * r_ddr(dth_psi, rgrid)
                        + alpha ** 2 * sc * (d2_dx2(psi, rgrid) - dx_psi)
-                       - sc * theta_deriv(psi, agrid, order=2))
+                       - sc * dth2_psi)
     spec = np.fft.rfft(tend, axis=-1)
     spec[:, nm + 1:] = 0.0
     return np.fft.irfft(spec, n=agrid.n_theta, axis=-1)
@@ -96,15 +114,28 @@ def test_rhs_and_step_match_out_of_place_formulas(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.1])
+def test_tendency_holds_the_theta_deriv_form(alpha):
+    # taking psi's theta derivatives from the solve's spectrum instead of
+    # transforming psi's values again moves the tendency by roundoff only
+    state = _noisy_model_state(alpha)
+    for forcing in (True, False):
+        got = rhs_full(state, include_forcing=forcing).values
+        old = _rhs_out_of_place(state, forcing, from_spectra=False)
+        assert np.max(np.abs(got - old)) <= 1e-12 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.1])
 def test_supplied_first_stage_and_bound_are_bit_identical(alpha):
     # rhs_full's bound comes from the psi its tendency solves for, and a
     # step handed that tendency as its first stage is the same step
     state = _noisy_model_state(alpha)
     g, agrid = state.omega.rgrid, state.omega.agrid
-    # the bound as plain expressions of the two speeds
+    # the bound as plain expressions of the two speeds, d_theta psi from
+    # the solve's spectrum of psi
     psi = solve_full(state.omega, alpha).values
     ang = 2.0 * psi + alpha * r_ddr(psi, g)
-    rad = -alpha * g.nodes[:, None] * theta_deriv(psi, agrid)
+    rad = -alpha * g.nodes[:, None] * spectral_deriv(
+        _spectra(state.omega, alpha)[1], agrid)
     assert cfl_dt(state) == min(
         0.5 * g.log_step / np.max(np.abs(rad / g.nodes[:, None])),
         0.5 * agrid.dtheta / np.max(np.abs(ang)))
@@ -161,6 +192,30 @@ def test_dense_samples_on_step_ends_are_the_marched_states():
                 <= 1e-3 * np.max(np.abs(hi - lo))
 
 
+def test_a_march_step_works_in_the_march_buffers():
+    # after its first step a march's tendencies work in buffers it owns:
+    # one more step at 256 x 64 (256 x 32 on the half circle) peaks at 2.9
+    # grid arrays of fresh memory (a stage, a tendency, the solve's
+    # per-mode arrays and numpy's ufunc buffers), where it took 9.2 when
+    # every tendency made its own spectra and scratch
+    alpha = 0.2
+    h = 0.05 * alpha
+    g = build_radial_grid(8e-3, 8.0, 256)
+    full = FullMarch(m.make_bump(g, amplitude=1e-3), alpha, AngularGrid(64))
+    samples = full.samples(h * np.arange(4.0))
+    next(samples)
+    next(samples)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        next(samples)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert full.stats()["steps"] == 2
+    assert peak <= 3.5 * full.omega0.values.nbytes
+
+
 def count_calls(patch, calls, module=evolution):
     # route each function of module named in calls through a counter
     def counted(name, fn):
@@ -183,18 +238,18 @@ def test_default_step_solves_once_per_tendency(monkeypatch):
     agrid = AngularGrid(32)
     _, state = sine_state(0.2, g, agrid)
     rate, bound = rhs_full(state, with_bound=True)
-    calls = {"rhs_full": 0, "solve_full": 0}
+    calls = {"rhs_full": 0, "_spectra": 0}
     with monkeypatch.context() as patch:
         count_calls(patch, calls)
         step_full(state, 0.5 * bound)
-        assert calls == {"rhs_full": 3, "solve_full": 3}
+        assert calls == {"rhs_full": 3, "_spectra": 3}
         with pytest.raises(CflViolationError):
             step_full(state, 2.1 * bound)
-        assert calls == {"rhs_full": 4, "solve_full": 4}
+        assert calls == {"rhs_full": 4, "_spectra": 4}
         assert cfl_dt(state) == bound
-        assert calls == {"rhs_full": 5, "solve_full": 5}
+        assert calls == {"rhs_full": 5, "_spectra": 5}
         step_full(state, 0.5 * bound, rate=rate.values)
-        assert calls == {"rhs_full": 8, "solve_full": 8}
+        assert calls == {"rhs_full": 8, "_spectra": 8}
     # a tendency takes the radial derivatives of psi, omega and d_theta psi
     # once each, and R^2 d_R^2 psi reuses psi's
     gradients = {"r_ddr": 0}
@@ -212,7 +267,7 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     # Hermite samples match a march clipped to every sample interval to
     # 2e-6 of the field's sup (measured: 2e-7; a linear fill or swapped
     # end tendencies miss by 4e-5 to 9e-5)
-    calls = {"rhs_full": 0, "solve_full": 0}
+    calls = {"rhs_full": 0, "_spectra": 0}
     g = build_radial_grid(8e-3, 8.0, 128)
     agrid = AngularGrid(32)
     f0 = m.make_bump(g)
@@ -223,7 +278,7 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
         series = run_remainder_study(f0, alpha, agrid, n_samples=n_samples)
     steps = series.full.stats()["steps"]
     assert 0 < steps < n_samples - 1
-    assert calls["solve_full"] == calls["rhs_full"] == 3 * steps + 1
+    assert calls["_spectra"] == calls["rhs_full"] == 3 * steps + 1
     full = FullMarch(f0, alpha, agrid)
     dense = [s.omega.values.copy() for s in full.samples(times)]
     # the reference steps at min(cfl_dt, 0.05 alpha, time left to the

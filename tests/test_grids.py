@@ -3,9 +3,9 @@ import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, trapz, tail_sums, sup_norm, l2_norm,
-                            project_mode, r_ddr, d2_dx2,
-                            theta_deriv)
+                            project_mode, r_ddr, d2_dx2)
 from rieszlab.model import make_indicator
+from spectral import theta_deriv
 
 
 def indicator_field(rgrid, agrid, lo=1.0, hi=2.0, amplitude=1.0):
@@ -139,6 +139,19 @@ def test_radial_derivatives_power_law():
     assert np.allclose(d1[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-5)
     d2 = d2_dx2(v, g) - r_ddr(v, g)
     assert np.allclose(d2[interior], 2.0 * g.nodes[interior] ** 2, rtol=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(512, 128), (256, 64), (64, 8), (8,)])
+def test_r_ddr_is_np_gradient_bit_for_bit(shape):
+    # the slice form keeps np.gradient's operations at every node, into a
+    # fresh array or a given one
+    g = build_radial_grid(8e-3, 8.0, shape[0])
+    v = np.random.default_rng(1).standard_normal(shape)
+    want = np.gradient(v, g.log_step, axis=0, edge_order=2)
+    assert np.array_equal(r_ddr(v, g), want)
+    out = np.empty(shape)
+    assert r_ddr(v, g, out=out) is out
+    assert np.array_equal(out, want)
 
 
 def test_radial_grid_log_step_is_the_uniform_step_in_log_r():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, Field2D,
-                            half_circle, theta_deriv, l2_norm, project_mode)
+                            half_circle, l2_norm, project_mode)
 from rieszlab.elliptic import solve_full
 from rieszlab.evolution import FullState, FullMarch, rhs_full, step_full
 from rieszlab import model as m
+from spectral import theta_deriv
 
 RTOL = 1e-12
 

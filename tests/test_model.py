@@ -162,24 +162,31 @@ def test_reconstruct_matches_out_of_place_formula():
     state = march(state, 0.05, 0.002)
     agrid = AngularGrid(64)
     theta = agrid.nodes[None, :]
-    e = np.exp(-state.A.values)[:, None]
+    e = np.exp(-state.A.values)
     s, c = np.sin(theta), np.cos(theta)
-    f = f0.values[:, None] * e * 2.0 * s * c / (c * c + e * e * s * s)
+    f = ((f0.values * e)[:, None] * np.sin(2.0 * theta)
+         / ((e * e)[:, None] * (s * s) + c * c))
     expect = f + 0.5 * state.A.values[:, None]
     assert np.max(state.A.values) > 0
     assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, expect)
+    # and so with the angular factors and the buffer pair given
+    buffers = (np.empty(expect.shape), np.empty(expect.shape))
+    got = m.reconstruct_Omega2(state, agrid, m.angular_factors(theta),
+                               buffers)
+    assert got.values is buffers[0]
+    assert np.array_equal(got.values, expect)
 
 
 def eval_f_one_line(state, R, theta):
-    """eval_f as one expression, the form it had before it shared its
-    formula with reconstruct_Omega2."""
+    """eval_f as one expression, in the order of operations it shares
+    with reconstruct_Omega2."""
     nodes = state.f0.grid.nodes
     R = np.asarray(R, dtype=float)
     theta = np.asarray(theta, dtype=float)
     f0R = np.interp(R, nodes, state.f0.values)
     e = np.exp(-np.interp(R, nodes, state.A.values))
     s, c = np.sin(theta), np.cos(theta)
-    out = f0R * e * 2.0 * s * c / (c * c + e * e * s * s)
+    out = f0R * e * np.sin(2.0 * theta) / (e * e * (s * s) + c * c)
     return out if out.ndim else float(out)
 
 
