@@ -284,7 +284,7 @@ def principal_remainder_split(f, alpha):
     return principal, remainder
 
 
-def solve_full(omega, alpha, n_modes=None):
+def solve_full(omega, alpha, n_modes=None, out=None):
     """Project omega on angular modes up to transform index n_modes
     (default n_theta // 3, which also dealiases the quadratic transport
     terms), solve each mode, and assemble. Returns psi as a Field2D.
@@ -295,19 +295,27 @@ def solve_full(omega, alpha, n_modes=None):
 
     The assembly runs in spectral space (one inverse transform instead of
     an outer product per mode), and the stencil modes solve both parities
-    in one call against rows factored once per grid and alpha. The time
-    stepper calls _spectra, the whole solve but that last transform, and
-    reads omega's spectrum and psi's from it."""
-    _, psi_spec = _spectra(omega, alpha, n_modes)
+    in one call against rows factored once per grid and alpha. out is a
+    triple of arrays to write into: omega's spectrum along the angle and
+    psi's, zero past index n_modes (complex, of the rfft's shape), and
+    psi (of omega's shape), which the returned Field2D holds. The time
+    stepper passes its own and takes theta derivatives from the two
+    spectra."""
+    if out is None:
+        shape = omega.values.shape
+        spec = (shape[0], shape[1] // 2 + 1)
+        out = (np.empty(spec, dtype=complex), np.empty(spec, dtype=complex),
+               np.empty(shape))
+    # the per-mode arrays of the solve are freed before the transform
+    psi_spec = _spectra(omega, alpha, n_modes, out[:2])
     return Field2D(omega.rgrid, omega.agrid,
-                   np.fft.irfft(psi_spec, n=omega.agrid.n_theta, axis=-1))
+                   np.fft.irfft(psi_spec, n=omega.agrid.n_theta, axis=-1,
+                                out=out[2]))
 
 
-def _spectra(omega, alpha, n_modes=None, out=None):
-    """solve_full's two spectra along the angle: omega's rfft and psi's,
-    which is zero past index n_modes. out is a pair of complex arrays of
-    the rfft's shape to write them into, psi's already zero past n_modes,
-    as this writes only the indices up to it. Returns the pair."""
+def _spectra(omega, alpha, n_modes, out):
+    """solve_full up to its last transform: omega's spectrum and psi's,
+    written into the pair out. Returns psi's."""
     agrid = omega.agrid
     rgrid = omega.rgrid
     if n_modes is None:
@@ -320,9 +328,6 @@ def _spectra(omega, alpha, n_modes=None, out=None):
         raise ValueError("mode %d must stay below the Nyquist mode %d"
                          % (m * n_modes, m * (agrid.n_theta // 2)))
     N = agrid.n_theta
-    if out is None:
-        shape = (rgrid.n, N // 2 + 1)
-        out = np.empty(shape, dtype=complex), np.zeros(shape, dtype=complex)
     spec, psi_spec = out
     np.fft.rfft(omega.values, axis=-1, out=spec)
     scale = 2.0 / N
@@ -336,10 +341,12 @@ def _spectra(omega, alpha, n_modes=None, out=None):
         psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, k_lo:n_modes + 1].T
     modes = range(m * k_lo, m * n_modes + 1, m)
+    # the stacked data is freed once _stencil_rhs has copied it
     sin, cos = _solve_stencil(rgrid, alpha, modes, _stencil_rhs(
         np.stack([-scale * stencil.imag, scale * stencil.real]), modes[0]))
     # 0.5 N (cos - i sin), a part at a time
     block = psi_spec[:, k_lo:n_modes + 1]
     np.multiply(0.5 * N, cos.T, out=block.real)
     np.multiply(-0.5 * N, sin.T, out=block.imag)
-    return out
+    psi_spec[:, n_modes + 1:] = 0.0
+    return psi_spec

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericalError, SupportEscapeError, CflViolationError
 from .grids import (RadialProfile, Field2D, half_circle, r_ddr, d2_dx2,
                     _spectral_deriv, sup_norm, l2_norm, project_mode)
-from .elliptic import _spectra
+from .elliptic import solve_full
 from .kernels import op_Ls, profile_tail
 from . import model as _model
 
@@ -58,16 +58,23 @@ class RemainderSeries:
 
 class _Buffers:
     """The grid-sized arrays that a march reuses, for fields of one
-    shape: a pair of spectra for _spectra (psi's zero past the resolved
-    band) and five real arrays. A tendency works in all of them; between
-    steps the real ones are free for the march's samples. rhs_full and
-    step_full make their own when given none."""
+    shape: solve_full's out triple (omega's and psi's spectra, and psi)
+    and four more real arrays. A tendency works in all of them and
+    leaves nothing in them that it returns, so between tendencies the
+    real ones are free: a march lends three of them out between steps,
+    sample for a Hermite interpolant and the pair scratch for what a
+    caller makes of a sample. rhs_full and step_full make their own when
+    given none."""
 
     def __init__(self, shape):
         spec = (shape[0], shape[1] // 2 + 1)
-        self.spectra = (np.empty(spec, dtype=complex),
-                        np.zeros(spec, dtype=complex))
-        self.grid = tuple(np.empty(shape) for _ in range(5))
+        self.om_spec = np.empty(spec, dtype=complex)
+        self.psi_spec = np.empty(spec, dtype=complex)
+        self.psi, self.dx_psi, self.dth_psi, self.tend, self.term = (
+            np.empty(shape) for _ in range(5))
+        self.solve = (self.om_spec, self.psi_spec, self.psi)
+        self.sample = self.psi
+        self.scratch = (self.dx_psi, self.dth_psi)
 
 
 def rhs_full(state, include_forcing=True, with_bound=False, work=None):
@@ -94,12 +101,14 @@ def _tendency(state, include_forcing, with_bound, work):
     alpha = state.alpha
     n_theta = agrid.n_theta
     nm = n_theta // 3
-    psi, dx_psi, dth_psi, tend, term = work.grid
-    om_spec, psi_spec = _spectra(state.omega, alpha, nm, out=work.spectra)
-    # psi is minus the solve's field; every theta derivative is taken from
-    # a spectrum, so each field is transformed once
+    psi = solve_full(state.omega, alpha, n_modes=nm, out=work.solve).values
+    # psi and its spectrum are minus the solve's; every theta derivative
+    # is taken from a spectrum, so each field is transformed once
+    np.negative(psi, out=psi)
+    om_spec, psi_spec = work.om_spec, work.psi_spec
     np.negative(psi_spec, out=psi_spec)
-    np.fft.irfft(psi_spec, n=n_theta, axis=-1, out=psi)
+    dx_psi, dth_psi = work.dx_psi, work.dth_psi
+    tend, term = work.tend, work.term
     om = state.omega.values
     r_ddr(psi, rgrid, out=dx_psi)
     # tend = alpha dth_psi R d_R om - (2 psi + alpha dx_psi) d_theta om,
@@ -296,7 +305,7 @@ class FullMarch:
         self.peak_reach = 0.0
         self._dts, self._utilisation, self._local_errors = [], [], []
         self._work = _Buffers(self.omega0.values.shape)
-        self.sample_scratch = self._work.grid[1:3]
+        self.sample_scratch = self._work.scratch
         self._march_s = self._sampling_s = 0.0
 
     def samples(self, times):
@@ -314,7 +323,6 @@ class FullMarch:
         tol = 1e-14 * t_final
         rgrid, agrid = self.omega0.rgrid, self.omega0.agrid
         work = self._work
-        sample = work.grid[0]
         clock = time.perf_counter
         begun = clock()
         state = FullState(alpha, self.omega0, 0.0)
@@ -357,7 +365,7 @@ class FullMarch:
             a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
             b = s * s * (3.0 - 2.0 * s)
             c = h * s * (1.0 - s) ** 2
-            out = np.multiply(rate, -s / (1.0 - s), out=sample)
+            out = np.multiply(rate, -s / (1.0 - s), out=work.sample)
             out += start_rate
             out *= c / b
             out += state.omega.values
@@ -410,14 +418,12 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     L0 = profile_tail(f0).values
     profile = _model.similarity_profile((t_final / alpha) * float(np.max(L0)))
     mgrid = full.omega0.agrid
-    factors = _model.angular_factors(mgrid.nodes[None, :])
     growth, remainder = [], []
     for state, ts in zip(full.samples(times), times):
         A = RadialProfile(f0.grid, profile.phi((ts / alpha) * L0))
         mstate = _model.ModelState(alpha, f0, A, ts)
         # the model field, then the difference, in the march's buffers
-        diff = _model.reconstruct_Omega2(mstate, mgrid, factors,
-                                         full.sample_scratch)
+        diff = _model.reconstruct_Omega2(mstate, mgrid, full.sample_scratch)
         np.subtract(state.omega.values, diff.values, out=diff.values)
         growth.append(field_row(state.omega, j0))
         remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],

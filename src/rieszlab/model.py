@@ -112,24 +112,15 @@ def step(state, dt):
     return ModelState(alpha, state.f0, A_new, state.t + dt, kernel)
 
 
-def angular_factors(theta):
-    """(sin 2 theta, cos^2 theta, sin^2 theta) at every entry of theta:
-    the angular factors of the transported profile, which
-    reconstruct_Omega2 takes once per angular grid."""
+def _compressed(f0e, ee, theta, out=None, scratch=None):
+    """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
+    f0e = f0 e and ee = e e, evaluated in that order, into out and
+    scratch (arrays of the broadcast shape) when given."""
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
-    return np.sin(2.0 * theta), c * c, s * s
-
-
-def _compressed(f0e, ee, factors, out=None, scratch=None):
-    """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
-    f0e = f0 e, ee = e e and factors = angular_factors(theta), evaluated
-    in that order, into out and scratch (arrays of the broadcast shape)
-    when given."""
-    sin2, cc, ss = factors
-    den = np.multiply(ee, ss, out=scratch)
-    den += cc
-    f = np.multiply(f0e, sin2, out=out)
+    den = np.multiply(ee, s * s, out=scratch)
+    den += c * c
+    f = np.multiply(f0e, np.sin(2.0 * theta), out=out)
     f /= den
     return f
 
@@ -143,22 +134,19 @@ def eval_f(state, R, theta):
     """
     nodes = state.f0.grid.nodes
     e = np.exp(-np.interp(R, nodes, state.A.values))
-    out = _compressed(np.interp(R, nodes, state.f0.values) * e, e * e,
-                      angular_factors(theta))
+    out = _compressed(np.interp(R, nodes, state.f0.values) * e, e * e, theta)
     return out if out.ndim else float(out)
 
 
-def reconstruct_Omega2(state, agrid, factors=None, out=None):
+def reconstruct_Omega2(state, agrid, out=None):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
-    factors is angular_factors(agrid.nodes[None, :]), made here when not
-    given; out is a pair of arrays of the grid's shape that the values
-    and their scratch are written into, the values in the first."""
-    if factors is None:
-        factors = angular_factors(agrid.nodes[None, :])
+    out is a pair of arrays of the grid's shape that the values and their
+    scratch are written into, the values in the first; the angular
+    factors of f_t are made once per call, on one row of the grid."""
     values, scratch = out or (None, None)
     e = np.exp(-state.A.values)
     f = _compressed((state.f0.values * e)[:, None], (e * e)[:, None],
-                    factors, values, scratch)
+                    agrid.nodes[None, :], values, scratch)
     f += 0.5 * state.A.values[:, None]
     return Field2D(state.f0.grid, agrid, f)
 

@@ -292,6 +292,28 @@ def test_solve_full_reuses_factors_across_grids_and_alphas():
     assert np.array_equal(first, again)
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_solve_full_writes_every_entry_of_a_given_triple(copies):
+    # the solve fills a given triple whatever it held, psi's spectrum
+    # past n_modes included, and its psi is the psi of a plain call
+    g = aligned_grid(257)
+    agrid = AngularGrid(24, copies=copies)
+    f = m.make_bump(g)
+    om = Field2D(g, agrid, np.outer(f.values, np.sin(2.0 * agrid.nodes)
+                                    + 0.3 * np.cos(4.0 * agrid.nodes)))
+    spec = (g.n, agrid.n_theta // 2 + 1)
+    out = (np.full(spec, np.nan, dtype=complex),
+           np.full(spec, np.nan, dtype=complex),
+           np.full(om.values.shape, np.nan))
+    psi = solve_full(om, 0.3, n_modes=5, out=out)
+    assert psi.values is out[2]
+    assert np.array_equal(psi.values, solve_full(om, 0.3, n_modes=5).values)
+    assert np.array_equal(out[0], np.fft.rfft(om.values, axis=-1))
+    assert np.all(out[1][:, 6:] == 0.0)
+    assert np.array_equal(np.fft.irfft(out[1], n=agrid.n_theta, axis=-1),
+                          psi.values)
+
+
 def test_cached_factors_are_read_only():
     g = aligned_grid(257)
     solve_full(Field2D(g, AngularGrid(24), np.zeros((g.n, 24))), 0.3)

@@ -7,7 +7,7 @@ from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
                             Field2D, sup_norm, r_ddr, d2_dx2, _spectral_deriv)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
-from rieszlab.elliptic import exact_mode2, solve_full, _spectra
+from rieszlab.elliptic import exact_mode2, solve_full
 from rieszlab import model as m
 from rieszlab import evolution
 from rieszlab.evolution import (FullState, FullMarch, rhs_full, cfl_dt,
@@ -46,6 +46,16 @@ def _noisy_model_state(alpha):
     return FullState(alpha, Field2D(g, agrid, values), 0.0)
 
 
+def solved(omega, alpha, n_modes=None):
+    # solve_full's out triple: omega's spectrum, psi's spectrum and psi
+    shape = omega.values.shape
+    spec = (shape[0], shape[1] // 2 + 1)
+    out = (np.empty(spec, dtype=complex), np.empty(spec, dtype=complex),
+           np.empty(shape))
+    solve_full(omega, alpha, n_modes, out=out)
+    return out
+
+
 def spectral_deriv(spec, agrid, order=1):
     # the theta derivative of the field whose spectrum is spec
     return np.fft.irfft(_spectral_deriv(spec, agrid, order),
@@ -60,8 +70,8 @@ def _rhs_out_of_place(state, include_forcing, from_spectra=True):
     rgrid, agrid = state.omega.rgrid, state.omega.agrid
     alpha = state.alpha
     nm = agrid.n_theta // 3
-    om_spec, psi_spec = _spectra(state.omega, alpha, nm)
-    psi = -solve_full(state.omega, alpha, n_modes=nm).values
+    om_spec, psi_spec, psi = solved(state.omega, alpha, nm)
+    psi = -psi
     om = state.omega.values
     if from_spectra:
         dth_psi = spectral_deriv(-psi_spec, agrid)
@@ -132,10 +142,9 @@ def test_supplied_first_stage_and_bound_are_bit_identical(alpha):
     g, agrid = state.omega.rgrid, state.omega.agrid
     # the bound as plain expressions of the two speeds, d_theta psi from
     # the solve's spectrum of psi
-    psi = solve_full(state.omega, alpha).values
+    _, psi_spec, psi = solved(state.omega, alpha)
     ang = 2.0 * psi + alpha * r_ddr(psi, g)
-    rad = -alpha * g.nodes[:, None] * spectral_deriv(
-        _spectra(state.omega, alpha)[1], agrid)
+    rad = -alpha * g.nodes[:, None] * spectral_deriv(psi_spec, agrid)
     assert cfl_dt(state) == min(
         0.5 * g.log_step / np.max(np.abs(rad / g.nodes[:, None])),
         0.5 * agrid.dtheta / np.max(np.abs(ang)))
@@ -238,18 +247,18 @@ def test_default_step_solves_once_per_tendency(monkeypatch):
     agrid = AngularGrid(32)
     _, state = sine_state(0.2, g, agrid)
     rate, bound = rhs_full(state, with_bound=True)
-    calls = {"rhs_full": 0, "_spectra": 0}
+    calls = {"rhs_full": 0, "solve_full": 0}
     with monkeypatch.context() as patch:
         count_calls(patch, calls)
         step_full(state, 0.5 * bound)
-        assert calls == {"rhs_full": 3, "_spectra": 3}
+        assert calls == {"rhs_full": 3, "solve_full": 3}
         with pytest.raises(CflViolationError):
             step_full(state, 2.1 * bound)
-        assert calls == {"rhs_full": 4, "_spectra": 4}
+        assert calls == {"rhs_full": 4, "solve_full": 4}
         assert cfl_dt(state) == bound
-        assert calls == {"rhs_full": 5, "_spectra": 5}
+        assert calls == {"rhs_full": 5, "solve_full": 5}
         step_full(state, 0.5 * bound, rate=rate.values)
-        assert calls == {"rhs_full": 8, "_spectra": 8}
+        assert calls == {"rhs_full": 8, "solve_full": 8}
     # a tendency takes the radial derivatives of psi, omega and d_theta psi
     # once each, and R^2 d_R^2 psi reuses psi's
     gradients = {"r_ddr": 0}
@@ -267,7 +276,7 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     # Hermite samples match a march clipped to every sample interval to
     # 2e-6 of the field's sup (measured: 2e-7; a linear fill or swapped
     # end tendencies miss by 4e-5 to 9e-5)
-    calls = {"rhs_full": 0, "_spectra": 0}
+    calls = {"rhs_full": 0, "solve_full": 0}
     g = build_radial_grid(8e-3, 8.0, 128)
     agrid = AngularGrid(32)
     f0 = m.make_bump(g)
@@ -278,7 +287,7 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
         series = run_remainder_study(f0, alpha, agrid, n_samples=n_samples)
     steps = series.full.stats()["steps"]
     assert 0 < steps < n_samples - 1
-    assert calls["_spectra"] == calls["rhs_full"] == 3 * steps + 1
+    assert calls["solve_full"] == calls["rhs_full"] == 3 * steps + 1
     full = FullMarch(f0, alpha, agrid)
     dense = [s.omega.values.copy() for s in full.samples(times)]
     # the reference steps at min(cfl_dt, 0.05 alpha, time left to the

@@ -169,10 +169,9 @@ def test_reconstruct_matches_out_of_place_formula():
     expect = f + 0.5 * state.A.values[:, None]
     assert np.max(state.A.values) > 0
     assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, expect)
-    # and so with the angular factors and the buffer pair given
+    # and so with the buffer pair given
     buffers = (np.empty(expect.shape), np.empty(expect.shape))
-    got = m.reconstruct_Omega2(state, agrid, m.angular_factors(theta),
-                               buffers)
+    got = m.reconstruct_Omega2(state, agrid, buffers)
     assert got.values is buffers[0]
     assert np.array_equal(got.values, expect)
 
