@@ -384,7 +384,7 @@ def _run_model(config, out_dir, manifest):
             np.max(f0_max + 0.5 * A, axis=1), l2,
             L0[j] * profile.dphi(z[:, j]), np.max(A, axis=1)))
         lower, upper = model_mod.sandwich_bounds(alpha, t, L0)
-        violated = model_mod.SandwichReport(lower, alpha * A, upper).violated
+        violated = model_mod.sandwich_violated(lower, alpha * A, upper)
         violations += int(np.sum(violated * counts))
     manifest["checks"]["sandwich"] = (
         "pass" if violations == 0 else "fail: %d node-times" % violations)
@@ -408,7 +408,7 @@ def _run_linear(config, out_dir, manifest):
     hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
     mean0 = f * (sum1 / n)
     # squares past the float range give norms that fail finite_norms, and
-    # a field past it (at a huge horizon) fails Field2D's finite check
+    # a field past it (at a huge horizon) fails step_linear's finite check
     with np.errstate(over="ignore", invalid="ignore"):
         sq0 = (agrid.dtheta * sum2) * f ** 2
         sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
@@ -485,7 +485,8 @@ def _run_full(config, out_dir, manifest):
     full = FullMarch(f0, config.alpha, agrid)
     times = _sample_times(config)
     j0 = support_edge_index(f0)
-    rows = [field_row(state.omega, j0) for state in full.samples(times)]
+    rows = [field_row(state.omega, j0, full.sample_scratch[0])
+            for state in full.samples(times)]
     _report_full(manifest, full)
     return [_write_growth(out_dir, manifest, times, rows)]
 

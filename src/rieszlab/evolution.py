@@ -27,6 +27,12 @@ from . import model as _model
 
 # the longest full-march step, over alpha
 MAX_STEP_OVER_ALPHA = 0.05
+# the entries of one (samples, n_r) array of a remainder study's model
+# side, so that its memory does not grow with the sample count. A block
+# lives through the march steps between its samples: at 256 x 128 a
+# study's tracemalloc peak stays under that of one profile call a sample
+# with 1024 entries, and rises above it with 2048
+_SAMPLE_BLOCK = 1024
 
 
 class FullState:
@@ -396,11 +402,24 @@ def support_edge_index(f0):
     return int(np.argmax(nz)) if np.any(nz) else 0
 
 
-def field_row(omega, j0):
+def field_row(omega, j0, scratch=None):
     """The growth columns of a grid field: sup, l2, L_s at node j0, and
-    twice the peak angular mean (the exponent proxy)."""
-    return (sup_norm(omega), l2_norm(omega), float(op_Ls(omega).values[j0]),
+    twice the peak angular mean (the exponent proxy). scratch, an array
+    of the field's shape, takes the norms' pointwise values when given."""
+    return (sup_norm(omega, scratch), l2_norm(omega, scratch),
+            float(op_Ls(omega).values[j0]),
             2.0 * float(np.max(project_mode(omega, 0, "cos").values)))
+
+
+def _model_samples(profile, f0, L0, alpha, times):
+    """Per sample time, the model's A = phi(t L0 / alpha) and its
+    sup_omega2, f0 + A/2 at its largest. They are formed for blocks of
+    samples, one profile call a block, in arrays of at most
+    _SAMPLE_BLOCK entries, with the arithmetic of one sample at a time."""
+    size = max(1, _SAMPLE_BLOCK // f0.size)
+    for start in range(0, times.size, size):
+        A = profile.phi((times[start:start + size, None] / alpha) * L0)
+        yield from zip(A, np.max(f0 + 0.5 * A, axis=1).tolist())
 
 
 def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
@@ -418,14 +437,18 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     L0 = profile_tail(f0).values
     profile = _model.similarity_profile((t_final / alpha) * float(np.max(L0)))
     mgrid = full.omega0.agrid
+    values, scratch = full.sample_scratch
     growth, remainder = [], []
-    for state, ts in zip(full.samples(times), times):
-        A = RadialProfile(f0.grid, profile.phi((ts / alpha) * L0))
-        mstate = _model.ModelState(alpha, f0, A, ts)
-        # the model field, then the difference, in the march's buffers
+    for state, ts, (A, model_sup) in zip(
+            full.samples(times), times,
+            _model_samples(profile, f0.values, L0, alpha, times)):
+        # each row in the march's two buffers: the full field's norms, then
+        # the model field and the difference in the first, whose norms
+        # take the second
+        growth.append(field_row(state.omega, j0, values))
+        mstate = _model.ModelState(alpha, f0, RadialProfile(f0.grid, A), ts)
         diff = _model.reconstruct_Omega2(mstate, mgrid, full.sample_scratch)
         np.subtract(state.omega.values, diff.values, out=diff.values)
-        growth.append(field_row(state.omega, j0))
-        remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
-                          _model.sup_omega2(mstate)))
+        remainder.append((sup_norm(diff, scratch), l2_norm(diff, scratch),
+                          growth[-1][0], model_sup))
     return RemainderSeries(growth, remainder, full)

@@ -91,14 +91,17 @@ class RadialProfile:
 
 
 class Field2D:
+    """Values on the tensor grid of rgrid and agrid, not checked here.
+    Finiteness is checked where values are made: in the initial profile
+    (an initial field is the profile times angular factors of size at
+    most 1), the stencil solve, every tendency (which stops on an
+    overflow) and the ends of full and linear steps."""
 
     def __init__(self, rgrid, agrid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (rgrid.n, agrid.n_theta):
             raise ValueError(
                 "field values must have shape (%d, %d)" % (rgrid.n, agrid.n_theta))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
         self.rgrid = rgrid
         self.agrid = agrid
         self.values = values
@@ -119,18 +122,22 @@ def tail_sums(values, half_widths):
     return out
 
 
-def sup_norm(field):
-    return float(np.max(np.abs(field.values)))
+def sup_norm(field, scratch=None):
+    """max |values|, with |values| written into scratch, an array of the
+    field's shape, when given."""
+    return float(np.abs(field.values, out=scratch).max())
 
 
-def l2_norm(field):
+def l2_norm(field, scratch=None):
+    """The discrete L2 norm in dR dtheta, with the squares written into
+    scratch, an array of the field's shape, when given."""
     # theta is periodic, so the trapezoid rule reduces to dtheta * sum,
     # once per copy of the period around the circle; inf when the squares
     # pass the float range, for the caller to report
     agrid = field.agrid
     with np.errstate(over="ignore"):
-        per_r = (agrid.copies * agrid.dtheta) * np.sum(field.values ** 2,
-                                                        axis=1)
+        per_r = (agrid.copies * agrid.dtheta) * np.square(
+            field.values, out=scratch).sum(axis=1)
         return float(np.sqrt(trapz(per_r, field.rgrid.nodes)))
 
 

@@ -62,15 +62,20 @@ class ModelState:
         self.kernel = kernel
 
 
+def sandwich_violated(lower, value, upper):
+    """Where value leaves [lower, upper] by more than roundoff slack: both
+    bounds meet the value exactly at t = 0."""
+    tol = 1e-12 * np.maximum(1.0, np.abs(value))
+    return (value < lower - tol) | (value > upper + tol)
+
+
 class SandwichReport:
-    """Margins are raw; the violation count allows roundoff slack because
-    both bounds meet the value exactly at t = 0."""
+    """Margins are raw; the violations are sandwich_violated's."""
 
     def __init__(self, lower, value, upper):
         self.margin_lower = float(np.min(value - lower))
         self.margin_upper = float(np.min(upper - value))
-        tol = 1e-12 * np.maximum(1.0, np.abs(value))
-        self.violated = (value < lower - tol) | (value > upper + tol)
+        self.violated = sandwich_violated(lower, value, upper)
         self.n_violations = int(np.sum(self.violated))
 
 
@@ -114,13 +119,23 @@ def step(state, dt):
 
 def _compressed(f0e, ee, theta, out=None, scratch=None):
     """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
-    f0e = f0 e and ee = e e, evaluated in that order, into out and
-    scratch (arrays of the broadcast shape) when given."""
+    f0e = f0 e and ee = e e, evaluated in that order (but for products,
+    which commute exactly), into out and scratch, arrays of the broadcast
+    shape, when both are given."""
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
-    den = np.multiply(ee, s * s, out=scratch)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(f0e), np.shape(ee), theta.shape)
+        out, scratch = np.empty(shape), np.empty(shape)
+    # the angular factors are copied out first, so that no ufunc call
+    # broadcasts two operands: numpy takes a transient buffer of up to
+    # 8192 entries for each operand that a call broadcasts
+    den, f = scratch, out
+    np.copyto(den, s * s)
+    den *= ee
     den += c * c
-    f = np.multiply(f0e, np.sin(2.0 * theta), out=out)
+    np.copyto(f, np.sin(2.0 * theta))
+    f *= f0e
     f /= den
     return f
 

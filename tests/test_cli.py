@@ -863,6 +863,26 @@ _FLOAT_RANGE_EDGES = {
 }
 
 
+# how each kind ends at each edge: the exit code and the error of its
+# manifest as "type@stage", "" for none, or None where validation refuses
+# the config before a manifest can be written; kinds not named pass
+_MARCHED = ("full", "remainder", "sweep")
+_EDGE_OUTCOMES = {
+    "amplitude-1e300": dict.fromkeys(_MARCHED, (3, "NumericalError@rhs_full")),
+    "amplitude-1.79e308": dict.fromkeys(("model", "linear") + _MARCHED,
+                                        (2, None)),
+    "horizon-1e300": dict(dict.fromkeys(_MARCHED, (2, None)), linear=(
+        3, "NumericalError@step_linear")),
+    "alpha-1e-310": {"full": (3, "EllipticError@_solve_mode_low"),
+                     "remainder": (3, "EllipticError@_solve_mode_low"),
+                     "sweep": (3, "NumericalError@_solve_mode_low")},
+    "alpha-5e-324": {"linear": (3, "ValueError@"),
+                     "full": (3, "EllipticError@_solve_mode_low"),
+                     "remainder": (3, "EllipticError@_solve_mode_low"),
+                     "sweep": (3, "NumericalError@_solve_mode_low")},
+}
+
+
 @pytest.mark.parametrize("edge", sorted(_FLOAT_RANGE_EDGES))
 @pytest.mark.parametrize("kind", ["model", "linear", "full", "remainder",
                                   "sweep"])
@@ -870,16 +890,38 @@ def test_every_kind_at_the_float_range_edges_exits_cleanly(tmp_path, kind,
                                                             edge):
     # with warnings as errors, each kind at each edge runs or stops with
     # exit 2 or 3, never with a traceback, and a run that started leaves
-    # its manifest
+    # its manifest; the finiteness checks sit where values are made (step
+    # ends, the stencil solve, the tendency's overflow), and each edge
+    # keeps the exit code and manifest error it had when every field
+    # wrapper checked its values
     values = {"run.kind": kind, "grid.n_r": 64, "grid.n_theta": 16,
               "time.sample_count": 4, "run.alphas": 0.4}
     values.update(_FLOAT_RANGE_EDGES[edge])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = _main_on(str(tmp_path), values)
-    assert code in (0, 2, 3)
-    if code in (0, 3):
-        assert os.path.isfile(os.path.join(out, "manifest.json"))
+    path = os.path.join(out, "manifest.json")
+    error = None
+    if os.path.isfile(path):
+        error = load_manifest(out)["error"] or ""
+        error = error and "%s@%s" % (error["type"], error["stage"])
+    assert (code, error) == _EDGE_OUTCOMES[edge].get(kind, (0, ""))
+
+
+@pytest.mark.parametrize("extra", [
+    "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n",
+    # 41 samples, over 6 blocks of the remainder run's model side
+    "alpha = 0.2\ngrid.n_r = 128\ngrid.n_theta = 32\n"
+    "time.sample_count = 41\n",
+], ids=["64x16", "128x32"])
+def test_full_and_remainder_runs_write_the_same_growth_csv(tmp_path, extra):
+    # one growth row, field_row, for both kinds of the full march
+    for kind in ("full", "remainder"):
+        cli.run(cli.parse_config(write_config(tmp_path, (
+            "run.kind = %s\noutput.dir = %s\n" % (kind, tmp_path / kind))
+            + extra, name=kind + ".txt")))
+    assert ((tmp_path / "full" / "growth.csv").read_bytes()
+            == (tmp_path / "remainder" / "growth.csv").read_bytes())
 
 
 _TINY_SWEEPS = st.fixed_dictionaries({

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, sup_norm, r_ddr, d2_dx2, _spectral_deriv)
+                            Field2D, sup_norm, l2_norm, r_ddr, d2_dx2,
+                            _spectral_deriv)
 from rieszlab.kernels import op_Ls, profile_tail
 from rieszlab.errors import CflViolationError, SupportEscapeError
 from rieszlab.elliptic import exact_mode2, solve_full
@@ -223,6 +224,74 @@ def test_a_march_step_works_in_the_march_buffers():
         tracemalloc.stop()
     assert full.stats()["steps"] == 2
     assert peak <= 3.5 * full.omega0.values.nbytes
+
+
+def test_remainder_samples_work_in_the_march_buffers(monkeypatch):
+    # after the first step a remainder sample makes no grid-sized array:
+    # the norms, the model field and the difference are read in the two
+    # buffers the march lends out, and A comes from the profile in blocks
+    # of samples. At 512 x 128 (512 x 64 on the half circle) a sample
+    # peaks at 0.31-0.38 grid arrays of fresh memory (numpy's buffer for
+    # a broadcast operand, and a block's profile call); squaring and
+    # taking abs into fresh arrays in every sample read 1.02-1.04
+    peaks = []
+    samples = FullMarch.samples
+
+    def measured(self, times):
+        for state in samples(self, times):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield state
+            if self.stats()["steps"] > 0:
+                peaks.append((tracemalloc.get_traced_memory()[1] - base)
+                             / self.omega0.values.nbytes)
+
+    alpha = 0.2
+    g = build_radial_grid(8e-3, 8.0, 512)
+    f0 = m.make_bump(g)
+    monkeypatch.setattr(FullMarch, "samples", measured)
+    tracemalloc.start()
+    try:
+        run_remainder_study(f0, alpha, AngularGrid(128),
+                            t_final=0.2 * alpha, n_samples=13)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 12
+    assert max(peaks) <= 0.6
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
+def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta):
+    # the study's rows, bit for bit, against rows built out of place one
+    # sample at a time: field_row of the sample, the model field without
+    # buffers from A = phi(t L0 / alpha) of that sample alone, the norms
+    # of the difference and sup_omega2. Every step is 0.05 alpha here, so
+    # every fourth of the 41 samples is a step end and the others are
+    # Hermite samples, over 3 (64 nodes) and 6 (128 nodes) blocks of A
+    alpha, t_final, n_samples = 0.2, 0.1, 41
+    g = build_radial_grid(8e-3, 8.0, n_r)
+    agrid = AngularGrid(n_theta)
+    f0 = m.make_bump(g)
+    series = run_remainder_study(f0, alpha, agrid, t_final=t_final,
+                                 n_samples=n_samples)
+    assert series.full.stats()["steps"] == 10
+    times = np.linspace(0.0, t_final, n_samples)
+    j0 = evolution.support_edge_index(f0)
+    L0 = profile_tail(f0).values
+    profile = m.similarity_profile((t_final / alpha) * float(np.max(L0)))
+    growth, remainder, ends = [], [], 0
+    for state, ts in zip(FullMarch(f0, alpha, agrid).samples(times), times):
+        ends += state.local_error is not None
+        growth.append(evolution.field_row(state.omega, j0))
+        mstate = m.ModelState(alpha, f0, RadialProfile(
+            g, profile.phi((ts / alpha) * L0)), ts)
+        model = m.reconstruct_Omega2(mstate, state.omega.agrid)
+        diff = Field2D(g, model.agrid, state.omega.values - model.values)
+        remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
+                          m.sup_omega2(mstate)))
+    assert ends == 10
+    assert series.growth == growth
+    assert series.remainder == remainder
 
 
 def count_calls(patch, calls, module=evolution):
