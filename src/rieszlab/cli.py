@@ -2,9 +2,9 @@
 output, and the built-in verification suites.
 
 Config files are flat ``key = value`` text with dotted keys, one
-assignment per line, # comments allowed. Every run writes its output
-files plus a manifest.json recording the resolved configuration, code
-version, wall time, per-check summary, and a sha256 digest of every
+assignment per line, # comments on whole lines. Every run writes its
+output files plus a manifest.json recording the resolved configuration,
+code version, wall time, per-check summary, and a sha256 digest of every
 emitted file, so identical config and code give byte-identical output.
 
 Exit codes: 0 success, 2 bad config, 3 numerical failure, a solver's
@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 import time
 import warnings
@@ -204,6 +205,9 @@ def parse_config(path):
             raise ConfigError("%s:%d: expected key = value, got %r"
                               % (path, ln, line))
         key, _, val = line.partition("=")
+        if re.search(r"\s#", val):
+            raise ConfigError("%s:%d: comments must take a whole line, got %r"
+                              % (path, ln, line))
         key = key.strip()
         val = val.strip()
         if key not in _KEYS:
@@ -303,22 +307,16 @@ def _writing(path):
 
 def _write_csv(path, header, keys, rows):
     """The header, then per key (a sample time or an alpha) key and row,
-    one %.17g field per column of the header."""
+    one %.17g field per column of the header. Returns (path, sha256 of the
+    bytes written); with newline="" those bytes are the text in utf-8."""
     line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    # Python floats, which % formats faster than numpy scalars
+    text = header + "\n" + "".join(
+        line % (key, *row) for key, row in zip(np.asarray(keys).tolist(),
+                                               np.asarray(rows).tolist()))
     with _writing(path) as fh:
-        fh.write(header + "\n")
-        # Python floats, which % formats faster than numpy scalars
-        for key, row in zip(np.asarray(keys).tolist(),
-                            np.asarray(rows).tolist()):
-            fh.write(line % (key, *row))
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        fh.write(text)
+    return path, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _sample_times(config):
@@ -328,13 +326,14 @@ def _sample_times(config):
 
 def _write_growth(out_dir, manifest, times, rows):
     """Write growth.csv, one (sup, l2, Ls_at_support_inf, A_max) row per
-    sample time, and check that every sup and l2 norm is finite."""
-    path = os.path.join(out_dir, "growth.csv")
-    _write_csv(path, "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", times,
-               rows)
+    sample time, check that every sup and l2 norm is finite, and return
+    _write_csv's (path, digest)."""
+    written = _write_csv(os.path.join(out_dir, "growth.csv"),
+                         "t,sup_norm,l2_norm,Ls_at_support_inf,A_max", times,
+                         rows)
     manifest["checks"]["finite_norms"] = (
         "pass" if np.all(np.isfinite(np.asarray(rows)[:, :2])) else "fail")
-    return path
+    return written
 
 
 def _run_model(config, out_dir, manifest):
@@ -471,9 +470,9 @@ def _run_remainder(config, out_dir, manifest):
     series = run_remainder_study(f0, config.alpha, agrid, t_final=times[-1],
                                  n_samples=times.size)
     growth = _write_growth(out_dir, manifest, times, series.growth)
-    rem = os.path.join(out_dir, "remainder.csv")
-    _write_csv(rem, "t,rem_sup,rem_l2,full_sup,model_sup", times,
-               series.remainder)
+    rem = _write_csv(os.path.join(out_dir, "remainder.csv"),
+                     "t,rem_sup,rem_l2,full_sup,model_sup", times,
+                     series.remainder)
     _report_full(manifest, series.full)
     manifest["stats"]["peak_rem_sup"] = series.max_rem_sup()
     return [growth, rem]
@@ -493,13 +492,14 @@ def _run_full(config, out_dir, manifest):
 
 def _sweep_member(args):
     """One sweep alpha in a worker process; args is (member config, alpha,
-    member output dir). Returns (peak rem_sup, output files); a failure
-    raises. The member's manifest is not among the files: its wall time
-    differs between identical runs."""
+    member output dir). Returns (peak rem_sup, [(output file, digest)])
+    from the member's manifest; a failure raises. The manifest itself is
+    not among the files: its wall time differs between identical runs."""
     config, _, member_dir = args
     manifest = _execute(config, _run_remainder)
-    files = [os.path.join(member_dir, rel) for rel in manifest["files"]]
-    return manifest["stats"]["peak_rem_sup"], files
+    return manifest["stats"]["peak_rem_sup"], [
+        (os.path.join(member_dir, rel), digest)
+        for rel, digest in manifest["files"].items()]
 
 
 def _run_sweep(config, out_dir, manifest):
@@ -562,10 +562,10 @@ def _run_sweep(config, out_dir, manifest):
         cumulative = np.full(alphas.size, np.nan)
         checks["scaling_exponent"] = local = "unavailable: %s" % exc
     manifest["stats"] = {"local_slopes": local}
-    spath = os.path.join(out_dir, "scaling_report.csv")
-    _write_csv(spath, "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
-               np.column_stack((peaks, cumulative)))
-    return [path for _, files in results for path in files] + [spath]
+    return [written for _, files in results for written in files] + [
+        _write_csv(os.path.join(out_dir, "scaling_report.csv"),
+                   "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
+                   np.column_stack((peaks, cumulative)))]
 
 
 _BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,
@@ -574,11 +574,11 @@ _BODIES = {"model": _run_model, "linear": _run_linear, "full": _run_full,
 
 def _execute(config, body):
     """Call body(config, out_dir, manifest), which fills the manifest's
-    checks dict, may add its stats dict, and returns the files it wrote;
-    write manifest.json whether or not it raises: the resolved config,
-    code version, wall time, named checks, stats, emitted files with
-    digests, and the error if one stopped the run. Returns the manifest
-    dict."""
+    checks dict, may add its stats dict, and returns the (path, sha256)
+    of each file it wrote; write manifest.json whether or not it raises:
+    the resolved config, code version, wall time, named checks, stats,
+    emitted files with digests, and the error if one stopped the run.
+    Returns the manifest dict."""
     out_dir = config.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -597,8 +597,8 @@ def _execute(config, body):
             fh.write("\n")
 
     try:
-        for path in body(config, out_dir, manifest):
-            manifest["files"][os.path.relpath(path, out_dir)] = _sha256(path)
+        for path, digest in body(config, out_dir, manifest):
+            manifest["files"][os.path.relpath(path, out_dir)] = digest
     except BaseException as exc:
         # recorded whatever it is, an interrupt or exit too, and raised
         # unchanged; main maps ConfigError and _RUN_FAILURES to exit codes

@@ -1,5 +1,6 @@
 import concurrent.futures
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -47,10 +48,30 @@ def test_parse_config_minimal_defaults(tmp_path):
 
 
 def test_parse_config_comments_and_spacing(tmp_path):
-    body = "# growth run\nalpha = 0.1\n\n  delta=2.5  \nrun.kind = linear\n"
+    body = ("# growth run\nalpha = 0.1\n\n  delta=2.5  \nrun.kind = linear\n"
+            "output.dir = out#1\n")
     cfg = cli.parse_config(write_config(tmp_path, body))
     assert cfg.alpha == 0.1 and cfg.delta == 2.5
     assert cfg.run_kind == "linear"
+    # a # that follows no whitespace is part of the value
+    assert cfg.output_dir == "out#1"
+
+
+@pytest.mark.parametrize("line", [
+    "output.dir = {out} # my run", "alpha = 0.2 # small",
+    "alpha = 0.2\t# small", "output.dir = # {out}"],
+    ids=["string", "number", "tab", "value-is-comment"])
+def test_trailing_comment_exits_2_naming_the_line(tmp_path, capsys, line):
+    # a # after whitespace would start a comment, and comments take a
+    # whole line: the value is refused, not read with its comment, and
+    # nothing is written
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "grid.n_r = 64\n%s\n"
+                        % line.format(out=out))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: %s:2: comments must take a whole line" % path in err
+    assert os.listdir(tmp_path) == ["run.txt"]
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):
@@ -1177,6 +1198,60 @@ def test_rerun_is_byte_identical(tmp_path):
         assert not any(rel.endswith("manifest.json") for rel in files)
     # three members' growth.csv and remainder.csv, and scaling_report.csv
     assert len(files) == 7
+
+
+def tiny_config(tmp_path, kind, out):
+    """A parsed 64 x 16 config of kind at 4 samples; a sweep has two
+    members."""
+    return cli.parse_config(write_config(tmp_path, (
+        "run.kind = %s\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (kind, out)), name="%s.txt" % kind))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_manifest_digests_are_those_of_the_files_on_disk(tmp_path, kind):
+    # each digest is taken from the text its writer wrote, and must be
+    # the sha256 of the file on disk, a sweep member's too; a sweep lists
+    # its members' digests as their own manifests record them
+    out = tmp_path / "out"
+    cli.run(tiny_config(tmp_path, kind, out))
+    files = load_manifest(out)["files"]
+    assert files
+    for rel, digest in files.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+    members = ("alpha_0.4", "alpha_0.2") if kind == "sweep" else ()
+    for member in members:
+        for rel, digest in load_manifest(out / member)["files"].items():
+            assert files.pop("%s/%s" % (member, rel)) == digest
+    if members:
+        assert list(files) == ["scaling_report.csv"]
+
+
+def test_no_run_reads_back_what_it_wrote(tmp_path, monkeypatch):
+    # every output is opened once, to be written; its digest comes from
+    # the text written. The sweep's members run in this process, so
+    # their opens are counted too
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool, raising=False)
+    rem, sweep = tmp_path / "remainder", tmp_path / "sweep"
+    configs = [tiny_config(tmp_path, "remainder", rem),
+               tiny_config(tmp_path, "sweep", sweep)]
+    real, opened = open, []
+
+    def counting(path, mode="r", *args, **kwargs):
+        opened.append((str(path), mode))
+        return real(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting, raising=False)
+    for config in configs:
+        cli.run(config)
+    written = ("growth.csv", "remainder.csv", "manifest.json")
+    expected = [rem / name for name in written] + [
+        sweep / member / name for member in ("alpha_0.4", "alpha_0.2")
+        for name in written] + [sweep / "scaling_report.csv",
+                                sweep / "manifest.json"]
+    assert sorted(opened) == sorted((str(path), "w") for path in expected)
 
 
 # the last row of each output file of a 64 x 16 run at alpha 0.2 with 4
