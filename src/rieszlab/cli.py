@@ -512,10 +512,10 @@ def _run_sweep(config, out_dir, manifest):
             "output.dir": os.path.join(out_dir, _member_dir_name(alpha))}))
         jobs.append((member, alpha, member.output_dir))
     workers = min(len(jobs), os.cpu_count() or 1)
-    # every member solves for the stream function: load LAPACK here, once,
-    # so that workers started by fork inherit the loaded module instead of
-    # each importing scipy.linalg on its own. Under spawn or forkserver a
-    # worker imports rieszlab afresh and binds LAPACK on its first solve
+    # every member solves for the stream function: bind LAPACK here, once,
+    # so that workers started by fork inherit the loaded extension instead
+    # of each loading it on its own. Under spawn or forkserver a worker
+    # imports rieszlab afresh and binds LAPACK on its first solve
     lapack_tridiagonal()
     # longest first (Graham's longest-processing-time rule): a member
     # marches about 2 log(1/alpha) steps at its 0.05 alpha step cap, so

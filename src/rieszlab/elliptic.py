@@ -28,6 +28,10 @@ because the history cells integrate the interpolant exactly.
 """
 
 from functools import lru_cache
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -36,14 +40,52 @@ from .grids import RadialProfile, Field2D
 from .kernels import profile_tail
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _scipy_dir():
+    """The directory of the installed scipy package, found without
+    importing it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed")
+    return os.path.dirname(spec.origin)
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded straight from its file under
+    its own name, so that neither scipy/__init__.py nor
+    scipy/linalg/__init__.py runs; a later import of scipy.linalg finds
+    it in sys.modules. Raises ImportError when no such file exists."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    linalg = os.path.join(_scipy_dir(), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    raise ImportError("no %s extension in %s" % (_FLAPACK, linalg))
+
+
 @lru_cache(maxsize=None)
 def lapack_tridiagonal():
     """(dgttrf, dgttrs), the LAPACK tridiagonal factor and solve every
-    solve here runs on. scipy.linalg is imported on the first call, so
-    runs that never solve for the stream function (model and linear)
-    do not pay for loading it."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    return dgttrf, dgttrs
+    solve here runs on. They are bound on the first call, so runs that
+    never solve for the stream function (model and linear) load no
+    LAPACK. Importing scipy.linalg to reach them would cost a cold run
+    more than everything else it imports, so the extension that holds
+    them is loaded directly; scipy keeps it private, and if its file is
+    gone or fails to load, the public scipy.linalg.lapack serves."""
+    try:
+        flapack = _load_flapack()
+    except (ImportError, OSError):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        return dgttrf, dgttrs
+    return flapack.dgttrf, flapack.dgttrs
 
 
 def _factor(dl, d, du, failure, stage):

@@ -215,14 +215,46 @@ class SimilarityProfile:
 
     def _hermite(self, z, values, slopes):
         """Cubic Hermite interpolation in s of a table and its s-slopes,
-        at z clipped below to z0."""
-        x = (np.log(np.maximum(z, PROFILE_Z0)) - math.log(PROFILE_Z0)) / self.h
-        k = np.minimum(x.astype(int), self.steps - 1)
-        u = x - k
-        v = 1.0 - u
-        return (v * v * ((1.0 + 2.0 * u) * values[k] + self.h * u * slopes[k])
-                + u * u * ((3.0 - 2.0 * u) * values[k + 1]
-                           - self.h * v * slopes[k + 1]))
+        at z clipped below to z0. Each operation of
+
+            v^2 ((1 + 2u) f_k + h u f'_k) + u^2 ((3 - 2u) f_k+1 - h v f'_k+1)
+
+        runs in place in the order written: the bits are those of the
+        plain expression, and at most six arrays of z's size (one of them
+        np.take's buffer) are alive at once."""
+        u = np.maximum(z, PROFILE_Z0, out=np.empty_like(z))
+        np.log(u, out=u)
+        u -= math.log(PROFILE_Z0)
+        u /= self.h
+        k = u.astype(int)
+        np.minimum(k, self.steps - 1, out=k)
+        u -= k
+        left, work, buf = (np.empty_like(u) for _ in range(3))
+        # left = v^2 ((1 + 2u) f_k + h u f'_k)
+        np.multiply(u, self.h, out=work)
+        work *= np.take(slopes, k, out=buf)
+        np.multiply(u, 2.0, out=left)
+        left += 1.0
+        left *= np.take(values, k, out=buf)
+        left += work
+        np.subtract(1.0, u, out=work)
+        work *= work
+        left *= work
+        # right = u^2 ((3 - 2u) f_k+1 - h v f'_k+1), u itself spent last
+        k += 1
+        np.subtract(1.0, u, out=work)
+        work *= self.h
+        work *= np.take(slopes, k, out=buf)
+        np.take(values, k, out=buf)
+        del k
+        right = np.multiply(u, u, out=np.empty_like(u))
+        u *= 2.0
+        np.subtract(3.0, u, out=u)
+        u *= buf
+        u -= work
+        right *= u
+        left += right
+        return left
 
     def phi(self, z):
         """phi at every entry of z, 0 <= z <= z_max."""
@@ -236,7 +268,8 @@ class SimilarityProfile:
         table, the series' derivative below z0."""
         z = np.asarray(z, dtype=float)
         near = np.minimum(z, PROFILE_Z0)
-        far = self._hermite(z, self._w, self._dw) / np.maximum(z, PROFILE_Z0)
+        far = self._hermite(z, self._w, self._dw)
+        far /= np.maximum(z, PROFILE_Z0)
         return np.where(z > PROFILE_Z0, far,
                         1.0 + near * (2.0 * self.a + near * 3.0 * self.b))
 

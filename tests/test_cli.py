@@ -363,36 +363,83 @@ def _fresh_interpreter(code):
         capture_output=True, text=True, check=True).stdout
 
 
+_SCIPY_MODULES = ("loaded = lambda: sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'); ")
+
+
 def test_import_loads_no_unused_scipy_subpackages(tmp_path):
     # a fresh interpreter: importing the command line loads no scipy
     # module, and neither do a model run and a linear run, which never
-    # solve for the stream function
+    # solve for the stream function. A remainder run then loads LAPACK's
+    # extension alone, without running scipy's or scipy.linalg's
+    # __init__.py
     config = ("grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
               "run.kind = %s\noutput.dir = %s\n")
     paths = []
-    for kind in ("model", "linear"):
+    for kind in ("model", "linear", "remainder"):
         paths.append(write_config(tmp_path, config % (kind, tmp_path / kind),
                                   name=kind + ".txt"))
     out = _fresh_interpreter(
-        "import rieszlab.cli; "
-        "loaded = lambda: sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy'); before = loaded(); "
-        "codes = [rieszlab.cli.main(['run', p]) for p in %r]; "
-        "print(before, codes, loaded())" % paths)
-    assert out.splitlines()[-1] == "[] [0, 0] []"
+        "import rieszlab.cli; " + _SCIPY_MODULES + "before = loaded(); "
+        "print(before, [(rieszlab.cli.main(['run', p]), loaded()) "
+        "for p in %r])" % paths)
+    assert out.splitlines()[-1] == (
+        "[] [(0, []), (0, []), (0, ['scipy.linalg._flapack'])]")
 
 
 def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
-    # the parent of a sweep solves nothing itself, so scipy.linalg.lapack
-    # is in its modules only if it bound LAPACK before starting the pool
+    # the parent of a sweep solves nothing itself, so it holds the bound
+    # routines only if it bound LAPACK before starting the pool
     path = write_config(tmp_path, (
         "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
         "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
         % (tmp_path / "out")))
     out = _fresh_interpreter(
         "import rieszlab.cli; code = rieszlab.cli.main(['run', %r]); "
-        "print(code, 'scipy.linalg.lapack' in sys.modules)" % path)
-    assert out.splitlines()[-1] == "0 True"
+        "print(code, rieszlab.cli.lapack_tridiagonal.cache_info().currsize)"
+        % path)
+    assert out.splitlines()[-1] == "0 1"
+
+
+def test_scipy_linalg_imports_after_the_direct_load_of_lapack():
+    # the extension is registered under its own name, so a later import of
+    # scipy.linalg (tests import it at collection) reuses it and hands out
+    # the very routines the solves run on
+    out = _fresh_interpreter(
+        "from rieszlab.elliptic import lapack_tridiagonal; "
+        "routines = lapack_tridiagonal(); " + _SCIPY_MODULES +
+        "before = loaded(); from scipy.linalg.lapack import dgttrf, dgttrs; "
+        "print(before, routines[0] is dgttrf and routines[1] is dgttrs)")
+    assert out.splitlines()[-1] == "['scipy.linalg._flapack'] True"
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension(tmp_path):
+    # with no _flapack file where scipy should be, the public
+    # scipy.linalg.lapack serves, and a 64 x 16 half-circle field solves
+    # bit for bit as on the directly loaded extension
+    solve = (
+        "import hashlib, numpy as np; from rieszlab import elliptic; "
+        "from rieszlab.grids import (build_radial_grid, AngularGrid, "
+        "Field2D, half_circle); from rieszlab.model import make_bump; "
+        "g = build_radial_grid(0.5, 8.0, 64); "
+        "a = half_circle(AngularGrid(16)); "
+        "om = Field2D(g, a, np.outer(make_bump(g).values, "
+        "np.sin(2.0 * a.nodes) + 0.3 * np.cos(4.0 * a.nodes))); "
+        "digest = hashlib.sha256(elliptic.solve_full(om, 0.3).values"
+        ".tobytes()).hexdigest(); ")
+    direct = _fresh_interpreter(
+        solve + _SCIPY_MODULES + "print(loaded(), digest)")
+    fallback = _fresh_interpreter(
+        "import rieszlab.elliptic as elliptic; "
+        "elliptic._scipy_dir = lambda: %r; " % str(tmp_path) + solve +
+        "imported = 'scipy.linalg.lapack' in sys.modules; "
+        "import scipy.linalg.lapack as lapack; "
+        "routines = elliptic.lapack_tridiagonal(); "
+        "print(imported, routines[0] is lapack.dgttrf "
+        "and routines[1] is lapack.dgttrs, digest)")
+    loaded, digest = direct.splitlines()[-1].rsplit(" ", 1)
+    assert loaded == "['scipy.linalg._flapack']"
+    assert fallback.splitlines()[-1] == "True True " + digest
 
 
 @pytest.mark.parametrize("rows, message", [

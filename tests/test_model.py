@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +420,35 @@ def test_profile_derivative_against_closed_form_and_differences():
     central = (profile.phi(z + eps) - profile.phi(z - eps)) / (2.0 * eps)
     assert np.allclose(profile.dphi(z), central, rtol=1e-7, atol=0.0)
     assert profile.phi(0.0) == 0.0 and profile.dphi(0.0) == 1.0
+
+
+def test_profile_evaluates_in_place_with_the_plain_expression_bits():
+    # phi and phi' of 1024 entries, on both sides of z0, hold at most
+    # eight arrays of that size at once, and the table interpolation
+    # keeps the bits of the plain Hermite expression
+    profile = m.similarity_profile(60.0)
+    z = np.concatenate([np.geomspace(1e-5, 1e-3, 24),
+                        np.linspace(1e-3, 60.0, 1000)])
+    for values, slopes, evaluate in ((profile._phi, profile._w, profile.phi),
+                                     (profile._w, profile._dw, profile.dphi)):
+        evaluate(z)
+        tracemalloc.start()
+        try:
+            evaluate(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * z.nbytes
+        x = (np.log(np.maximum(z, m.PROFILE_Z0))
+             - math.log(m.PROFILE_Z0)) / profile.h
+        k = np.minimum(x.astype(int), profile.steps - 1)
+        u = x - k
+        v = 1.0 - u
+        plain = (v * v * ((1.0 + 2.0 * u) * values[k]
+                          + profile.h * u * slopes[k])
+                 + u * u * ((3.0 - 2.0 * u) * values[k + 1]
+                            - profile.h * v * slopes[k + 1]))
+        assert np.array_equal(profile._hermite(z, values, slopes), plain)
 
 
 PROFILE_REACHES = (5e-4, 0.5, 25.3, 44.4, 83.0, 1e4)
