@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError, WriteError
-from .grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
+from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
+                    trapz)
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
@@ -341,50 +342,41 @@ def _run_model(config, out_dir, manifest):
     f0 = build_profile(config, rgrid)
     alpha = config.alpha
     times = _sample_times(config)
-    # A = phi(t L0 / alpha) depends on R through L0 alone, so each sum and
-    # maximum over R runs over the distinct L0 values, with the summed
-    # trapezoid weights (of 1 and of f0^2) and the largest f0 of each
-    L0, group, counts = np.unique(profile_tail(f0).values,
-                                  return_inverse=True, return_counts=True)
+    # the model is read once per distinct tail L0 (model.TailGroups), so
+    # each sum and maximum over R runs over the distinct L0 values, with
+    # the summed trapezoid weights (of 1 and of f0^2)
+    tails = model_mod.TailGroups(f0, alpha, times[-1])
+    L0, group, profile = tails.L0, tails.group, tails.profile
     half_widths = 0.5 * np.diff(rgrid.nodes)
     weights = np.zeros(rgrid.n)
     weights[:-1] = half_widths
     weights[1:] += half_widths
-    f0_max = np.zeros(L0.size)
-    np.maximum.at(f0_max, group, f0.values)
     j = group[support_edge_index(f0)]
     # both norms are exact in the angle, so no angular grid is sampled:
     # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
     # theta turns the angular integral of f_t^2 into a rational one,
     # pi f0^2 K(A); f_t is odd in theta, so the cross term with A/2
     # vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2/2) dR.
-    # Squares past the float range give an inf or nan l2 for finite_norms,
-    # and the run's largest z past it (a huge horizon over a tiny alpha)
-    # is refused by similarity_profile as a numerical failure
+    # Squares past the float range give an inf or nan l2 for finite_norms
     with np.errstate(over="ignore", invalid="ignore"):
-        z_max = float((times[-1] / alpha) * L0[-1])
         f0_sq = np.bincount(group, weights * f0.values * f0.values)
     w_sum = np.bincount(group, weights)
-    profile = model_mod.similarity_profile(z_max)
     manifest["stats"] = {"z_max": profile.z_max,
                          "profile_steps": profile.steps,
                          "profile_steps_marched": profile.marched}
     rows = np.empty((times.size, 4))
     violations = 0
-    size = max(1, _MODEL_BLOCK // L0.size)
-    for start in range(0, times.size, size):
-        t = times[start:start + size, None]
-        z = (t / alpha) * L0
-        A = profile.phi(z)
+    start = 0
+    for t, z, A, sup in tails.blocks(times, _MODEL_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):
             l2 = np.sqrt(np.pi * (kernel_values(A) @ f0_sq
                                   + 0.5 * (A * A) @ w_sum))
-        rows[start:start + size] = np.column_stack((
-            np.max(f0_max + 0.5 * A, axis=1), l2,
-            L0[j] * profile.dphi(z[:, j]), np.max(A, axis=1)))
+        rows[start:start + t.size] = np.column_stack((
+            sup, l2, L0[j] * profile.dphi(z[:, j]), np.max(A, axis=1)))
+        start += t.size
         lower, upper = model_mod.sandwich_bounds(alpha, t, L0)
         violated = model_mod.sandwich_violated(lower, alpha * A, upper)
-        violations += int(np.sum(violated * counts))
+        violations += int(np.sum(violated * tails.counts))
     manifest["checks"]["sandwich"] = (
         "pass" if violations == 0 else "fail: %d node-times" % violations)
     return [_write_growth(out_dir, manifest, times, rows)]
@@ -412,12 +404,11 @@ def _run_linear(config, out_dir, manifest):
         sq0 = (agrid.dtheta * sum2) * f ** 2
         sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
         sq2 = (agrid.dtheta * n) * ls0 ** 2
-        widths = np.diff(rgrid.nodes)
         # the rows of a block of samples at once, each column in
         # whole-array passes over a (samples, n_r) array of about
         # _LINEAR_BLOCK entries, with the arithmetic of one row per entry:
         # the sup keeps max(top, bottom)'s choice and nan, and the l2
-        # column is grids.trapz along each row
+        # column is trapz along each row
         rows = np.empty((times.size, 4))
         rows[:, 2] = ls0[j0]
         size = max(1, _LINEAR_BLOCK // rgrid.n)
@@ -429,8 +420,7 @@ def _run_linear(config, out_dir, manifest):
             bottom = np.max(np.abs(lo + src), axis=1)
             block[:, 0] = np.where(bottom > top, bottom, top)
             sq = sq0 + s * sq1 + s * s * sq2
-            block[:, 1] = np.sqrt(np.sum((sq[:, 1:] + sq[:, :-1]) * 0.5
-                                         * widths, axis=1))
+            block[:, 1] = np.sqrt(trapz(sq, rgrid.nodes))
             block[:, 3] = 2.0 * np.max(mean0 + src, axis=1)
         # the check marches the grid field to the horizon in two steps, so
         # the second takes L_s from an evolved field, and holds the march

@@ -108,7 +108,9 @@ class Field2D:
 
 
 def trapz(values, nodes):
-    return float(np.sum((values[1:] + values[:-1]) * 0.5 * np.diff(nodes)))
+    """The trapezoid rule on nodes along the last axis of values."""
+    return np.sum((values[..., 1:] + values[..., :-1]) * 0.5 * np.diff(nodes),
+                  axis=-1)
 
 
 def tail_sums(values, half_widths):

@@ -259,19 +259,32 @@ class SimilarityProfile:
     def phi(self, z):
         """phi at every entry of z, 0 <= z <= z_max."""
         z = np.asarray(z, dtype=float)
+        far = self._hermite(z, self._phi, self._w)
+        # near (1 + near (a + near b)), in place in the order written
         near = np.minimum(z, PROFILE_Z0)
-        return np.where(z > PROFILE_Z0, self._hermite(z, self._phi, self._w),
-                        near * (1.0 + near * (self.a + near * self.b)))
+        series = np.multiply(near, self.b)
+        series += self.a
+        series *= near
+        series += 1.0
+        series *= near
+        np.copyto(far, series, where=~(z > PROFILE_Z0))
+        return far
 
     def dphi(self, z):
         """phi' at every entry of z, 0 <= z <= z_max: w / z from the
         table, the series' derivative below z0."""
         z = np.asarray(z, dtype=float)
-        near = np.minimum(z, PROFILE_Z0)
         far = self._hermite(z, self._w, self._dw)
         far /= np.maximum(z, PROFILE_Z0)
-        return np.where(z > PROFILE_Z0, far,
-                        1.0 + near * (2.0 * self.a + near * 3.0 * self.b))
+        # 1 + near (2 a + near 3 b), in place in the order written
+        near = np.minimum(z, PROFILE_Z0)
+        series = np.multiply(near, 3.0)
+        series *= self.b
+        series += 2.0 * self.a
+        series *= near
+        series += 1.0
+        np.copyto(far, series, where=~(z > PROFILE_Z0))
+        return far
 
 
 def _sech2_half_float(p):
@@ -373,6 +386,38 @@ def similarity_profile(z_max, kernel=None, step=PROFILE_STEP):
     return SimilarityProfile(z_max, h, (a, b),
                              tuple(column[:steps + 1] for column in table),
                              marched)
+
+
+class TailGroups:
+    """The model at sample times, read once per distinct tail: A = phi(t
+    L(f0) / alpha) depends on R through L(f0) alone. L0 holds the sorted
+    distinct tails, group each node's index into L0 and counts the nodes
+    of each; f0_max is the largest f0 of each group, and profile the
+    similarity profile up to the largest z of t_final."""
+
+    def __init__(self, f0, alpha, t_final):
+        self.alpha = alpha
+        self.L0, self.group, self.counts = np.unique(
+            profile_tail(f0).values, return_inverse=True, return_counts=True)
+        self.f0_max = np.zeros(self.L0.size)
+        np.maximum.at(self.f0_max, self.group, f0.values)
+        # a z_max past the float range (a huge horizon over a tiny alpha)
+        # is refused by similarity_profile as a numerical failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_max = float((t_final / alpha) * self.L0[-1])
+        self.profile = similarity_profile(z_max)
+
+    def blocks(self, times, entries):
+        """Per block of samples, (t, z, A, sup): the block's times as a
+        column, z = t L0 / alpha, A = phi(z) and each sample's
+        sup_omega2, f0 + A/2 at its largest. A block holds at most entries
+        entries of (samples, distinct tails), and at least one sample."""
+        size = max(1, entries // self.L0.size)
+        for start in range(0, times.size, size):
+            t = times[start:start + size, None]
+            z = (t / self.alpha) * self.L0
+            A = self.profile.phi(z)
+            yield t, z, A, np.max(self.f0_max + 0.5 * A, axis=1)
 
 
 def default_horizon(alpha, horizon_factor=0.1):

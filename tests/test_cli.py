@@ -978,7 +978,8 @@ def test_every_kind_at_the_float_range_edges_exits_cleanly(tmp_path, kind,
 
 @pytest.mark.parametrize("extra", [
     "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n",
-    # 41 samples, over 6 blocks of the remainder run's model side
+    # 41 samples, one block of the remainder run's model side (48 samples
+    # over its 21 distinct tails)
     "alpha = 0.2\ngrid.n_r = 128\ngrid.n_theta = 32\n"
     "time.sample_count = 41\n",
 ], ids=["64x16", "128x32"])
@@ -990,6 +991,22 @@ def test_full_and_remainder_runs_write_the_same_growth_csv(tmp_path, extra):
             + extra, name=kind + ".txt")))
     assert ((tmp_path / "full" / "growth.csv").read_bytes()
             == (tmp_path / "remainder" / "growth.csv").read_bytes())
+
+
+def test_model_and_remainder_runs_write_the_same_model_sup(tmp_path):
+    # one sampler of the model for both kinds: a model run's t,sup_norm
+    # columns are a remainder run's t,model_sup columns, byte for byte
+    def columns(kind, name, picked):
+        out = tmp_path / kind
+        cli.run(cli.parse_config(write_config(tmp_path, (
+            "run.kind = %s\ngrid.n_r = 64\ngrid.n_theta = 16\n"
+            "output.dir = %s\n" % (kind, out)), name=kind + ".txt")))
+        lines = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+        return [[line.split(",")[k] for k in picked] for line in lines]
+
+    model = columns("model", "growth.csv", (0, 1))
+    assert len(model) == 200
+    assert model == columns("remainder", "remainder.csv", (0, 4))
 
 
 _TINY_SWEEPS = st.fixed_dictionaries({

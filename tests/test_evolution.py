@@ -261,17 +261,22 @@ def test_remainder_samples_work_in_the_march_buffers(monkeypatch):
 
 
 @pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
-def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta):
+def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
+                                                        monkeypatch):
     # the study's rows, bit for bit, against rows built out of place one
     # sample at a time: field_row of the sample, the model field without
-    # buffers from A = phi(t L0 / alpha) of that sample alone, the norms
-    # of the difference and sup_omega2. Every step is 0.05 alpha here, so
-    # every fourth of the 41 samples is a step end and the others are
-    # Hermite samples, over 3 (64 nodes) and 6 (128 nodes) blocks of A
+    # buffers from A = phi(t L0 / alpha) of that sample alone at every
+    # node, the norms of the difference and sup_omega2. Every step is
+    # 0.05 alpha here, so every fourth of the 41 samples is a step end and
+    # the others are Hermite samples, and the model side is read in blocks
+    # of 16 samples over the distinct tails (12 at 64 nodes, 21 at 128),
+    # so over 3 blocks of A, the last one partial
     alpha, t_final, n_samples = 0.2, 0.1, 41
     g = build_radial_grid(8e-3, 8.0, n_r)
     agrid = AngularGrid(n_theta)
     f0 = m.make_bump(g)
+    monkeypatch.setattr(evolution, "_SAMPLE_BLOCK",
+                        16 * np.unique(profile_tail(f0).values).size)
     series = run_remainder_study(f0, alpha, agrid, t_final=t_final,
                                  n_samples=n_samples)
     assert series.full.stats()["steps"] == 10

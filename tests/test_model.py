@@ -424,13 +424,21 @@ def test_profile_derivative_against_closed_form_and_differences():
 
 def test_profile_evaluates_in_place_with_the_plain_expression_bits():
     # phi and phi' of 1024 entries, on both sides of z0, hold at most
-    # eight arrays of that size at once, and the table interpolation
-    # keeps the bits of the plain Hermite expression
+    # seven arrays of that size at once (6.15 and 6.12: the interpolant's
+    # six and the series' mask), and keep the bits of the plain
+    # expressions: the Hermite interpolant above z0 (over z for phi'),
+    # the series at and below it
     profile = m.similarity_profile(60.0)
     z = np.concatenate([np.geomspace(1e-5, 1e-3, 24),
                         np.linspace(1e-3, 60.0, 1000)])
-    for values, slopes, evaluate in ((profile._phi, profile._w, profile.phi),
-                                     (profile._w, profile._dw, profile.dphi)):
+    near = np.minimum(z, m.PROFILE_Z0)
+    a, b = profile.a, profile.b
+    cases = ((profile._phi, profile._w, profile.phi, 1.0,
+              near * (1.0 + near * (a + near * b))),
+             (profile._w, profile._dw, profile.dphi,
+              np.maximum(z, m.PROFILE_Z0),
+              1.0 + near * (2.0 * a + near * 3.0 * b)))
+    for values, slopes, evaluate, over, series in cases:
         evaluate(z)
         tracemalloc.start()
         try:
@@ -438,7 +446,7 @@ def test_profile_evaluates_in_place_with_the_plain_expression_bits():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * z.nbytes
+        assert peak < 7 * z.nbytes
         x = (np.log(np.maximum(z, m.PROFILE_Z0))
              - math.log(m.PROFILE_Z0)) / profile.h
         k = np.minimum(x.astype(int), profile.steps - 1)
@@ -449,6 +457,35 @@ def test_profile_evaluates_in_place_with_the_plain_expression_bits():
                  + u * u * ((3.0 - 2.0 * u) * values[k + 1]
                             - profile.h * v * slopes[k + 1]))
         assert np.array_equal(profile._hermite(z, values, slopes), plain)
+        assert np.array_equal(evaluate(z), np.where(z > m.PROFILE_Z0,
+                                                    plain / over, series))
+
+
+@pytest.mark.parametrize("entries_per_tail", [1, 7, 41])
+def test_tail_groups_read_the_model_of_every_node(entries_per_tail):
+    # the blocks' A and sup, bit for bit, against A = phi(t L(f0) / alpha)
+    # at every node of one sample and its sup_omega2: 41 samples in blocks
+    # of 1, of 7 (the last one partial) and of 41
+    alpha, t_final = 0.2, 0.3
+    g = build_radial_grid(8e-3, 8.0, 128)
+    f0 = m.make_bump(g)
+    tails = m.TailGroups(f0, alpha, t_final)
+    L = profile_tail(f0).values
+    assert np.array_equal(tails.L0[tails.group], L)
+    assert np.array_equal(np.bincount(tails.group), tails.counts)
+    assert tails.profile.z_max == (t_final / alpha) * float(np.max(L))
+    times = np.linspace(0.0, t_final, 41)
+    blocks = list(tails.blocks(times, entries_per_tail * tails.L0.size))
+    assert [t.size for t, _, _, _ in blocks][:-1] == \
+        [min(entries_per_tail, 41)] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate([t[:, 0] for t, _, _, _ in blocks]),
+                          times)
+    rows = [(A, sup) for _, _, As, sups in blocks for A, sup in zip(As, sups)]
+    for ts, (A, sup) in zip(times, rows):
+        want = tails.profile.phi((ts / alpha) * L)
+        assert np.array_equal(A[tails.group], want)
+        assert sup == m.sup_omega2(
+            m.ModelState(alpha, f0, RadialProfile(g, want), ts))
 
 
 PROFILE_REACHES = (5e-4, 0.5, 25.3, 44.4, 83.0, 1e4)
