@@ -16,6 +16,7 @@ verify subcommand found a failing check.
 import argparse
 import contextlib
 import hashlib
+import importlib
 import json
 import math
 import numbers
@@ -504,9 +505,12 @@ def _run_sweep(config, out_dir, manifest):
     workers = min(len(jobs), os.cpu_count() or 1)
     # every member solves for the stream function: bind LAPACK here, once,
     # so that workers started by fork inherit the loaded extension instead
-    # of each loading it on its own. Under spawn or forkserver a worker
-    # imports rieszlab afresh and binds LAPACK on its first solve
+    # of each loading it on its own. The same holds for numpy.fft, which
+    # numpy loads on first use, and which each member's first tendency
+    # uses. Under spawn or forkserver a worker imports rieszlab afresh and
+    # loads both on its first solve
     lapack_tridiagonal()
+    importlib.import_module("numpy.fft")
     # longest first (Graham's longest-processing-time rule): a member
     # marches about 2 log(1/alpha) steps at its 0.05 alpha step cap, so
     # the smallest alpha is submitted first, and no worker idles while a

@@ -27,7 +27,7 @@ sup|omega_2| / 16 uniformly in alpha; the bound survives discretization
 because the history cells integrate the interpolant exactly.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 import importlib.machinery
 import importlib.util
 import os
@@ -102,9 +102,11 @@ def _factor(dl, d, du, failure, stage):
 
 
 def _solve(factors, rhs, failure, stage):
-    """dgttrs against _factor's factors; a failure raises failure at stage."""
+    """dgttrs against _factor's factors; a failure raises failure at stage.
+    The solve consumes rhs: a Fortran-ordered float array takes the
+    solution in place (overwrite_b), and any other is copied first."""
     _, dgttrs = lapack_tridiagonal()
-    x, info = dgttrs(*factors, rhs)
+    x, info = dgttrs(*factors, rhs, overwrite_b=True)
     if info != 0:
         raise EllipticError("%s (dgttrs info %d)" % (failure, info),
                             stage=stage)
@@ -131,7 +133,7 @@ def _recurrence_factor(n, E):
 
 
 def _recurrence(E, c):
-    """y with y_0 = 0 and y_{k+1} = E y_k + c_k."""
+    """y with y_0 = 0 and y_{k+1} = E y_k + c_k; the solve consumes c."""
     out = np.zeros(c.size + 1)
     out[1:] = _solve(_recurrence_factor(c.size, float(E)), c,
                      "recurrence solve failed", "_recurrence")
@@ -214,24 +216,30 @@ def _stacked_factor(n_r, h, alpha, modes):
                    % (modes[0], modes[-1]), "_stacked_factor")
 
 
-def _solve_stencil(grid, alpha, modes, rhs):
+def _solve_stencil(grid, alpha, modes, make_rhs):
     """Solve the stencil rows of each physical mode in the range modes in
-    one call. rhs comes from _stencil_rhs with shape (columns, len(modes),
-    n_r); the solution has the same shape."""
+    one call. make_rhs() makes a new right-hand side from _stencil_rhs, of
+    shape (columns, len(modes), n_r), which the solve consumes: the
+    solution, of the same shape, is written over it."""
+    rhs = make_rhs()
     cols, blocks, n_r = rhs.shape
     factors = _stacked_factor(n_r, grid.log_step, alpha, modes)
     # the transpose is the Fortran-ordered (rows, columns) matrix that
-    # dgttrs takes and returns, so the solution reshapes without a copy
+    # dgttrs takes and returns, so it solves in place and the solution
+    # reshapes without a copy
     psi = _solve(factors, rhs.reshape(cols, blocks * n_r).T,
                  "stencil solve failed", "_solve_stencil")
     psi = psi.T.reshape(rhs.shape)
     if not np.all(np.isfinite(psi)):
         # a non-finite value reaches every block through the zero
         # cross-block entries (0 * inf is nan), so the blocks are solved
-        # one at a time to name the first mode whose own solve fails
+        # one at a time, from a right-hand side made again, to name the
+        # first mode whose own solve fails
         if blocks > 1:
+            rhs = make_rhs()
             for k in range(blocks):
-                _solve_stencil(grid, alpha, modes[k:k + 1], rhs[:, k:k + 1])
+                _solve_stencil(grid, alpha, modes[k:k + 1],
+                               lambda k=k: rhs[:, k:k + 1])
         raise EllipticError("mode %d solve returned non-finite values"
                             % modes[0], stage="_solve_stencil")
     return psi
@@ -265,8 +273,8 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
     if n < 2:
         psi = _solve_mode_low(omega_n.values, grid.log_step, n, alpha)
     else:
-        rhs = _stencil_rhs(omega_n.values[None, None], n)
-        psi = _solve_stencil(grid, alpha, range(n, n + 1), rhs)[0, 0]
+        psi = _solve_stencil(grid, alpha, range(n, n + 1), partial(
+            _stencil_rhs, omega_n.values[None, None], n))[0, 0]
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     return RadialProfile(grid, psi)
@@ -383,8 +391,9 @@ def _spectra(omega, alpha, n_modes, out):
         psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, k_lo:n_modes + 1].T
     modes = range(m * k_lo, m * n_modes + 1, m)
-    # the stacked data is freed once _stencil_rhs has copied it
-    sin, cos = _solve_stencil(rgrid, alpha, modes, _stencil_rhs(
+    # the stacked data is freed once _stencil_rhs has copied it, and the
+    # solve writes psi's modes over that copy
+    sin, cos = _solve_stencil(rgrid, alpha, modes, lambda: _stencil_rhs(
         np.stack([-scale * stencil.imag, scale * stencil.real]), modes[0]))
     # 0.5 N (cos - i sin), a part at a time
     block = psi_spec[:, k_lo:n_modes + 1]

@@ -157,13 +157,27 @@ def reconstruct_Omega2(state, agrid, out=None):
     """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
     out is a pair of arrays of the grid's shape that the values and their
     scratch are written into, the values in the first; the angular
-    factors of f_t are made once per call, on one row of the grid."""
-    values, scratch = out or (None, None)
-    e = np.exp(-state.A.values)
-    f = _compressed((state.f0.values * e)[:, None], (e * e)[:, None],
-                    agrid.nodes[None, :], values, scratch)
-    f += 0.5 * state.A.values[:, None]
-    return Field2D(state.f0.grid, agrid, f)
+    factors of f_t are made once per call, on one row of the grid.
+
+    f_t is +-0 on every row where f0 is 0, so A/2 is copied into every row
+    and f_t formed and added only on the rows from the first to the last
+    nonzero f0. Each value is the whole-grid sum's bit for bit, but for
+    the sign of a zero: a row of A/2 = -0 off that window reads -0, where
+    +0 + -0 would read +0, which no norm sees."""
+    a, f0 = state.A.values, state.f0.values
+    shape = (a.size, agrid.nodes.size)
+    values, scratch = out or (np.empty(shape), np.empty(shape))
+    half = 0.5 * a
+    np.copyto(values, half[:, None])
+    rows = np.flatnonzero(f0)
+    if rows.size:
+        window = slice(rows[0], rows[-1] + 1)
+        e = np.exp(-a[window])
+        f = _compressed((f0[window] * e)[:, None], (e * e)[:, None],
+                        agrid.nodes[None, :], values[window],
+                        scratch[window])
+        f += half[window, None]
+    return Field2D(state.f0.grid, agrid, values)
 
 
 def sup_omega2(state):

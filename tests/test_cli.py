@@ -401,6 +401,27 @@ def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
     assert out.splitlines()[-1] == "0 1"
 
 
+def test_sweep_loads_numpy_fft_in_the_parent_before_its_workers_start(
+        tmp_path):
+    # numpy loads numpy.fft on first use, and the parent of a sweep
+    # transforms nothing itself: it must load it before it starts the
+    # pool, so that workers started by fork inherit it
+    path = write_config(tmp_path, (
+        "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
+        "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
+        % (tmp_path / "out")))
+    out = _fresh_interpreter(
+        "import concurrent.futures as cf, rieszlab.cli; seen = []\n"
+        "class Pool(cf.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append('numpy.fft' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "cf.ProcessPoolExecutor = Pool\n"
+        "before = 'numpy.fft' in sys.modules\n"
+        "print(rieszlab.cli.main(['run', %r]), before, seen)" % path)
+    assert out.splitlines()[-1] == "0 False [True]"
+
+
 def test_scipy_linalg_imports_after_the_direct_load_of_lapack():
     # the extension is registered under its own name, so a later import of
     # scipy.linalg (tests import it at collection) reuses it and hands out

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 from scipy.signal import lfilter
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz, project_mode, r_ddr)
+                            Field2D, trapz, project_mode, r_ddr,
+                            half_circle)
 from rieszlab.kernels import profile_tail
 from rieszlab.errors import EllipticError
 from rieszlab import model as m
@@ -111,11 +114,11 @@ def test_stacked_solve_names_the_mode_that_overflows():
     rhs[1, 3, 100:110] = 1.7e308
     with pytest.raises(EllipticError, match="mode 5 solve"):
         elliptic._solve_stencil(g, 0.3, range(2, 8),
-                                elliptic._stencil_rhs(rhs, 2))
+                                lambda: elliptic._stencil_rhs(rhs, 2))
     # with the half circle's even modes 2, 4, ..., that block is mode 8
     with pytest.raises(EllipticError, match="mode 8 solve"):
         elliptic._solve_stencil(g, 0.3, range(2, 13, 2),
-                                elliptic._stencil_rhs(rhs, 2))
+                                lambda: elliptic._stencil_rhs(rhs, 2))
 
 
 def test_lapack_failures_name_their_stage(monkeypatch):
@@ -125,7 +128,7 @@ def test_lapack_failures_name_their_stage(monkeypatch):
     dgttrf, dgttrs = elliptic.lapack_tridiagonal()
 
     def failing(fn):
-        return lambda *args: (*fn(*args)[:-1], 1)
+        return lambda *args, **kwargs: (*fn(*args, **kwargs)[:-1], 1)
 
     g = aligned_grid(257)
     rhs = elliptic._stencil_rhs(np.ones((2, 6, g.n)), 2)
@@ -145,7 +148,7 @@ def test_lapack_failures_name_their_stage(monkeypatch):
             monkeypatch.setattr(elliptic, "lapack_tridiagonal",
                                 lambda: fakes)
             with pytest.raises(EllipticError, match=stencil_msg) as exc:
-                elliptic._solve_stencil(g, 0.3, range(2, 13, 2), rhs)
+                elliptic._solve_stencil(g, 0.3, range(2, 13, 2), rhs.copy)
             assert exc.value.stage == stencil_stage
             with pytest.raises(EllipticError, match=rec_msg) as exc:
                 elliptic._recurrence(0.5, np.ones(g.n - 1))
@@ -312,6 +315,32 @@ def test_solve_full_writes_every_entry_of_a_given_triple(copies):
     assert np.all(out[1][:, 6:] == 0.0)
     assert np.array_equal(np.fft.irfft(out[1], n=agrid.n_theta, axis=-1),
                           psi.values)
+
+
+def test_solve_full_solves_the_stencil_over_its_right_hand_side():
+    # dgttrs writes the stacked modes' solution over their right-hand
+    # side instead of over a copy of it. At 256 x 64 (256 x 32 on the half
+    # circle), in the caller's buffers and with the factors cached, a
+    # solve peaks at 1.36 grid arrays of fresh memory (the stacked data
+    # and the right-hand side copied from it), where the copy made 1.88
+    g = build_radial_grid(8e-3, 8.0, 256)
+    agrid = half_circle(AngularGrid(64))
+    om = Field2D(g, agrid, np.outer(m.make_bump(g).values,
+                                    np.sin(2.0 * agrid.nodes)
+                                    + 0.3 * np.cos(4.0 * agrid.nodes)))
+    spec = (g.n, agrid.n_theta // 2 + 1)
+    out = (np.empty(spec, dtype=complex), np.empty(spec, dtype=complex),
+           np.empty(om.values.shape))
+    want = solve_full(om, 0.3).values
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        psi = solve_full(om, 0.3, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(psi.values, want)
+    assert peak <= 1.6 * om.values.nbytes
 
 
 def test_cached_factors_are_read_only():

@@ -204,10 +204,11 @@ def test_dense_samples_on_step_ends_are_the_marched_states():
 
 def test_a_march_step_works_in_the_march_buffers():
     # after its first step a march's tendencies work in buffers it owns:
-    # one more step at 256 x 64 (256 x 32 on the half circle) peaks at 2.9
+    # one more step at 256 x 64 (256 x 32 on the half circle) peaks at 2.4
     # grid arrays of fresh memory (a stage, a tendency, the solve's
     # per-mode arrays and numpy's ufunc buffers), where it took 9.2 when
-    # every tendency made its own spectra and scratch
+    # every tendency made its own spectra and scratch, and 2.9 when the
+    # stencil solve copied its right-hand side
     alpha = 0.2
     h = 0.05 * alpha
     g = build_radial_grid(8e-3, 8.0, 256)
@@ -231,9 +232,10 @@ def test_remainder_samples_work_in_the_march_buffers(monkeypatch):
     # the norms, the model field and the difference are read in the two
     # buffers the march lends out, and A comes from the profile in blocks
     # of samples. At 512 x 128 (512 x 64 on the half circle) a sample
-    # peaks at 0.31-0.38 grid arrays of fresh memory (numpy's buffer for
-    # a broadcast operand, and a block's profile call); squaring and
-    # taking abs into fresh arrays in every sample read 1.02-1.04
+    # peaks at 0.15-0.20 grid arrays of fresh memory (numpy's buffer for
+    # a broadcast operand, and a block's profile call), 0.26-0.31 when the
+    # model field was formed on every row; squaring and taking abs into
+    # fresh arrays in every sample read 1.02-1.04
     peaks = []
     samples = FullMarch.samples
 

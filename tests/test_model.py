@@ -178,6 +178,54 @@ def test_reconstruct_matches_out_of_place_formula():
     assert np.array_equal(got.values, expect)
 
 
+def _window_profiles(g):
+    """f0 of each shape the row window must handle, by name, on a grid
+    with nodes on R = 1 and 2."""
+    table = np.interp(g.nodes, [1.0, 1.5, 2.0, 2.2, 2.6, 2.8, 3.2],
+                      [0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.0])
+    return {"bump": m.make_bump(g).values,
+            "indicator": m.make_indicator(g, 1.0, 2.0).values,
+            "table": table,
+            "to-last-row": np.where(g.nodes > 2.0, 1.0, 0.0),
+            "zero": np.zeros(g.n)}
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("name", ["bump", "indicator", "table",
+                                  "to-last-row", "zero"])
+def test_reconstruct_row_window_matches_the_whole_grid(name, copies):
+    # reconstruct_Omega2 forms f_t only on the rows from the first to the
+    # last nonzero f0 and copies A/2 into the others. Against _compressed
+    # on every row plus A/2 it agrees bit for bit (np.array_equal, which
+    # takes -0 and +0 as equal: off the window a zero's sign may differ),
+    # with and without the buffer pair, on the full and the half circle.
+    # A is phi(t L0 / alpha) of the bump, nonzero below every support
+    g = build_radial_grid(0.5, 8.0, 257)
+    f0 = _window_profiles(g)[name]
+    rows = np.flatnonzero(f0)
+    if name == "indicator":
+        assert f0[rows[0]] == f0[rows[-1]] == 0.5
+    if name == "table":
+        assert np.any(f0[rows[0]:rows[-1] + 1] == 0.0)
+    if name == "to-last-row":
+        assert rows[-1] == g.n - 1
+    alpha, t = 0.1, 0.05
+    L0 = profile_tail(m.make_bump(g)).values
+    A = m.similarity_profile((t / alpha) * L0[0]).phi((t / alpha) * L0)
+    assert np.all(A[g.nodes <= 1.0] > 0)
+    state = m.ModelState(alpha, RadialProfile(g, f0), RadialProfile(g, A), t)
+    agrid = AngularGrid(64, copies=copies)
+    e = np.exp(-A)
+    want = (m._compressed((f0 * e)[:, None], (e * e)[:, None],
+                          agrid.nodes[None, :]) + 0.5 * A[:, None])
+    assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, want)
+    # every entry of the given pair's first array is written
+    buffers = (np.full(want.shape, np.nan), np.full(want.shape, np.nan))
+    got = m.reconstruct_Omega2(state, agrid, buffers)
+    assert got.values is buffers[0]
+    assert np.array_equal(got.values, want)
+
+
 def eval_f_one_line(state, R, theta):
     """eval_f as one expression, in the order of operations it shares
     with reconstruct_Omega2."""
