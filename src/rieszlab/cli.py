@@ -51,13 +51,11 @@ MAX_COUNT = 65536
 MAX_FULL_STEPS = 1e5
 _POSITIVE = ("(", 0.0, math.inf, ")")
 
-# the entries of one (samples, n_r) array of a linear run's rows, so that
-# its memory does not grow with time.sample_count * grid.n_r. Blocks of
-# 8192 and 32768 entries run equally fast, but 32768 raised a growth
-# pass's peak RSS by 0.4 MB over one sample at a time, and 8192 does not.
-# The same for a model run's (samples, distinct L0) arrays, whose l2
-# column's products are not bitwise stable when their rows are split, so
-# one block holds the default and benchmark runs whole
+# the entries of one (samples, distinct rows) array of a linear run's
+# rows, so that its memory does not grow with the sample count. The same
+# for a model run's (samples, distinct L0) arrays, whose l2 column's
+# products are not bitwise stable when their rows are split, so one
+# block holds the default and benchmark runs whole
 _LINEAR_BLOCK = 8192
 _MODEL_BLOCK = 1 << 18
 
@@ -394,34 +392,35 @@ def _run_linear(config, out_dir, manifest):
     # at the grid nodes the field is f S_k + s ls0, with S_k = sin 2 theta_k
     # and s = t / (2 alpha). It is affine in S_k, so the sup sits at the
     # largest or smallest S_k, and the angular sums of the field and its
-    # square need only the grid's own sums of S_k and S_k^2
-    n = agrid.n_theta
+    # square need only the grid's own sums of S_k and S_k^2. The sup and
+    # A_max skip rows whose (f, ls0) repeats the last row's, as off the
+    # support (not ls0 alone: f / R underflows at tiny delta)
     sum1, sum2 = float(np.sum(sin2)), float(np.sum(sin2 ** 2))
-    hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
-    mean0 = f * (sum1 / n)
+    new = np.ones(f.size, bool)
+    new[1:] = (f[1:] != f[:-1]) | (ls0[1:] != ls0[:-1])
+    ls = ls0[new]
+    hi, lo, mean0 = np.outer((np.max(sin2), np.min(sin2), sum1 / sin2.size),
+                             f[new])
     # squares past the float range give norms that fail finite_norms, and
     # a field past it (at a huge horizon) fails step_linear's finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        sq0 = (agrid.dtheta * sum2) * f ** 2
-        sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
-        sq2 = (agrid.dtheta * n) * ls0 ** 2
-        # the rows of a block of samples at once, each column in
-        # whole-array passes over a (samples, n_r) array of about
-        # _LINEAR_BLOCK entries, with the arithmetic of one row per entry:
-        # the sup keeps max(top, bottom)'s choice and nan, and the l2
-        # column is trapz along each row
+        s = 0.5 * times / config.alpha
+        # trapz is linear: l2^2 = T0 + s T1 + s^2 T2, T_k that of s^k's term
+        T0, T1, T2 = trapz(np.stack(((agrid.dtheta * sum2) * f ** 2,
+                                     (2.0 * agrid.dtheta * sum1) * f * ls0,
+                                     (agrid.dtheta * sin2.size) * ls0 ** 2)),
+                           rgrid.nodes)
         rows = np.empty((times.size, 4))
+        rows[:, 1] = np.sqrt(T0 + s * T1 + s * s * T2)
         rows[:, 2] = ls0[j0]
-        size = max(1, _LINEAR_BLOCK // rgrid.n)
+        # the sup keeps max(top, bottom)'s choice and nan
+        size = max(1, _LINEAR_BLOCK // ls.size)
         for start in range(0, times.size, size):
             block = rows[start:start + size]
-            s = (0.5 * times[start:start + size] / config.alpha)[:, None]
-            src = s * ls0
+            src = s[start:start + size, None] * ls
             top = np.max(np.abs(hi + src), axis=1)
             bottom = np.max(np.abs(lo + src), axis=1)
             block[:, 0] = np.where(bottom > top, bottom, top)
-            sq = sq0 + s * sq1 + s * s * sq2
-            block[:, 1] = np.sqrt(trapz(sq, rgrid.nodes))
             block[:, 3] = 2.0 * np.max(mean0 + src, axis=1)
         # the check marches the grid field to the horizon in two steps, so
         # the second takes L_s from an evolved field, and holds the march

@@ -27,7 +27,7 @@ sup|omega_2| / 16 uniformly in alpha; the bound survives discretization
 because the history cells integrate the interpolant exactly.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 import importlib.machinery
 import importlib.util
 import os
@@ -193,13 +193,12 @@ def _bands(n_r, h, n, alpha):
 
 def _stencil_rhs(w, n_lo):
     """Right-hand sides of the stencil rows of the stacked modes from n_lo
-    up: the data, with modes along the next-to-last axis and the radial nodes
-    along the last, and the Dirichlet boundary rows zeroed (mode 2 keeps
-    its ghost-node left row)."""
-    rhs = np.array(w, dtype=float)
-    rhs[..., int(n_lo == 2):, 0] = 0.0
-    rhs[..., -1] = 0.0
-    return rhs
+    up: the data array w, with modes along the next-to-last axis and the
+    radial nodes along the last, its Dirichlet boundary rows zeroed in
+    place (mode 2 keeps its ghost-node left row)."""
+    w[..., int(n_lo == 2):, 0] = 0.0
+    w[..., -1] = 0.0
+    return w
 
 
 @lru_cache(maxsize=8)
@@ -273,8 +272,9 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
     if n < 2:
         psi = _solve_mode_low(omega_n.values, grid.log_step, n, alpha)
     else:
-        psi = _solve_stencil(grid, alpha, range(n, n + 1), partial(
-            _stencil_rhs, omega_n.values[None, None], n))[0, 0]
+        psi = _solve_stencil(
+            grid, alpha, range(n, n + 1),
+            lambda: _stencil_rhs(np.array(omega_n.values[None, None]), n))[0, 0]
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     return RadialProfile(grid, psi)
@@ -293,7 +293,7 @@ def mode_residual(psi_n, omega_n, n, alpha):
     applied = ab[1] * v
     applied[:-1] += ab[0, 1:] * v[1:]
     applied[1:] += ab[2, :-1] * v[:-1]
-    rhs = _stencil_rhs(omega_n.values[None], n)[0]
+    rhs = _stencil_rhs(np.array(omega_n.values[None]), n)[0]
     return float(np.max(np.abs(applied - rhs)))
 
 
@@ -391,13 +391,24 @@ def _spectra(omega, alpha, n_modes, out):
         psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
     stencil = spec[:, k_lo:n_modes + 1].T
     modes = range(m * k_lo, m * n_modes + 1, m)
-    # the stacked data is freed once _stencil_rhs has copied it, and the
-    # solve writes psi's modes over that copy
-    sin, cos = _solve_stencil(rgrid, alpha, modes, lambda: _stencil_rhs(
-        np.stack([-scale * stencil.imag, scale * stencil.real]), modes[0]))
+    # a ufunc on a strided part of a spectrum takes a buffer of the part's
+    # size, so the parts are copied and scaled in place. The solve
+    # overwrites one fresh stack of the scaled data
+
+    def stacked_rhs():
+        rhs = np.empty((2,) + stencil.shape)
+        np.copyto(rhs[0], stencil.imag)
+        np.copyto(rhs[1], stencil.real)
+        rhs[0] *= -scale
+        rhs[1] *= scale
+        return _stencil_rhs(rhs, modes[0])
+
+    sin, cos = _solve_stencil(rgrid, alpha, modes, stacked_rhs)
     # 0.5 N (cos - i sin), a part at a time
+    cos *= 0.5 * N
+    sin *= -0.5 * N
     block = psi_spec[:, k_lo:n_modes + 1]
-    np.multiply(0.5 * N, cos.T, out=block.real)
-    np.multiply(-0.5 * N, sin.T, out=block.imag)
+    np.copyto(block.real, cos.T)
+    np.copyto(block.imag, sin.T)
     psi_spec[:, n_modes + 1:] = 0.0
     return psi_spec

@@ -1134,37 +1134,60 @@ def test_linear_columns_match_a_grid_march(tmp_path, extra):
         assert np.max(np.abs(got[:, k + 1] - ref[:, k])) <= 1e-12 * scale
 
 
-def _linear_growth_one_sample_at_a_time(cfg):
-    """growth.csv of a linear run as the per-sample loop wrote it before
-    the rows came from block passes: the oracle of the block passes."""
+def _linear_coefficients(cfg):
+    """(f0, L_s(omega0), sin 2 theta, the coefficients of s^0, s^1 and s^2
+    in the field's angular integral of its square) of a linear run, the
+    last three arrays at every radial node."""
     rgrid, agrid = cli.build_grids(cfg)
     f0 = cli.build_profile(cfg, rgrid)
-    sin2 = np.sin(2.0 * agrid.nodes)
-    j0 = support_edge_index(f0)
     f = f0.values
+    sin2 = np.sin(2.0 * agrid.nodes)
     ls0 = op_Ls(Field2D(rgrid, agrid, np.outer(f, sin2))).values
-    n = agrid.n_theta
     sum1, sum2 = float(np.sum(sin2)), float(np.sum(sin2 ** 2))
+    sq = ((agrid.dtheta * sum2) * f ** 2,
+          (2.0 * agrid.dtheta * sum1) * f * ls0,
+          (agrid.dtheta * agrid.n_theta) * ls0 ** 2)
+    return f0, ls0, sin2, sq
+
+
+def _linear_growth_one_sample_at_a_time(cfg):
+    """growth.csv of a linear run written one sample at a time, each
+    maximum over every radial row: the oracle of the block passes over the
+    distinct rows. The l2 column takes the run's arithmetic, the square
+    root of T0 + s T1 + s^2 T2 with T_k the trapezoid integral of the
+    coefficient of s^k."""
+    f0, ls0, sin2, sq = _linear_coefficients(cfg)
+    j0, f = support_edge_index(f0), f0.values
     hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
-    mean0 = f * (sum1 / n)
-    sq0 = (agrid.dtheta * sum2) * f ** 2
-    sq1 = (2.0 * agrid.dtheta * sum1) * f * ls0
-    sq2 = (agrid.dtheta * n) * ls0 ** 2
+    mean0 = f * (float(np.sum(sin2)) / sin2.size)
+    T0, T1, T2 = (float(trapz(c, f0.grid.nodes)) for c in sq)
     lines = ["t,sup_norm,l2_norm,Ls_at_support_inf,A_max\n"]
     for ts in cli._sample_times(cfg):
         s = 0.5 * ts / cfg.alpha
         src = s * ls0
         row = (max(float(np.max(np.abs(hi + src))),
                    float(np.max(np.abs(lo + src)))),
-               float(np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2,
-                                   rgrid.nodes))),
+               float(np.sqrt(T0 + s * T1 + s * s * T2)),
                float(ls0[j0]),
                2.0 * float(np.max(mean0 + src)))
         lines.append(",".join("%.17g" % v for v in (ts, *row)) + "\n")
     return "".join(lines)
 
 
-_PER_BLOCK_512 = cli._LINEAR_BLOCK // 512
+def _linear_growth_matches_the_oracle(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = cli.run(cfg)
+        want = _linear_growth_one_sample_at_a_time(cfg)
+    assert manifest["checks"]["closed_form"].startswith("pass")
+    with open(os.path.join(cfg.output_dir, "growth.csv"), encoding="utf-8",
+              newline="") as fh:
+        assert fh.read() == want
+
+
+# the config below has 53 distinct (f0, L_s(omega0)) rows at 512 nodes,
+# so a block takes _LINEAR_BLOCK // 53 samples
+_PER_BLOCK_512 = cli._LINEAR_BLOCK // 53
 
 
 @pytest.mark.parametrize("n_r, samples", [
@@ -1172,23 +1195,75 @@ _PER_BLOCK_512 = cli._LINEAR_BLOCK // 512
     (512, _PER_BLOCK_512 + 1), (512, 200), (4000, 33)])
 def test_linear_block_passes_write_the_per_sample_bytes(tmp_path, n_r,
                                                         samples):
-    # a block holds _LINEAR_BLOCK // n_r samples, so these counts end
-    # inside, on and past the first block's edge, and 4000 nodes take
-    # few samples per block
-    out = tmp_path / "out"
+    # a block holds _LINEAR_BLOCK // (distinct rows) samples, so these
+    # counts end inside, on and past the first block's edge, and 4000
+    # nodes (403 distinct rows) take few samples per block
     cfg = cli.validate_config({
         "run.kind": "linear", "alpha": 0.05, "delta": 400.0,
         "initial.kind": "indicator", "initial.center": 1.5,
         "grid.n_r": n_r, "grid.n_theta": 64, "time.sample_count": samples,
-        "output.dir": str(out)})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        manifest = cli.run(cfg)
-        want = _linear_growth_one_sample_at_a_time(cfg)
-    assert manifest["checks"]["closed_form"].startswith("pass")
-    with open(os.path.join(str(out), "growth.csv"), encoding="utf-8",
-              newline="") as fh:
-        assert fh.read() == want
+        "output.dir": str(tmp_path / "out")})
+    if n_r == 512:
+        f0, ls0, _, _ = _linear_coefficients(cfg)
+        pairs = np.column_stack((f0.values, ls0))
+        assert np.unique(pairs, axis=0).shape[0] == 53
+    _linear_growth_matches_the_oracle(cfg)
+
+
+@pytest.mark.parametrize("case", ["delta-5e-324", "gap-table",
+                                  "indicator-jump-nodes"])
+def test_linear_rows_over_distinct_pairs_write_the_per_row_bytes(tmp_path,
+                                                                 case):
+    # the run skips each row whose pair (f0, L_s(omega0)) repeats the row
+    # before: at delta = 5e-324 f0 / R underflows, so rows with different
+    # f0 share a tail; a table with an interior run of zeros has zero rows
+    # of several tails; an indicator whose jumps land on nodes has
+    # half-value rows
+    values = {"run.kind": "linear", "grid.n_theta": 64,
+              "output.dir": str(tmp_path / "out")}
+    if case == "delta-5e-324":
+        values["delta"] = 5e-324
+    elif case == "gap-table":
+        table = tmp_path / "gap-table.txt"
+        table.write_text("1 0\n1.5 1\n2 1\n2.2 0\n2.6 0\n2.8 0.5\n3.2 0\n",
+                         encoding="utf-8")
+        values.update({"initial.kind": "table",
+                       "initial.table_path": str(table)})
+    else:
+        nodes = cli.build_grids(cli.validate_config(values))[0].nodes
+        lo, hi = nodes[390], nodes[425]
+        values.update({"initial.kind": "indicator", "delta": 400.0,
+                       "initial.center": 0.5 * (lo + hi),
+                       "initial.width": hi - lo})
+    cfg = cli.validate_config(values)
+    if case == "indicator-jump-nodes":
+        assert np.count_nonzero(_linear_coefficients(cfg)[0].values
+                                == 200.0) == 2
+    _linear_growth_matches_the_oracle(cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_linear_l2_column_stays_near_the_per_row_trapezoid(tmp_path, seed):
+    # the l2 column is sqrt(T0 + s T1 + s^2 T2); the per-row trapezoid of
+    # the square at each sample rounds otherwise. On the growth
+    # benchmark's linear configs (perfbench/workloads.py: a seed moves the
+    # amplitude and the support) the two agree within 1e-14
+    u = np.random.default_rng(seed).random(2) if seed else (0.0, 0.0)
+    for alpha in (0.4, 0.2, 0.1, 0.05):
+        cfg = cli.validate_config({
+            "run.kind": "linear", "alpha": alpha,
+            "delta": 400.0 * (1.0 + 0.2 * float(u[0])),
+            "initial.kind": "indicator",
+            "initial.center": 1.5 * (1.0 + 0.03 * float(u[1])),
+            "initial.width": 1.0, "grid.n_theta": 64,
+            "output.dir": str(tmp_path / ("out_%g" % alpha))})
+        cli.run(cfg)
+        got = np.loadtxt(os.path.join(cfg.output_dir, "growth.csv"),
+                         delimiter=",", skiprows=1)
+        f0, _, _, (sq0, sq1, sq2) = _linear_coefficients(cfg)
+        s = (0.5 * got[:, 0] / alpha)[:, None]
+        want = np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2, f0.grid.nodes))
+        assert np.max(np.abs(got[:, 2] - want) / want) <= 1e-14
 
 
 def test_linear_run_memory_does_not_grow_with_samples_times_nodes(tmp_path):
