@@ -73,9 +73,9 @@ def _load_flapack():
 
 @lru_cache(maxsize=None)
 def lapack_tridiagonal():
-    """(dgttrf, dgttrs), the LAPACK tridiagonal factor and solve every
-    solve here runs on. They are bound on the first call, so runs that
-    never solve for the stream function (model and linear) load no
+    """(zgttrf, zgttrs), the complex LAPACK tridiagonal factor and solve
+    every solve here runs on. They are bound on the first call, so runs
+    that never solve for the stream function (model and linear) load no
     LAPACK. Importing scipy.linalg to reach them would cost a cold run
     more than everything else it imports, so the extension that holds
     them is loaded directly; scipy keeps it private, and if its file is
@@ -83,18 +83,19 @@ def lapack_tridiagonal():
     try:
         flapack = _load_flapack()
     except (ImportError, OSError):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        return dgttrf, dgttrs
-    return flapack.dgttrf, flapack.dgttrs
+        from scipy.linalg.lapack import zgttrf, zgttrs
+        return zgttrf, zgttrs
+    return flapack.zgttrf, flapack.zgttrs
 
 
 def _factor(dl, d, du, failure, stage):
-    """dgttrf's LU factors of the tridiagonal rows (dl, d, du), read-only
-    as the lru caches share them; a failure raises failure at stage."""
-    dgttrf, _ = lapack_tridiagonal()
-    *factors, info = dgttrf(dl, d, du)
+    """zgttrf's complex LU factors of the real tridiagonal rows
+    (dl, d, du), read-only as the lru caches share them; a failure raises
+    failure at stage."""
+    zgttrf, _ = lapack_tridiagonal()
+    *factors, info = zgttrf(dl, d, du)
     if info != 0:
-        raise EllipticError("%s (dgttrf info %d)" % (failure, info),
+        raise EllipticError("%s (zgttrf info %d)" % (failure, info),
                             stage=stage)
     for a in factors:
         a.setflags(write=False)
@@ -102,13 +103,13 @@ def _factor(dl, d, du, failure, stage):
 
 
 def _solve(factors, rhs, failure, stage):
-    """dgttrs against _factor's factors; a failure raises failure at stage.
-    The solve consumes rhs: a Fortran-ordered float array takes the
-    solution in place (overwrite_b), and any other is copied first."""
-    _, dgttrs = lapack_tridiagonal()
-    x, info = dgttrs(*factors, rhs, overwrite_b=True)
+    """zgttrs against _factor's factors; a failure raises failure at
+    stage. The solve consumes rhs: a Fortran-ordered complex array takes
+    the solution in place (overwrite_b), and any other is copied first."""
+    _, zgttrs = lapack_tridiagonal()
+    x, info = zgttrs(*factors, rhs, overwrite_b=True)
     if info != 0:
-        raise EllipticError("%s (dgttrs info %d)" % (failure, info),
+        raise EllipticError("%s (zgttrs info %d)" % (failure, info),
                             stage=stage)
     return x
 
@@ -133,10 +134,12 @@ def _recurrence_factor(n, E):
 
 
 def _recurrence(E, c):
-    """y with y_0 = 0 and y_{k+1} = E y_k + c_k; the solve consumes c."""
+    """y with y_0 = 0 and y_{k+1} = E y_k + c_k for real c, which is left
+    as it is: the solve runs on a complex copy, and y is its real part."""
     out = np.zeros(c.size + 1)
-    out[1:] = _solve(_recurrence_factor(c.size, float(E)), c,
-                     "recurrence solve failed", "_recurrence")
+    out[1:] = _solve(_recurrence_factor(c.size, float(E)),
+                     c.astype(complex)[:, None],
+                     "recurrence solve failed", "_recurrence")[:, 0].real
     return out
 
 
@@ -193,19 +196,19 @@ def _bands(n_r, h, n, alpha):
 
 def _stencil_rhs(w, n_lo):
     """Right-hand sides of the stencil rows of the stacked modes from n_lo
-    up: the data array w, with modes along the next-to-last axis and the
-    radial nodes along the last, its Dirichlet boundary rows zeroed in
-    place (mode 2 keeps its ghost-node left row)."""
-    w[..., int(n_lo == 2):, 0] = 0.0
-    w[..., -1] = 0.0
+    up: the data array w, one row of radial nodes per mode, its Dirichlet
+    boundary rows zeroed in place (mode 2 keeps its ghost-node left
+    row)."""
+    w[int(n_lo == 2):, 0] = 0.0
+    w[:, -1] = 0.0
     return w
 
 
 @lru_cache(maxsize=8)
 def _stacked_factor(n_r, h, alpha, modes):
-    """LU factors (dgttrf) of the stencil rows of each physical mode in
-    the range modes, stacked in its order as diagonal blocks of one
-    tridiagonal system. The boundary rows of every block have no entry
+    """Complex LU factors (zgttrf) of the stencil rows of each physical
+    mode in the range modes, stacked in its order as diagonal blocks of
+    one tridiagonal system. The boundary rows of every block have no entry
     across the block edge, so the blocks stay decoupled and eliminating
     them together is the same arithmetic as eliminating each alone. The
     rows depend on the grid and alpha only, never on time."""
@@ -217,18 +220,14 @@ def _stacked_factor(n_r, h, alpha, modes):
 
 def _solve_stencil(grid, alpha, modes, make_rhs):
     """Solve the stencil rows of each physical mode in the range modes in
-    one call. make_rhs() makes a new right-hand side from _stencil_rhs, of
-    shape (columns, len(modes), n_r), which the solve consumes: the
-    solution, of the same shape, is written over it."""
+    one call. make_rhs() makes a new right-hand side from _stencil_rhs, a
+    C-ordered complex array of shape (len(modes), n_r), which the solve
+    consumes as one column: the solution is written over it."""
     rhs = make_rhs()
-    cols, blocks, n_r = rhs.shape
+    blocks, n_r = rhs.shape
     factors = _stacked_factor(n_r, grid.log_step, alpha, modes)
-    # the transpose is the Fortran-ordered (rows, columns) matrix that
-    # dgttrs takes and returns, so it solves in place and the solution
-    # reshapes without a copy
-    psi = _solve(factors, rhs.reshape(cols, blocks * n_r).T,
-                 "stencil solve failed", "_solve_stencil")
-    psi = psi.T.reshape(rhs.shape)
+    psi = _solve(factors, rhs.reshape(-1, 1), "stencil solve failed",
+                 "_solve_stencil").reshape(rhs.shape)
     if not np.all(np.isfinite(psi)):
         # a non-finite value reaches every block through the zero
         # cross-block entries (0 * inf is nan), so the blocks are solved
@@ -238,7 +237,7 @@ def _solve_stencil(grid, alpha, modes, make_rhs):
             rhs = make_rhs()
             for k in range(blocks):
                 _solve_stencil(grid, alpha, modes[k:k + 1],
-                               lambda k=k: rhs[:, k:k + 1])
+                               lambda k=k: rhs[k:k + 1])
         raise EllipticError("mode %d solve returned non-finite values"
                             % modes[0], stage="_solve_stencil")
     return psi
@@ -274,7 +273,8 @@ def solve_mode(n, omega_n, alpha, boundary_tol=0.05):
     else:
         psi = _solve_stencil(
             grid, alpha, range(n, n + 1),
-            lambda: _stencil_rhs(np.array(omega_n.values[None, None]), n))[0, 0]
+            lambda: _stencil_rhs(omega_n.values[None].astype(complex),
+                                 n))[0].real
     if boundary_tol is not None:
         _check_boundary_decay(psi, n, boundary_tol)
     return RadialProfile(grid, psi)
@@ -344,13 +344,13 @@ def solve_full(omega, alpha, n_modes=None, out=None):
     absent, and the stencil takes modes 2, 4, ..., 2 n_modes.
 
     The assembly runs in spectral space (one inverse transform instead of
-    an outer product per mode), and the stencil modes solve both parities
-    in one call against rows factored once per grid and alpha. out is a
-    triple of arrays to write into: omega's spectrum along the angle and
-    psi's, zero past index n_modes (complex, of the rfft's shape), and
-    psi (of omega's shape), which the returned Field2D holds. The time
-    stepper passes its own and takes theta derivatives from the two
-    spectra."""
+    an outer product per mode), and the stencil modes solve as complex
+    spectrum rows in one call against rows factored once per grid and
+    alpha. out is a triple of arrays to write into: omega's spectrum
+    along the angle and psi's, zero past index n_modes (complex, of the
+    rfft's shape), and psi (of omega's shape), which the returned Field2D
+    holds. The time stepper passes its own and takes theta derivatives
+    from the two spectra."""
     if out is None:
         shape = omega.values.shape
         spec = (shape[0], shape[1] // 2 + 1)
@@ -392,23 +392,16 @@ def _spectra(omega, alpha, n_modes, out):
     stencil = spec[:, k_lo:n_modes + 1].T
     modes = range(m * k_lo, m * n_modes + 1, m)
     # a ufunc on a strided part of a spectrum takes a buffer of the part's
-    # size, so the parts are copied and scaled in place. The solve
-    # overwrites one fresh stack of the scaled data
+    # size, so the stencil modes are copied into one fresh C-ordered
+    # stack, which is scaled in place and which the solve overwrites
 
     def stacked_rhs():
-        rhs = np.empty((2,) + stencil.shape)
-        np.copyto(rhs[0], stencil.imag)
-        np.copyto(rhs[1], stencil.real)
-        rhs[0] *= -scale
-        rhs[1] *= scale
+        rhs = np.array(stencil, order="C")
+        rhs *= scale
         return _stencil_rhs(rhs, modes[0])
 
-    sin, cos = _solve_stencil(rgrid, alpha, modes, stacked_rhs)
-    # 0.5 N (cos - i sin), a part at a time
-    cos *= 0.5 * N
-    sin *= -0.5 * N
-    block = psi_spec[:, k_lo:n_modes + 1]
-    np.copyto(block.real, cos.T)
-    np.copyto(block.imag, sin.T)
+    psi = _solve_stencil(rgrid, alpha, modes, stacked_rhs)
+    psi *= 0.5 * N
+    np.copyto(psi_spec[:, k_lo:n_modes + 1], psi.T)
     psi_spec[:, n_modes + 1:] = 0.0
     return psi_spec

@@ -429,8 +429,8 @@ def test_scipy_linalg_imports_after_the_direct_load_of_lapack():
     out = _fresh_interpreter(
         "from rieszlab.elliptic import lapack_tridiagonal; "
         "routines = lapack_tridiagonal(); " + _SCIPY_MODULES +
-        "before = loaded(); from scipy.linalg.lapack import dgttrf, dgttrs; "
-        "print(before, routines[0] is dgttrf and routines[1] is dgttrs)")
+        "before = loaded(); from scipy.linalg.lapack import zgttrf, zgttrs; "
+        "print(before, routines[0] is zgttrf and routines[1] is zgttrs)")
     assert out.splitlines()[-1] == "['scipy.linalg._flapack'] True"
 
 
@@ -456,8 +456,8 @@ def test_lapack_falls_back_to_scipy_linalg_without_the_extension(tmp_path):
         "imported = 'scipy.linalg.lapack' in sys.modules; "
         "import scipy.linalg.lapack as lapack; "
         "routines = elliptic.lapack_tridiagonal(); "
-        "print(imported, routines[0] is lapack.dgttrf "
-        "and routines[1] is lapack.dgttrs, digest)")
+        "print(imported, routines[0] is lapack.zgttrf "
+        "and routines[1] is lapack.zgttrs, digest)")
     loaded, digest = direct.splitlines()[-1].rsplit(" ", 1)
     assert loaded == "['scipy.linalg._flapack']"
     assert fallback.splitlines()[-1] == "True True " + digest

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import lfilter
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
@@ -106,40 +107,44 @@ def test_solve_mode_matches_banded_solve_bit_for_bit():
 
 
 def test_stacked_solve_names_the_mode_that_overflows():
-    # data near the largest double in mode 5's block only: the overflow
-    # spreads to every block of the stacked solve, and the error still
-    # names mode 5, as a solve of each mode alone would
+    # data near the largest double in mode 5's block only, in its real
+    # part and then in its imaginary part: the overflow spreads to every
+    # block of the stacked solve, and the error still names mode 5, as a
+    # solve of each mode alone would
     g = aligned_grid(257)
-    rhs = np.zeros((2, 6, g.n))
-    rhs[1, 3, 100:110] = 1.7e308
-    with pytest.raises(EllipticError, match="mode 5 solve"):
-        elliptic._solve_stencil(g, 0.3, range(2, 8),
-                                lambda: elliptic._stencil_rhs(rhs.copy(), 2))
-    # with the half circle's even modes 2, 4, ..., that block is mode 8
-    with pytest.raises(EllipticError, match="mode 8 solve"):
-        elliptic._solve_stencil(g, 0.3, range(2, 13, 2),
-                                lambda: elliptic._stencil_rhs(rhs.copy(), 2))
+    for big in (1.7e308, 1.7e308j):
+        rhs = np.zeros((6, g.n), dtype=complex)
+        rhs[3, 100:110] = big
+        with pytest.raises(EllipticError, match="mode 5 solve"):
+            elliptic._solve_stencil(
+                g, 0.3, range(2, 8),
+                lambda: elliptic._stencil_rhs(rhs.copy(), 2))
+        # with the half circle's even modes 2, 4, ..., that block is mode 8
+        with pytest.raises(EllipticError, match="mode 8 solve"):
+            elliptic._solve_stencil(
+                g, 0.3, range(2, 13, 2),
+                lambda: elliptic._stencil_rhs(rhs.copy(), 2))
 
 
 def test_lapack_failures_name_their_stage(monkeypatch):
     # LAPACK reports info 1 from the factorization, then from the solve:
     # the stencil and the causal recurrence each raise an EllipticError of
     # their own stage, and the stencil's factorization names its modes
-    dgttrf, dgttrs = elliptic.lapack_tridiagonal()
+    zgttrf, zgttrs = elliptic.lapack_tridiagonal()
 
     def failing(fn):
         return lambda *args, **kwargs: (*fn(*args, **kwargs)[:-1], 1)
 
     g = aligned_grid(257)
-    rhs = elliptic._stencil_rhs(np.ones((2, 6, g.n)), 2)
+    rhs = elliptic._stencil_rhs(np.ones((6, g.n), dtype=complex), 2)
     cases = [
-        ((failing(dgttrf), dgttrs), "_stacked_factor",
-         r"stencil factorization failed for modes 2\.\.12 \(dgttrf info 1\)",
+        ((failing(zgttrf), zgttrs), "_stacked_factor",
+         r"stencil factorization failed for modes 2\.\.12 \(zgttrf info 1\)",
          "_recurrence_factor",
-         r"recurrence factorization failed \(dgttrf info 1\)"),
-        ((dgttrf, failing(dgttrs)), "_solve_stencil",
-         r"stencil solve failed \(dgttrs info 1\)",
-         "_recurrence", r"recurrence solve failed \(dgttrs info 1\)"),
+         r"recurrence factorization failed \(zgttrf info 1\)"),
+        ((zgttrf, failing(zgttrs)), "_solve_stencil",
+         r"stencil solve failed \(zgttrs info 1\)",
+         "_recurrence", r"recurrence solve failed \(zgttrs info 1\)"),
     ]
     try:
         for fakes, stencil_stage, stencil_msg, rec_stage, rec_msg in cases:
@@ -318,14 +323,17 @@ def test_solve_full_writes_every_entry_of_a_given_triple(copies):
 
 
 def test_solve_full_solves_the_stencil_over_its_right_hand_side():
-    # dgttrs writes the stacked modes' solution over their right-hand
-    # side, which is the scaled data written into one fresh stack, with no
-    # copy of either, and no multiply reads or writes a strided part of a
-    # spectrum (each took a ufunc buffer of the part's size). At 256 x 64
-    # (256 x 32 on the half circle), in the caller's buffers and with the
-    # factors cached, a solve peaks at 0.73 grid arrays of fresh memory,
-    # the stack's 0.625 and its finiteness mask; a copy of the stack and
-    # the buffers made 1.36, and a copy of the right-hand side 1.88
+    # zgttrs writes the stacked modes' solution over their right-hand
+    # side, which is the spectrum's stencil modes copied into one fresh
+    # C-ordered stack and scaled there, with no copy of either, and no
+    # multiply reads or writes a strided part of a spectrum (each took a
+    # ufunc buffer of the part's size). At 256 x 64 (256 x 32 on the half
+    # circle), in the caller's buffers and with the factors cached, a
+    # solve peaks at 0.70 grid arrays of fresh memory, the stack's 0.625
+    # and its finiteness mask; a stack kept in the spectrum's transposed
+    # layout, which the solve's one column then copies, made 1.32, a copy
+    # of the stack and the buffers 1.36, and a copy of the right-hand
+    # side 1.88
     g = build_radial_grid(8e-3, 8.0, 256)
     agrid = half_circle(AngularGrid(64))
     om = Field2D(g, agrid, np.outer(m.make_bump(g).values,
@@ -373,6 +381,102 @@ def test_recurrence_matches_lfilter_bit_for_bit():
     for a in elliptic._recurrence_factor(n, E):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+
+
+def _real_tridiagonal_solve(dl, d, du, rhs):
+    # LAPACK's real factor and solve, which the complex pair replaced
+    *factors, info = dgttrf(dl, d, du)
+    assert info == 0
+    x, info = dgttrs(*factors, rhs)
+    assert info == 0
+    return x
+
+
+def _real_recurrence(E, c):
+    out = np.zeros(c.size + 1)
+    out[1:] = _real_tridiagonal_solve(np.full(c.size - 1, -E),
+                                      np.ones(c.size),
+                                      np.zeros(c.size - 1), c)
+    return out
+
+
+def test_recurrence_matches_a_real_solve_bit_for_bit():
+    # the complex solve of the recurrence's real data keeps the bytes of
+    # dgttrs on the same bidiagonal rows and leaves its data as it was.
+    # Where the data hold -0, a product with a zero imaginary part can
+    # turn a zero's sign, so there the values are compared
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(8, 2001))
+        E = float(np.exp(-rng.uniform(0.0, 50.0)))
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        c[rng.random(n) < 0.2] = 0.0
+        kept = c.copy()
+        got = elliptic._recurrence(E, c)
+        assert got.tobytes() == _real_recurrence(E, c).tobytes()
+        assert c.tobytes() == kept.tobytes()
+        c[rng.random(n) < 0.2] = -0.0
+        assert np.array_equal(elliptic._recurrence(E, c),
+                              _real_recurrence(E, c))
+
+
+def _real_spectra(spec, g, alpha, copies, N):
+    # psi's spectrum as solve_full formed it on the real path: mode 0 and
+    # mode 1's sine and cosine parts from dgttrs recurrences, and the
+    # stencil modes, from mode 2 with its ghost-node row, stacked as sine
+    # and cosine columns of one dgttrs solve
+    n_modes = N // 3
+    scale = 2.0 / N
+    h = g.log_step
+    low = elliptic._solve_mode_low
+    psi_spec = np.zeros_like(spec)
+    psi_spec[:, 0] = N * low(spec[:, 0].real / N, h, 0, alpha)
+    k_lo = 2 if copies == 1 else 1
+    if copies == 1:
+        p1s = low(-scale * spec[:, 1].imag, h, 1, alpha)
+        p1c = low(scale * spec[:, 1].real, h, 1, alpha)
+        psi_spec[:, 1] = 0.5 * N * (p1c - 1j * p1s)
+    modes = range(copies * k_lo, copies * n_modes + 1, copies)
+    assert modes[0] == 2
+    ab = np.hstack([elliptic._bands(g.n, h, n, alpha) for n in modes])
+    stencil = spec[:, k_lo:n_modes + 1].T
+    rhs = np.stack([-scale * stencil.imag, scale * stencil.real])
+    rhs[:, 1:, 0] = 0.0
+    rhs[:, :, -1] = 0.0
+    x = _real_tridiagonal_solve(ab[2, :-1], ab[1], ab[0, 1:],
+                                rhs.reshape(2, -1).T)
+    sin, cos = x.T.reshape(rhs.shape)
+    psi_spec[:, k_lo:n_modes + 1].real = 0.5 * N * cos.T
+    psi_spec[:, k_lo:n_modes + 1].imag = -0.5 * N * sin.T
+    return psi_spec
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_spectra_matches_the_real_solve_of_each_part(copies, monkeypatch):
+    # the real path as an oracle, with its recurrences on dgttrs: psi's
+    # spectrum carries its values, so each nonzero entry its bytes, and
+    # psi carries its bytes, signs of zero included. A zero's sign in the
+    # spectrum may differ (the real path wrote -0.5 N times a zero sine
+    # part, -0, into the boundary rows); the inverse transform does not
+    # pass it on
+    g = build_radial_grid(8e-3, 8.0, 256)
+    agrid = AngularGrid(64, copies=copies)
+    rng = np.random.default_rng(5)
+    angles = (np.sin(2.0 * agrid.nodes) + 0.3 * np.cos(4.0 * agrid.nodes)
+              + 0.1 * np.cos(agrid.nodes) + 0.05)
+    om = Field2D(g, agrid, np.outer(m.make_bump(g).values, angles)
+                 * (1.0 + 0.1 * rng.standard_normal((g.n, agrid.n_theta))))
+    spec = np.fft.rfft(om.values, axis=-1)
+    for alpha in (0.4, 0.1, 1e-3):
+        out = (np.empty_like(spec), np.empty_like(spec),
+               np.empty(om.values.shape))
+        solve_full(om, alpha, out=out)
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "_recurrence", _real_recurrence)
+            want = _real_spectra(spec, g, alpha, copies, agrid.n_theta)
+        assert np.array_equal(out[1], want), alpha
+        psi = np.fft.irfft(want, n=agrid.n_theta, axis=-1)
+        assert out[2].tobytes() == psi.tobytes(), alpha
 
 
 def speeds(psi, g, agrid, alpha):
