@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError, WriteError
 from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
-                    trapz)
+                    trapz, trapezoid_weights)
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
@@ -310,10 +310,11 @@ def _write_csv(path, header, keys, rows):
     one %.17g field per column of the header. Returns (path, sha256 of the
     bytes written); with newline="" those bytes are the text in utf-8."""
     line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    # Python floats, which % formats faster than numpy scalars
-    text = header + "\n" + "".join(
-        line % (key, *row) for key, row in zip(np.asarray(keys).tolist(),
-                                               np.asarray(rows).tolist()))
+    # one % over the whole table, of Python floats, which % formats faster
+    # than numpy scalars
+    table = np.column_stack((np.asarray(keys, dtype=float),
+                             np.asarray(rows, dtype=float)))
+    text = header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
     with _writing(path) as fh:
         fh.write(text)
     return path, hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -346,10 +347,7 @@ def _run_model(config, out_dir, manifest):
     # the summed trapezoid weights (of 1 and of f0^2)
     tails = model_mod.TailGroups(f0, alpha, times[-1])
     L0, group, profile = tails.L0, tails.group, tails.profile
-    half_widths = 0.5 * np.diff(rgrid.nodes)
-    weights = np.zeros(rgrid.n)
-    weights[:-1] = half_widths
-    weights[1:] += half_widths
+    weights = trapezoid_weights(rgrid.nodes)
     j = group[support_edge_index(f0)]
     # both norms are exact in the angle, so no angular grid is sampled:
     # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
@@ -473,8 +471,7 @@ def _run_full(config, out_dir, manifest):
     f0 = build_profile(config, rgrid)
     full = FullMarch(f0, config.alpha, agrid)
     times = _sample_times(config)
-    j0 = support_edge_index(f0)
-    rows = [field_row(state.omega, j0, full.sample_scratch[0])
+    rows = [full.growth_row(state.omega, full.sample_scratch[0])
             for state in full.samples(times)]
     _report_full(manifest, full)
     return [_write_growth(out_dir, manifest, times, rows)]

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
-from .grids import (RadialProfile, Field2D, half_circle, r_ddr, d2_dx2,
-                    _spectral_deriv, sup_norm, l2_norm, project_mode)
+from .grids import (Field2D, half_circle, r_ddr, d2_dx2, _spectral_deriv,
+                    sup_norm, l2_norm, project_mode, trapezoid_weights)
 from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
@@ -31,8 +31,8 @@ MAX_STEP_OVER_ALPHA = 0.05
 # study's model side (model.TailGroups.blocks), so that its memory does
 # not grow with the sample count. A block lives through the march steps
 # between its samples: at 256 x 128 and 200 samples (42 distinct tails,
-# 24 samples a block) a study's tracemalloc peak reads 1.69 MiB, against
-# 1.68 MiB with one sample a block and 1.82 MiB with 4096 entries
+# 24 samples a block) a study's tracemalloc peak reads 1.71 MiB, against
+# 1.70 MiB with one sample a block and 1.90 MiB with 4096 entries
 _SAMPLE_BLOCK = 1024
 
 
@@ -302,7 +302,8 @@ class FullMarch:
     The samples are made in those buffers too, as no step runs while a
     caller holds one: sample_scratch is a pair of grid arrays that a
     caller may use for what it makes of each sample, until it asks for
-    the next."""
+    the next. growth_row reads a sample's growth columns but its sup off
+    what each step keeps of its ends."""
 
     def __init__(self, f0, alpha, agrid):
         self.alpha = alpha
@@ -314,6 +315,58 @@ class FullMarch:
         self._work = _Buffers(self.omega0.values.shape)
         self.sample_scratch = self._work.scratch
         self._march_s = self._sampling_s = 0.0
+        # the weights of the linear growth columns: per radial node, those
+        # of l2_norm's trapezoid rule and of op_Ls's tail sum at j0 over
+        # the sin 2 theta coefficient; per angle, project_mode's of that
+        # coefficient and of the angular mean
+        nodes, mgrid = self.omega0.rgrid.nodes, self.omega0.agrid
+        self._trapezoid = (mgrid.copies * mgrid.dtheta) * trapezoid_weights(
+            nodes)
+        j0 = support_edge_index(f0)
+        self._tail = np.zeros(nodes.size)
+        self._tail[j0:] = trapezoid_weights(nodes[j0:]) / nodes[j0:]
+        self._sin2 = (2.0 / mgrid.n_theta) * np.sin(2.0 * mgrid.nodes)
+        self._mean = np.full(mgrid.n_theta, 1.0 / mgrid.n_theta)
+
+    def _keep_step(self, y1, f1, y0=None, f0=None):
+        """Keep what growth_row reads of a step's (y0, y1, f0, f1)."""
+        # of the step from y0 to y1 with end tendencies f0 and f1: the Gram
+        # matrix of l2_norm's inner products and per array L_s at j0 and
+        # the angular mean. The start's own entries are the last step's
+        # end entries; with no start (t = 0) only the end's are made. The
+        # time is counted in sampling_s
+        begun = time.perf_counter()
+        gram, linear = np.zeros((4, 4)), np.zeros((4, 1 + y1.shape[0]))
+        if y0 is not None:
+            gram[::2, ::2] = self._gram[1::2, 1::2]
+            linear[::2] = self._linear[1::2]
+        ends = ((1, y1), (3, f1), (0, y0), (2, f0))
+        for k, end in ends[:2]:
+            # matrix-vector products: a matrix product would have BLAS
+            # take its working buffer in each sweep worker
+            linear[k, 0] = self._tail @ (end @ self._sin2)
+            linear[k, 1:] = end @ self._mean
+            for j, other in ends[k // 2:]:
+                if other is not None:
+                    # the trapezoid rule in R of the rows' inner products,
+                    # with no grid-sized temporary
+                    gram[k, j] = gram[j, k] = self._trapezoid @ np.einsum(
+                        "ij,ij->i", end, other)
+        self._gram, self._linear = gram, linear
+        spent = time.perf_counter() - begun
+        self._march_s -= spent
+        self._sampling_s += spent
+
+    def growth_row(self, omega, scratch=None):
+        """field_row's columns of the sample last yielded, omega: its sup,
+        scratch as sup_norm's, and the rest off the kept step."""
+        # at the sample's Hermite weights q, (0, 1, 0, 0) at a step end
+        q = self._weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear = q @ self._linear
+            return (sup_norm(omega, scratch),
+                    float(np.sqrt(max(float(q @ self._gram @ q), 0.0))),
+                    float(linear[0]), 2.0 * float(np.max(linear[1:])))
 
     def samples(self, times):
         """Yield the full state at each of times, from t = 0. The steps run
@@ -323,8 +376,9 @@ class FullMarch:
         end yields that state, and one inside a step the step's Hermite
         interpolant, in a buffer that the next step overwrites. stats
         counts the time spent stepping as march_s, and the rest until
-        the next sample is asked for, the Hermite sum and what the caller
-        makes of the sample, as sampling_s."""
+        the next sample is asked for, what each step keeps for growth_row,
+        the Hermite sum and what the caller makes of the sample, as
+        sampling_s."""
         alpha, t_final = self.alpha, times[-1]
         max_dt = MAX_STEP_OVER_ALPHA * alpha
         tol = 1e-14 * t_final
@@ -337,6 +391,7 @@ class FullMarch:
         # off its stream function
         rate, bound = rhs_full(state, with_bound=True, work=work)
         rate = rate.values
+        self._keep_step(state.omega.values, rate)
         for ts in times:
             while state.t < ts - tol:
                 dt = min(bound, max_dt)
@@ -356,9 +411,12 @@ class FullMarch:
                 self._local_errors.append(state.local_error)
                 rate, bound = rhs_full(state, with_bound=True, work=work)
                 rate = rate.values
+                self._keep_step(state.omega.values, rate,
+                                start.omega.values, start_rate)
             stepped = clock()
             self._march_s += stepped - begun
             if state.t - ts <= tol:
+                self._weights = np.array([0.0, 1.0, 0.0, 0.0])
                 yield state
                 begun = clock()
                 self._sampling_s += begun - stepped
@@ -372,6 +430,7 @@ class FullMarch:
             a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
             b = s * s * (3.0 - 2.0 * s)
             c = h * s * (1.0 - s) ** 2
+            self._weights = np.array([a, b, c, h * s * s * (s - 1.0)])
             out = np.multiply(rate, -s / (1.0 - s), out=work.sample)
             out += start_rate
             out *= c / b
@@ -403,11 +462,10 @@ def support_edge_index(f0):
     return int(np.argmax(nz)) if np.any(nz) else 0
 
 
-def field_row(omega, j0, scratch=None):
+def field_row(omega, j0):
     """The growth columns of a grid field: sup, l2, L_s at node j0, and
-    twice the peak angular mean (the exponent proxy). scratch, an array
-    of the field's shape, takes the norms' pointwise values when given."""
-    return (sup_norm(omega, scratch), l2_norm(omega, scratch),
+    twice the peak angular mean (the exponent proxy)."""
+    return (sup_norm(omega), l2_norm(omega),
             float(op_Ls(omega).values[j0]),
             2.0 * float(np.max(project_mode(omega, 0, "cos").values)))
 
@@ -423,23 +481,33 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
         raise ValueError("need at least 2 samples")
     full = FullMarch(f0, alpha, agrid)
     times = np.linspace(0.0, t_final, n_samples)
-    j0 = support_edge_index(f0)
     tails = _model.TailGroups(f0, alpha, t_final)
     # per sample, the model's A at every node and its sup_omega2
     model = ((A[tails.group], sup)
              for _, _, block, sups in tails.blocks(times, _SAMPLE_BLOCK)
              for A, sup in zip(block, sups.tolist()))
-    mgrid = full.omega0.agrid
+    # the model field f_t + A/2 is reconstruct_Omega2's, with f_t on f0's
+    # row window alone; the window and f_t's angular factors are made once
     values, scratch = full.sample_scratch
+    window = _model.row_window(f0.values)
+    factors = _model._angular_factors(full.omega0.agrid.nodes,
+                                      values[window].shape)
+    diff = Field2D(f0.grid, full.omega0.agrid, values)
     growth, remainder = [], []
-    for state, ts, (A, model_sup) in zip(full.samples(times), times, model):
-        # each row in the march's two buffers: the full field's norms, then
-        # the model field and the difference in the first, whose norms
-        # take the second
-        growth.append(field_row(state.omega, j0, values))
-        mstate = _model.ModelState(alpha, f0, RadialProfile(f0.grid, A), ts)
-        diff = _model.reconstruct_Omega2(mstate, mgrid, full.sample_scratch)
-        np.subtract(state.omega.values, diff.values, out=diff.values)
+    for state, (A, model_sup) in zip(full.samples(times), model):
+        # each row in the march's two buffers: the full field's sup, then
+        # full - (f_t + A/2), one row block at a time, in the first, whose
+        # norms take the second
+        growth.append(full.growth_row(state.omega, values))
+        omega, half = state.omega.values, 0.5 * A
+        for rows in (slice(0, window.start), slice(window.stop, None)):
+            np.subtract(omega[rows], half[rows, None], out=values[rows])
+        e = np.exp(-A[window])
+        f = _model._compressed((f0.values[window] * e)[:, None],
+                               (e * e)[:, None], factors, values[window],
+                               scratch[window])
+        f += half[window, None]
+        np.subtract(omega[window], f, out=f)
         remainder.append((sup_norm(diff, scratch), l2_norm(diff, scratch),
                           growth[-1][0], model_sup))
     return RemainderSeries(growth, remainder, full)

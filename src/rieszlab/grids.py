@@ -113,6 +113,12 @@ def trapz(values, nodes):
                   axis=-1)
 
 
+def trapezoid_weights(nodes):
+    """Each node's weight in the trapezoid rule on nodes."""
+    gaps = np.diff(nodes, prepend=nodes[0], append=nodes[-1])
+    return 0.5 * (gaps[:-1] + gaps[1:])
+
+
 def tail_sums(values, half_widths):
     """Trapezoid tail integrals on the half cell widths 0.5 * diff(nodes):
     out[j] approximates the integral of the sampled function from nodes[j]

@@ -117,25 +117,28 @@ def step(state, dt):
     return ModelState(alpha, state.f0, A_new, state.t + dt, kernel)
 
 
-def _compressed(f0e, ee, theta, out=None, scratch=None):
-    """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
-    f0e = f0 e and ee = e e, evaluated in that order (but for products,
-    which commute exactly), into out and scratch, arrays of the broadcast
-    shape, when both are given."""
+def _angular_factors(theta, shape):
+    """f_t's angular factors sin^2, cos^2 and sin 2 of theta, in shape."""
+    # copied out, so that _compressed broadcasts none of them: numpy takes
+    # a transient buffer of up to 8192 entries for each operand that a
+    # ufunc call broadcasts
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
+    return tuple(np.broadcast_to(x, shape).copy()
+                 for x in (s * s, c * c, np.sin(2.0 * theta)))
+
+
+def _compressed(f0e, ee, factors, out=None, scratch=None):
+    """f_t = f0 e sin 2 theta / (e e sin^2 theta + cos^2 theta) from
+    f0e = f0 e, ee = e e and _angular_factors in the output's shape, in
+    that order (but for products, which commute exactly), into out and
+    scratch when both are given."""
+    s2, c2, sin2 = factors
     if out is None:
-        shape = np.broadcast_shapes(np.shape(f0e), np.shape(ee), theta.shape)
-        out, scratch = np.empty(shape), np.empty(shape)
-    # the angular factors are copied out first, so that no ufunc call
-    # broadcasts two operands: numpy takes a transient buffer of up to
-    # 8192 entries for each operand that a call broadcasts
-    den, f = scratch, out
-    np.copyto(den, s * s)
-    den *= ee
-    den += c * c
-    np.copyto(f, np.sin(2.0 * theta))
-    f *= f0e
+        out, scratch = np.empty(sin2.shape), np.empty(sin2.shape)
+    den = np.multiply(s2, ee, out=scratch)
+    den += c2
+    f = np.multiply(sin2, f0e, out=out)
     f /= den
     return f
 
@@ -149,34 +152,36 @@ def eval_f(state, R, theta):
     """
     nodes = state.f0.grid.nodes
     e = np.exp(-np.interp(R, nodes, state.A.values))
-    out = _compressed(np.interp(R, nodes, state.f0.values) * e, e * e, theta)
+    f0e = np.interp(R, nodes, state.f0.values) * e
+    shape = np.broadcast_shapes(f0e.shape, np.shape(theta))
+    out = _compressed(f0e, e * e, _angular_factors(theta, shape))
     return out if out.ndim else float(out)
 
 
-def reconstruct_Omega2(state, agrid, out=None):
-    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
-    out is a pair of arrays of the grid's shape that the values and their
-    scratch are written into, the values in the first; the angular
-    factors of f_t are made once per call, on one row of the grid.
+def row_window(f0):
+    """The slice of rows from f0's first to last nonzero entry."""
+    # off it f_t is +-0; it is empty when f0 is 0
+    rows = np.flatnonzero(f0)
+    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
 
-    f_t is +-0 on every row where f0 is 0, so A/2 is copied into every row
-    and f_t formed and added only on the rows from the first to the last
-    nonzero f0. Each value is the whole-grid sum's bit for bit, but for
-    the sign of a zero: a row of A/2 = -0 off that window reads -0, where
-    +0 + -0 would read +0, which no norm sees."""
+
+def reconstruct_Omega2(state, agrid):
+    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
+
+    A/2 is copied into every row, and f_t formed and added only on
+    row_window's rows. Each value is the whole-grid sum's bit for bit,
+    but for the sign of a zero: a row of A/2 = -0 off that window reads
+    -0, where +0 + -0 would read +0, which no norm sees."""
     a, f0 = state.A.values, state.f0.values
-    shape = (a.size, agrid.nodes.size)
-    values, scratch = out or (np.empty(shape), np.empty(shape))
+    values, scratch = (np.empty((a.size, agrid.n_theta)) for _ in range(2))
     half = 0.5 * a
     np.copyto(values, half[:, None])
-    rows = np.flatnonzero(f0)
-    if rows.size:
-        window = slice(rows[0], rows[-1] + 1)
-        e = np.exp(-a[window])
-        f = _compressed((f0[window] * e)[:, None], (e * e)[:, None],
-                        agrid.nodes[None, :], values[window],
-                        scratch[window])
-        f += half[window, None]
+    window = row_window(f0)
+    e = np.exp(-a[window])
+    f = _compressed((f0[window] * e)[:, None], (e * e)[:, None],
+                    _angular_factors(agrid.nodes, values[window].shape),
+                    values[window], scratch[window])
+    f += half[window, None]
     return Field2D(state.f0.grid, agrid, values)
 
 

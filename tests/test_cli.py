@@ -1388,6 +1388,57 @@ def test_manifest_digests_are_those_of_the_files_on_disk(tmp_path, kind):
         assert list(files) == ["scaling_report.csv"]
 
 
+@pytest.mark.parametrize("kind, l2_calls", [("full", 0), ("remainder", 4)])
+def test_full_march_rows_take_no_norm_or_projection_pass(
+        tmp_path, monkeypatch, kind, l2_calls):
+    # a growth row of the full march takes its sup off the sample and its
+    # l2, L_s at j0 and A_max off the march's kept steps, so no run makes
+    # an op_Ls or project_mode pass per sample; a remainder run makes one
+    # l2_norm pass per sample, over the difference. Each binding of the
+    # three functions is counted
+    from rieszlab import evolution, grids, kernels
+    calls = dict.fromkeys(("l2_norm", "op_Ls", "project_mode"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, evolution, grids, kernels):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    cli.run(tiny_config(tmp_path, kind, tmp_path / "out"))
+    assert calls == {"l2_norm": l2_calls, "op_Ls": 0, "project_mode": 0}
+
+
+def test_csv_table_writes_the_per_row_bytes(tmp_path):
+    # _write_csv formats its whole table with one %; the file must hold
+    # the bytes of one % per row, on values whose %.17g is awkward, given
+    # as an array of rows and as a list of tuples
+    awkward = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0,
+               3.0, -2.0, 1e16, 2.0 ** 60, 1.0 / 3.0]
+    rng = np.random.default_rng(7)
+    keys = np.array(awkward)
+    rows = np.array([rng.permutation(awkward)[:4] for _ in awkward])
+    line = ",".join(["%.17g"] * 5) + "\n"
+    want = "t,a,b,c,d\n" + "".join(
+        line % (key, *row) for key, row in zip(keys.tolist(), rows.tolist()))
+    fields = set(want.replace("\n", ",").split(","))
+    assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
+            "1.7976931348623157e+308", "0.10000000000000001",
+            "3"} <= fields
+    for given in (rows, [tuple(row) for row in rows.tolist()]):
+        path = str(tmp_path / "table.csv")
+        assert cli._write_csv(path, "t,a,b,c,d", keys, given) == (
+            path, hashlib.sha256(want.encode("utf-8")).hexdigest())
+        assert (tmp_path / "table.csv").read_bytes() == want.encode("utf-8")
+
+
 def test_no_run_reads_back_what_it_wrote(tmp_path, monkeypatch):
     # every output is opened once, to be written; its digest comes from
     # the text written. The sweep's members run in this process, so

@@ -265,14 +265,16 @@ def test_remainder_samples_work_in_the_march_buffers(monkeypatch):
 @pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
 def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
                                                         monkeypatch):
-    # the study's rows, bit for bit, against rows built out of place one
-    # sample at a time: field_row of the sample, the model field without
-    # buffers from A = phi(t L0 / alpha) of that sample alone at every
-    # node, the norms of the difference and sup_omega2. Every step is
-    # 0.05 alpha here, so every fourth of the 41 samples is a step end and
-    # the others are Hermite samples, and the model side is read in blocks
-    # of 16 samples over the distinct tails (12 at 64 nodes, 21 at 128),
-    # so over 3 blocks of A, the last one partial
+    # the study's rows against rows built out of place one sample at a
+    # time: field_row of the sample, the model field without buffers from
+    # A = phi(t L0 / alpha) of that sample alone at every node, the norms
+    # of the difference and sup_omega2. The remainder rows and the growth
+    # sup match bit for bit; the other growth columns come from the
+    # step's kept quantities, within 1e-12 of each column's scale. Every
+    # step is 0.05 alpha here, so every fourth of the 41 samples is a step
+    # end and the others are Hermite samples, and the model side is read
+    # in blocks of 16 samples over the distinct tails (12 at 64 nodes, 21
+    # at 128), so over 3 blocks of A, the last one partial
     alpha, t_final, n_samples = 0.2, 0.1, 41
     g = build_radial_grid(8e-3, 8.0, n_r)
     agrid = AngularGrid(n_theta)
@@ -297,8 +299,39 @@ def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
         remainder.append((sup_norm(diff), l2_norm(diff), growth[-1][0],
                           m.sup_omega2(mstate)))
     assert ends == 10
-    assert series.growth == growth
+    got, want = np.array(series.growth), np.array(growth)
+    assert got[:, 0].tolist() == want[:, 0].tolist()
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
     assert series.remainder == remainder
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
+def test_growth_rows_from_kept_steps_match_field_row(n_r, n_theta):
+    # growth_row reads l2, L_s at j0 and A_max off each step's Gram
+    # matrix, L_s values and angular means at the sample's Hermite
+    # weights; field_row reads them off the sample's grid field. Every
+    # step is 0.05 alpha, so of the 41 samples the first is t = 0, every
+    # fourth after it a step end and the other 30 Hermite samples (a
+    # swap of the c and d weights misses by 1.3e-5 to 1.8e-5; measured
+    # drift: at most 3.6e-16)
+    alpha, t_final = 0.2, 0.1
+    g = build_radial_grid(8e-3, 8.0, n_r)
+    f0 = m.make_bump(g)
+    j0 = evolution.support_edge_index(f0)
+    full = FullMarch(f0, alpha, AngularGrid(n_theta))
+    got, want, kinds = [], [], []
+    for state in full.samples(np.linspace(0.0, t_final, 41)):
+        got.append(full.growth_row(state.omega))
+        want.append(evolution.field_row(state.omega, j0))
+        kinds.append("start" if state.t == 0.0 else
+                     "end" if state.local_error is not None else "hermite")
+    assert [kinds.count(k) for k in ("start", "end", "hermite")] == [1, 10, 30]
+    got, want = np.array(got), np.array(want)
+    assert got[:, 0].tolist() == want[:, 0].tolist()
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(scale > 0)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
 
 
 def count_calls(patch, calls, module=evolution):

@@ -171,11 +171,6 @@ def test_reconstruct_matches_out_of_place_formula():
     expect = f + 0.5 * state.A.values[:, None]
     assert np.max(state.A.values) > 0
     assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, expect)
-    # and so with the buffer pair given
-    buffers = (np.empty(expect.shape), np.empty(expect.shape))
-    got = m.reconstruct_Omega2(state, agrid, buffers)
-    assert got.values is buffers[0]
-    assert np.array_equal(got.values, expect)
 
 
 def _window_profiles(g):
@@ -198,7 +193,7 @@ def test_reconstruct_row_window_matches_the_whole_grid(name, copies):
     # last nonzero f0 and copies A/2 into the others. Against _compressed
     # on every row plus A/2 it agrees bit for bit (np.array_equal, which
     # takes -0 and +0 as equal: off the window a zero's sign may differ),
-    # with and without the buffer pair, on the full and the half circle.
+    # on the full and the half circle.
     # A is phi(t L0 / alpha) of the bump, nonzero below every support
     g = build_radial_grid(0.5, 8.0, 257)
     f0 = _window_profiles(g)[name]
@@ -217,13 +212,9 @@ def test_reconstruct_row_window_matches_the_whole_grid(name, copies):
     agrid = AngularGrid(64, copies=copies)
     e = np.exp(-A)
     want = (m._compressed((f0 * e)[:, None], (e * e)[:, None],
-                          agrid.nodes[None, :]) + 0.5 * A[:, None])
+                          m._angular_factors(agrid.nodes, (g.n, 64)))
+            + 0.5 * A[:, None])
     assert np.array_equal(m.reconstruct_Omega2(state, agrid).values, want)
-    # every entry of the given pair's first array is written
-    buffers = (np.full(want.shape, np.nan), np.full(want.shape, np.nan))
-    got = m.reconstruct_Omega2(state, agrid, buffers)
-    assert got.values is buffers[0]
-    assert np.array_equal(got.values, want)
 
 
 def eval_f_one_line(state, R, theta):
