@@ -30,8 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, RieszlabError, WriteError
-from .grids import (build_radial_grid, AngularGrid, RadialProfile, Field2D,
-                    trapz, trapezoid_weights)
+from .grids import build_radial_grid, AngularGrid, RadialProfile, Field2D
 from .kernels import (gamma_kernel, kernel_values, profile_tail, op_Ls,
                       apply_lf_kernel)
 from . import model as model_mod
@@ -347,7 +346,6 @@ def _run_model(config, out_dir, manifest):
     # the summed trapezoid weights (of 1 and of f0^2)
     tails = model_mod.TailGroups(f0, alpha, times[-1])
     L0, group, profile = tails.L0, tails.group, tails.profile
-    weights = trapezoid_weights(rgrid.nodes)
     j = group[support_edge_index(f0)]
     # both norms are exact in the angle, so no angular grid is sampled:
     # sup over theta of Omega_2 is f0 + A/2, and with b = e^-A, t = tan
@@ -356,8 +354,8 @@ def _run_model(config, out_dir, manifest):
     # vanishes and ||Omega_2||^2 = integral of pi (f0^2 K(A) + A^2/2) dR.
     # Squares past the float range give an inf or nan l2 for finite_norms
     with np.errstate(over="ignore", invalid="ignore"):
-        f0_sq = np.bincount(group, weights * f0.values * f0.values)
-    w_sum = np.bincount(group, weights)
+        f0_sq = np.bincount(group, rgrid.weights * f0.values * f0.values)
+    w_sum = np.bincount(group, rgrid.weights)
     manifest["stats"] = {"z_max": profile.z_max,
                          "profile_steps": profile.steps,
                          "profile_steps_marched": profile.marched}
@@ -403,11 +401,12 @@ def _run_linear(config, out_dir, manifest):
     # a field past it (at a huge horizon) fails step_linear's finite check
     with np.errstate(over="ignore", invalid="ignore"):
         s = 0.5 * times / config.alpha
-        # trapz is linear: l2^2 = T0 + s T1 + s^2 T2, T_k that of s^k's term
-        T0, T1, T2 = trapz(np.stack(((agrid.dtheta * sum2) * f ** 2,
-                                     (2.0 * agrid.dtheta * sum1) * f * ls0,
-                                     (agrid.dtheta * sin2.size) * ls0 ** 2)),
-                           rgrid.nodes)
+        # the trapezoid rule is linear: l2^2 = T0 + s T1 + s^2 T2, T_k that
+        # of s^k's term
+        T0, T1, T2 = (rgrid.weights @ c for c in (
+            (agrid.dtheta * sum2) * f ** 2,
+            (2.0 * agrid.dtheta * sum1) * f * ls0,
+            (agrid.dtheta * sin2.size) * ls0 ** 2))
         rows = np.empty((times.size, 4))
         rows[:, 1] = np.sqrt(T0 + s * T1 + s * s * T2)
         rows[:, 2] = ls0[j0]
@@ -471,8 +470,7 @@ def _run_full(config, out_dir, manifest):
     f0 = build_profile(config, rgrid)
     full = FullMarch(f0, config.alpha, agrid)
     times = _sample_times(config)
-    rows = [full.growth_row(state.omega, full.sample_scratch[0])
-            for state in full.samples(times)]
+    rows = [full.growth_row(state.omega) for state in full.samples(times)]
     _report_full(manifest, full)
     return [_write_growth(out_dir, manifest, times, rows)]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError, SupportEscapeError, CflViolationError
 from .grids import (Field2D, half_circle, r_ddr, d2_dx2, _spectral_deriv,
-                    sup_norm, l2_norm, project_mode, trapezoid_weights)
+                    sup_norm, l2_norm, project_mode)
 from .elliptic import solve_full
 from .kernels import op_Ls
 from . import model as _model
@@ -317,14 +317,16 @@ class FullMarch:
         self._march_s = self._sampling_s = 0.0
         # the weights of the linear growth columns: per radial node, those
         # of l2_norm's trapezoid rule and of op_Ls's tail sum at j0 over
-        # the sin 2 theta coefficient; per angle, project_mode's of that
-        # coefficient and of the angular mean
-        nodes, mgrid = self.omega0.rgrid.nodes, self.omega0.agrid
-        self._trapezoid = (mgrid.copies * mgrid.dtheta) * trapezoid_weights(
-            nodes)
+        # the sin 2 theta coefficient, the grid's rule on nodes[j0:], whose
+        # first node has only its right half cell; per angle,
+        # project_mode's of that coefficient and of the angular mean
+        rgrid, mgrid = self.omega0.rgrid, self.omega0.agrid
+        self._trapezoid = (mgrid.copies * mgrid.dtheta) * rgrid.weights
         j0 = support_edge_index(f0)
-        self._tail = np.zeros(nodes.size)
-        self._tail[j0:] = trapezoid_weights(nodes[j0:]) / nodes[j0:]
+        tail = np.zeros(rgrid.n)
+        tail[j0:] = rgrid.weights[j0:]
+        tail[j0] = rgrid.half_widths[j0]
+        self._tail = tail / rgrid.nodes
         self._sin2 = (2.0 / mgrid.n_theta) * np.sin(2.0 * mgrid.nodes)
         self._mean = np.full(mgrid.n_theta, 1.0 / mgrid.n_theta)
 
@@ -357,14 +359,15 @@ class FullMarch:
         self._march_s -= spent
         self._sampling_s += spent
 
-    def growth_row(self, omega, scratch=None):
+    def growth_row(self, omega):
         """field_row's columns of the sample last yielded, omega: its sup,
-        scratch as sup_norm's, and the rest off the kept step."""
+        and the rest off the kept step, whose l2 at a step end is
+        l2_norm's bit for bit."""
         # at the sample's Hermite weights q, (0, 1, 0, 0) at a step end
         q = self._weights
         with np.errstate(over="ignore", invalid="ignore"):
             linear = q @ self._linear
-            return (sup_norm(omega, scratch),
+            return (sup_norm(omega),
                     float(np.sqrt(max(float(q @ self._gram @ q), 0.0))),
                     float(linear[0]), 2.0 * float(np.max(linear[1:])))
 
@@ -495,10 +498,9 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     diff = Field2D(f0.grid, full.omega0.agrid, values)
     growth, remainder = [], []
     for state, (A, model_sup) in zip(full.samples(times), model):
-        # each row in the march's two buffers: the full field's sup, then
-        # full - (f_t + A/2), one row block at a time, in the first, whose
-        # norms take the second
-        growth.append(full.growth_row(state.omega, values))
+        growth.append(full.growth_row(state.omega))
+        # full - (f_t + A/2), one row block at a time, in the first of the
+        # march's two buffers, with the second as _compressed's scratch
         omega, half = state.omega.values, 0.5 * A
         for rows in (slice(0, window.start), slice(window.stop, None)):
             np.subtract(omega[rows], half[rows, None], out=values[rows])
@@ -508,6 +510,6 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
                                scratch[window])
         f += half[window, None]
         np.subtract(omega[window], f, out=f)
-        remainder.append((sup_norm(diff, scratch), l2_norm(diff, scratch),
+        remainder.append((sup_norm(diff), l2_norm(diff),
                           growth[-1][0], model_sup))
     return RemainderSeries(growth, remainder, full)

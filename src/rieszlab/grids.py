@@ -16,12 +16,20 @@ import numpy as np
 
 
 class RadialGrid:
-    """Geometric radial nodes; build_radial_grid is their one builder."""
+    """Geometric radial nodes; build_radial_grid is their one builder.
+
+    The grid makes the radial trapezoid rule once: half_widths, the half
+    cell widths 0.5 * diff(nodes) that tail_sums accumulates, and weights,
+    each node's weight in the rule over the whole grid."""
 
     def __init__(self, nodes):
         self.nodes = nodes
         self.n = nodes.size
         self.log_step = np.log(nodes[1] / nodes[0])  # the uniform step in log R
+        self.half_widths = 0.5 * np.diff(nodes)
+        self.weights = np.zeros(self.n)
+        self.weights[:-1] += self.half_widths
+        self.weights[1:] += self.half_widths
 
     @property
     def r_max(self):
@@ -107,22 +115,10 @@ class Field2D:
         self.values = values
 
 
-def trapz(values, nodes):
-    """The trapezoid rule on nodes along the last axis of values."""
-    return np.sum((values[..., 1:] + values[..., :-1]) * 0.5 * np.diff(nodes),
-                  axis=-1)
-
-
-def trapezoid_weights(nodes):
-    """Each node's weight in the trapezoid rule on nodes."""
-    gaps = np.diff(nodes, prepend=nodes[0], append=nodes[-1])
-    return 0.5 * (gaps[:-1] + gaps[1:])
-
-
 def tail_sums(values, half_widths):
-    """Trapezoid tail integrals on the half cell widths 0.5 * diff(nodes):
-    out[j] approximates the integral of the sampled function from nodes[j]
-    to nodes[-1], and out[-1] is 0."""
+    """Trapezoid tail integrals on a grid's half_widths: out[j]
+    approximates the integral of the sampled function from nodes[j] to
+    nodes[-1], and out[-1] is 0."""
     seg = (values[:-1] + values[1:]) * half_widths
     out = np.empty_like(values)
     out[-1] = 0.0
@@ -130,23 +126,23 @@ def tail_sums(values, half_widths):
     return out
 
 
-def sup_norm(field, scratch=None):
-    """max |values|, with |values| written into scratch, an array of the
-    field's shape, when given."""
-    return float(np.abs(field.values, out=scratch).max())
+def sup_norm(field):
+    """max |values|, nan if any value is, with no pass that writes."""
+    v = field.values
+    return abs(float(max(v.max(), -v.min())))
 
 
-def l2_norm(field, scratch=None):
-    """The discrete L2 norm in dR dtheta, with the squares written into
-    scratch, an array of the field's shape, when given."""
+def l2_norm(field):
+    """The discrete L2 norm in dR dtheta: the grid's radial weights on
+    each row's sum of squares, with no grid-sized temporary."""
     # theta is periodic, so the trapezoid rule reduces to dtheta * sum,
     # once per copy of the period around the circle; inf when the squares
     # pass the float range, for the caller to report
-    agrid = field.agrid
+    agrid, v = field.agrid, field.values
     with np.errstate(over="ignore"):
-        per_r = (agrid.copies * agrid.dtheta) * np.square(
-            field.values, out=scratch).sum(axis=1)
-        return float(np.sqrt(trapz(per_r, field.rgrid.nodes)))
+        return float(np.sqrt(((agrid.copies * agrid.dtheta)
+                              * field.rgrid.weights)
+                             @ np.einsum("ij,ij->i", v, v)))
 
 
 def project_mode(field, n, parity):

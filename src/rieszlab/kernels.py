@@ -91,8 +91,7 @@ def tail_integrand(profile):
 def profile_tail(profile):
     """L(f) as a profile: tail integrals of f(s)/s at every node."""
     c = tail_integrand(profile)
-    return RadialProfile(profile.grid,
-                         tail_sums(c, 0.5 * np.diff(profile.grid.nodes)))
+    return RadialProfile(profile.grid, tail_sums(c, profile.grid.half_widths))
 
 
 def op_Ls(field):
@@ -102,7 +101,7 @@ def op_Ls(field):
 def lf_tail(c, half_widths, A, kernel=None):
     """The array form of apply_lf_kernel, and its one implementation:
     the trapezoid tail sums of c K(A), with c = tail_integrand(f0) and
-    half_widths = 0.5 * diff(nodes), both fixed for a model march."""
+    the grid's half_widths, both fixed for a model march."""
     if (A < 0).any():
         raise ValueError("negative-A: the accumulated exponent is nonnegative")
     kv = kernel(A) if kernel is not None else _sech2_half(A)
@@ -118,5 +117,5 @@ def apply_lf_kernel(f0, A, kernel=None):
     if not f0.grid.same_nodes(A.grid):
         raise ValueError("f0 and A must live on the same radial grid")
     return RadialProfile(f0.grid, lf_tail(tail_integrand(f0),
-                                          0.5 * np.diff(f0.grid.nodes),
-                                          A.values, kernel))
+                                          f0.grid.half_widths, A.values,
+                                          kernel))

@@ -96,13 +96,12 @@ def init_state(f0, alpha, kernel=None):
 
 def step(state, dt):
     """Classical 4th-order one-step advance of A at all nodes. Each stage
-    is one lf_tail on plain arrays: the tail integrand f0/R and the half
-    cell widths, made once per step. Only the new A is checked finite."""
+    is one lf_tail on plain arrays: the tail integrand f0/R, made once per
+    step, and the grid's half_widths. Only the new A is checked finite."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
     kernel, alpha = state.kernel, state.alpha
-    c = tail_integrand(state.f0)
-    half_widths = 0.5 * np.diff(state.f0.grid.nodes)
+    c, half_widths = tail_integrand(state.f0), state.f0.grid.half_widths
 
     def rate(a):
         return lf_tail(c, half_widths, a, kernel) / alpha

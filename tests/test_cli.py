@@ -21,7 +21,7 @@ from rieszlab.errors import ConfigError, NumericalError, WriteError
 from rieszlab import cli
 from rieszlab.evolution import (FullState, field_row, step_linear,
                                 support_edge_index)
-from rieszlab.grids import Field2D, trapz
+from rieszlab.grids import Field2D
 from rieszlab.kernels import op_Ls, profile_tail
 
 
@@ -1154,13 +1154,13 @@ def _linear_growth_one_sample_at_a_time(cfg):
     """growth.csv of a linear run written one sample at a time, each
     maximum over every radial row: the oracle of the block passes over the
     distinct rows. The l2 column takes the run's arithmetic, the square
-    root of T0 + s T1 + s^2 T2 with T_k the trapezoid integral of the
-    coefficient of s^k."""
+    root of T0 + s T1 + s^2 T2 with T_k the grid's trapezoid weights on
+    the coefficient of s^k."""
     f0, ls0, sin2, sq = _linear_coefficients(cfg)
     j0, f = support_edge_index(f0), f0.values
     hi, lo = f * float(np.max(sin2)), f * float(np.min(sin2))
     mean0 = f * (float(np.sum(sin2)) / sin2.size)
-    T0, T1, T2 = (float(trapz(c, f0.grid.nodes)) for c in sq)
+    T0, T1, T2 = (float(f0.grid.weights @ c) for c in sq)
     lines = ["t,sup_norm,l2_norm,Ls_at_support_inf,A_max\n"]
     for ts in cli._sample_times(cfg):
         s = 0.5 * ts / cfg.alpha
@@ -1262,7 +1262,8 @@ def test_linear_l2_column_stays_near_the_per_row_trapezoid(tmp_path, seed):
                          delimiter=",", skiprows=1)
         f0, _, _, (sq0, sq1, sq2) = _linear_coefficients(cfg)
         s = (0.5 * got[:, 0] / alpha)[:, None]
-        want = np.sqrt(trapz(sq0 + s * sq1 + s * s * sq2, f0.grid.nodes))
+        want = np.sqrt(np.trapezoid(sq0 + s * sq1 + s * s * sq2,
+                                    f0.grid.nodes))
         assert np.max(np.abs(got[:, 2] - want) / want) <= 1e-14
 
 

@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import lfilter
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz, project_mode, r_ddr,
+                            Field2D, project_mode, r_ddr,
                             half_circle)
 from rieszlab.kernels import profile_tail
 from rieszlab.errors import EllipticError
@@ -25,7 +25,7 @@ def aligned_grid(n=4097):
 
 
 def prof_l2(values, R):
-    return float(np.sqrt(trapz(values * values * R, R)))
+    return float(np.sqrt(np.trapezoid(values * values * R, R)))
 
 
 def test_solve_mode_zero_data():

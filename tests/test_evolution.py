@@ -334,6 +334,40 @@ def test_growth_rows_from_kept_steps_match_field_row(n_r, n_theta):
     assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
+def test_step_end_growth_rows_read_the_norms_bit_for_bit(n_r, n_theta):
+    # growth_row's l2 is the Gram entry of l2_norm's own rule, weights
+    # times the rows' sums of squares, so at t = 0 and every step end the
+    # two agree to the bit (scaling the dot product instead of the weights
+    # misses); a Hermite sample's l2 is a sum of Gram entries
+    g = build_radial_grid(8e-3, 8.0, n_r)
+    full = FullMarch(m.make_bump(g), 0.2, AngularGrid(n_theta))
+    ends = 0
+    for state in full.samples(np.linspace(0.0, 0.1, 41)):
+        sup, l2 = full.growth_row(state.omega)[:2]
+        want = l2_norm(state.omega)
+        assert sup == sup_norm(state.omega)
+        if state.t == 0.0 or state.local_error is not None:
+            ends += 1
+            assert l2 == want
+        else:
+            assert abs(l2 - want) <= 1e-15 * want
+    assert ends == 11
+
+
+def test_march_tail_weights_are_the_trapezoid_rule_from_j0():
+    # op_Ls's tail sum at j0 is the trapezoid rule on nodes[j0:], whose
+    # first node has only its right half cell
+    g = build_radial_grid(8e-3, 8.0, 128)
+    f0 = m.make_bump(g)
+    j0 = evolution.support_edge_index(f0)
+    full = FullMarch(f0, 0.2, AngularGrid(16))
+    gaps = np.diff(g.nodes[j0:], prepend=g.nodes[j0], append=g.nodes[-1])
+    want = 0.5 * (gaps[:-1] + gaps[1:]) / g.nodes[j0:]
+    assert 0 < j0 and not np.any(full._tail[:j0])
+    assert full._tail[j0:].tobytes() == want.tobytes()
+
+
 def count_calls(patch, calls, module=evolution):
     # route each function of module named in calls through a counter
     def counted(name, fn):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieszlab.grids import (build_radial_grid, AngularGrid, RadialProfile,
-                            Field2D, trapz, tail_sums, sup_norm, l2_norm,
+                            Field2D, tail_sums, sup_norm, l2_norm,
                             project_mode, r_ddr, d2_dx2)
 from rieszlab.model import make_indicator
 from spectral import theta_deriv
@@ -49,6 +49,40 @@ def test_sup_norm_zero_field():
     agrid = AngularGrid(16)
     z = Field2D(rgrid, agrid, np.zeros((33, 16)))
     assert sup_norm(z) == 0.0
+
+
+def _special_arrays():
+    rng = np.random.default_rng(0)
+    base, negative = rng.standard_normal((8, 4)), rng.random((8, 4)) < 0.5
+
+    def put(value, at):
+        v = base.copy()
+        v.flat[at] = value
+        return v
+
+    def signed(x):
+        return np.where(negative, -x, x)
+
+    big = 1.7976931348623157e308
+    return {"negative-zeros": np.full((8, 4), -0.0), "mixed-zeros": signed(0.0),
+            "nan-first": put(np.nan, 0), "nan-inside": put(np.nan, 21),
+            "inf": put(np.inf, 9), "-inf": put(-np.inf, 17),
+            "tiny": signed(5e-324), "-tiny": np.full((8, 4), -5e-324),
+            "huge": signed(big), "-huge": np.full((8, 4), -big)}
+
+
+@pytest.mark.parametrize("case", sorted(_special_arrays()))
+def test_sup_norm_is_the_largest_magnitude(case):
+    # max(v.max(), -v.min()) takes no |v| pass, and abs of it gives
+    # max |v|'s +0.0 where every entry is -0.0
+    v = _special_arrays()[case]
+    got = sup_norm(Field2D(build_radial_grid(1.0, 2.0, 8), AngularGrid(4), v))
+    want = float(np.abs(v).max())
+    assert type(got) is float
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert got == want and np.signbit(got) == np.signbit(want)
 
 
 def test_sup_norm_sine_indicator():
@@ -123,12 +157,27 @@ def test_project_mode_recovers_random_modes():
 
 
 def test_trapz_and_right_tail():
-    x = np.linspace(0.0, 2.0, 401)
-    assert trapz(x, x) == pytest.approx(2.0, rel=1e-12)
-    tail = tail_sums(np.ones(401), 0.5 * np.diff(x))
-    # tail integral of 1 from x to 2 is 2 - x
-    assert np.allclose(tail, 2.0 - x, atol=1e-12)
+    # the grid's rule on its geometric nodes is exact for a linear integrand
+    g = build_radial_grid(0.5, 2.0, 401)
+    assert g.weights @ (3.0 - g.nodes) == pytest.approx(2.625, rel=1e-12)
+    tail = tail_sums(np.ones(401), g.half_widths)
+    # tail integral of 1 from R to r_max is r_max - R
+    assert np.allclose(tail, g.r_max - g.nodes, atol=1e-12)
     assert tail[-1] == 0.0
+
+
+def trapezoid_formula(nodes):
+    """Each node's trapezoid weight from the two gaps beside it: the
+    reference the grid's weights match bit for bit."""
+    gaps = np.diff(nodes, prepend=nodes[0], append=nodes[-1])
+    return 0.5 * (gaps[:-1] + gaps[1:])
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4097])
+def test_grid_weights_are_the_trapezoid_formula_bit_for_bit(n):
+    g = build_radial_grid(1e-3, 10.0, n)
+    assert g.weights.tobytes() == trapezoid_formula(g.nodes).tobytes()
+    assert g.half_widths.tobytes() == (0.5 * np.diff(g.nodes)).tobytes()
 
 
 def test_radial_derivatives_power_law():

@@ -1,9 +1,12 @@
-"""The library's public surface has callers.
+"""The library's public surface has callers, and one radial rule.
 
 Every public top-level function and class in src/rieszlab, and every
 public method, must be named somewhere outside its own definition: in the
 package itself, in perfbench/ or in tests/test_acceptance.py. A name that
 only the unit tests reach is library code with no run behind it.
+
+Only grids.RadialGrid builds the radial trapezoid rule, as its weights
+and half_widths, which every radial integral reads.
 """
 
 import ast
@@ -51,3 +54,26 @@ def test_every_public_name_is_used_outside_the_unit_tests():
                 unused.append("%s:%d %s" % (os.path.basename(path), first,
                                             name))
     assert unused == []
+
+
+def test_only_the_radial_grid_builds_the_radial_quadrature():
+    builders = []
+    for path in PACKAGE:
+        text = _read(path)
+        name = os.path.basename(path)
+        if re.search(r"\b(trapz|trapezoid_weights)\b", text):
+            builders.append("%s: a retired rule's name" % name)
+        tree = ast.parse(text)
+        grid = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "RadialGrid"]
+        allowed = {id(node) for cls in grid for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            # a difference of node coordinates: np.diff(..nodes..)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "diff"
+                    and "nodes" in ast.unparse(node)
+                    and id(node) not in allowed):
+                builders.append("%s:%d %s" % (name, node.lineno,
+                                              ast.unparse(node)))
+    assert builders == []
