@@ -470,7 +470,7 @@ def _run_full(config, out_dir, manifest):
     f0 = build_profile(config, rgrid)
     full = FullMarch(f0, config.alpha, agrid)
     times = _sample_times(config)
-    rows = [full.growth_row(state.omega) for state in full.samples(times)]
+    rows = [row for _, row in full.samples(times)]
     _report_full(manifest, full)
     return [_write_growth(out_dir, manifest, times, rows)]
 

@@ -302,8 +302,8 @@ class FullMarch:
     The samples are made in those buffers too, as no step runs while a
     caller holds one: sample_scratch is a pair of grid arrays that a
     caller may use for what it makes of each sample, until it asks for
-    the next. growth_row reads a sample's growth columns but its sup off
-    what each step keeps of its ends."""
+    the next. Each sample comes with its growth row, whose columns but
+    the sup are read off what the sample's step keeps of its ends."""
 
     def __init__(self, f0, alpha, agrid):
         self.alpha = alpha
@@ -330,57 +330,20 @@ class FullMarch:
         self._sin2 = (2.0 / mgrid.n_theta) * np.sin(2.0 * mgrid.nodes)
         self._mean = np.full(mgrid.n_theta, 1.0 / mgrid.n_theta)
 
-    def _keep_step(self, y1, f1, y0=None, f0=None):
-        """Keep what growth_row reads of a step's (y0, y1, f0, f1)."""
-        # of the step from y0 to y1 with end tendencies f0 and f1: the Gram
-        # matrix of l2_norm's inner products and per array L_s at j0 and
-        # the angular mean. The start's own entries are the last step's
-        # end entries; with no start (t = 0) only the end's are made. The
-        # time is counted in sampling_s
-        begun = time.perf_counter()
-        gram, linear = np.zeros((4, 4)), np.zeros((4, 1 + y1.shape[0]))
-        if y0 is not None:
-            gram[::2, ::2] = self._gram[1::2, 1::2]
-            linear[::2] = self._linear[1::2]
-        ends = ((1, y1), (3, f1), (0, y0), (2, f0))
-        for k, end in ends[:2]:
-            # matrix-vector products: a matrix product would have BLAS
-            # take its working buffer in each sweep worker
-            linear[k, 0] = self._tail @ (end @ self._sin2)
-            linear[k, 1:] = end @ self._mean
-            for j, other in ends[k // 2:]:
-                if other is not None:
-                    # the trapezoid rule in R of the rows' inner products,
-                    # with no grid-sized temporary
-                    gram[k, j] = gram[j, k] = self._trapezoid @ np.einsum(
-                        "ij,ij->i", end, other)
-        self._gram, self._linear = gram, linear
-        spent = time.perf_counter() - begun
-        self._march_s -= spent
-        self._sampling_s += spent
-
-    def growth_row(self, omega):
-        """field_row's columns of the sample last yielded, omega: its sup,
-        and the rest off the kept step, whose l2 at a step end is
-        l2_norm's bit for bit."""
-        # at the sample's Hermite weights q, (0, 1, 0, 0) at a step end
-        q = self._weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            linear = q @ self._linear
-            return (sup_norm(omega),
-                    float(np.sqrt(max(float(q @ self._gram @ q), 0.0))),
-                    float(linear[0]), 2.0 * float(np.max(linear[1:])))
-
     def samples(self, times):
-        """Yield the full state at each of times, from t = 0. The steps run
-        on to times[-1] without stopping at the samples in between, each
-        min(bound, 0.05 alpha, time left); a step of under 1e-10 of the
-        0.05 alpha cap raises. A sample within 1e-14 times[-1] of a step
-        end yields that state, and one inside a step the step's Hermite
-        interpolant, in a buffer that the next step overwrites. stats
-        counts the time spent stepping as march_s, and the rest until
-        the next sample is asked for, what each step keeps for growth_row,
-        the Hermite sum and what the caller makes of the sample, as
+        """Yield (state, row) at each of times, from t = 0: the full state
+        and field_row's columns of it. The steps run on to times[-1]
+        without stopping at the samples in between, each min(bound,
+        0.05 alpha, time left); a step of under 1e-10 of the 0.05 alpha
+        cap raises. A sample within 1e-14 times[-1] of a step end yields
+        that state, and one inside a step the step's Hermite interpolant,
+        in a buffer that the next step overwrites. The row's sup is read
+        off the sample's grid field, and its l2, L_s at j0 and A_max off
+        what the sample's step keeps, at the sample's Hermite weights
+        (0, 1, 0, 0 at a step end, where its l2 is l2_norm's bit for
+        bit). stats counts the time spent stepping as march_s, and the
+        rest until the next sample is asked for, the keep, the Hermite
+        sum, the row and what the caller makes of the sample, as
         sampling_s."""
         alpha, t_final = self.alpha, times[-1]
         max_dt = MAX_STEP_OVER_ALPHA * alpha
@@ -391,10 +354,15 @@ class FullMarch:
         begun = clock()
         state = FullState(alpha, self.omega0, 0.0)
         # the tendency at the latest step end, and the advective bound read
-        # off its stream function
+        # off its stream function; t = 0 is a step of length 0
         rate, bound = rhs_full(state, with_bound=True, work=work)
         rate = rate.values
-        self._keep_step(state.omega.values, rate)
+        start, start_rate = state, rate
+        # the Gram matrix of l2_norm's inner products of a step's (y0, y1,
+        # f0, f1) and per array L_s at j0 and the angular mean, made at the
+        # step's first sample; kept is the state the kept step ends on
+        kept, gram = None, np.zeros((4, 4))
+        linear = np.zeros((4, 1 + rgrid.n))
         for ts in times:
             while state.t < ts - tol:
                 dt = min(bound, max_dt)
@@ -414,34 +382,58 @@ class FullMarch:
                 self._local_errors.append(state.local_error)
                 rate, bound = rhs_full(state, with_bound=True, work=work)
                 rate = rate.values
-                self._keep_step(state.omega.values, rate,
-                                start.omega.values, start_rate)
             stepped = clock()
             self._march_s += stepped - begun
+            if kept is not state:
+                ends = (start.omega.values, state.omega.values, start_rate,
+                        rate)
+                made = range(4)
+                if kept is start:
+                    # the start's entries are the last kept step's end ones
+                    gram[::2, ::2] = gram[1::2, 1::2]
+                    linear[::2] = linear[1::2]
+                    made = (1, 3)
+                for k in made:
+                    # matrix-vector products: a matrix product would have
+                    # BLAS take its working buffer in each sweep worker
+                    linear[k, 0] = self._tail @ (ends[k] @ self._sin2)
+                    linear[k, 1:] = ends[k] @ self._mean
+                    for j in range(4):
+                        # each pair once, the carried ones not at all
+                        if j >= k or j not in made:
+                            # the trapezoid rule in R of the rows' inner
+                            # products, with no grid-sized temporary
+                            gram[k, j] = gram[j, k] = self._trapezoid @ (
+                                np.einsum("ij,ij->i", ends[k], ends[j]))
+                kept = state
             if state.t - ts <= tol:
-                self._weights = np.array([0.0, 1.0, 0.0, 0.0])
-                yield state
-                begun = clock()
-                self._sampling_s += begun - stepped
-                continue
-            h = state.t - start.t
-            s = (ts - start.t) / h
-            # the Hermite sum a y0 + b y1 + c f0 + d f1 with weights
-            # a = (1 + 2 s)(1 - s)^2, b = s^2 (3 - 2 s), c = h s (1 - s)^2
-            # and d = h s^2 (s - 1), none zero for 0 < s < 1, nested as
-            # a (y0 + b/a (y1 + c/b (f0 + d/c f1))) to build it in one array
-            a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-            b = s * s * (3.0 - 2.0 * s)
-            c = h * s * (1.0 - s) ** 2
-            self._weights = np.array([a, b, c, h * s * s * (s - 1.0)])
-            out = np.multiply(rate, -s / (1.0 - s), out=work.sample)
-            out += start_rate
-            out *= c / b
-            out += state.omega.values
-            out *= b / a
-            out += start.omega.values
-            out *= a
-            yield FullState(alpha, Field2D(rgrid, agrid, out), ts)
+                sample, q = state, np.array([0.0, 1.0, 0.0, 0.0])
+            else:
+                h = state.t - start.t
+                s = (ts - start.t) / h
+                # the Hermite sum a y0 + b y1 + c f0 + d f1 with weights
+                # a = (1 + 2 s)(1 - s)^2, b = s^2 (3 - 2 s), c = h s (1 - s)^2
+                # and d = h s^2 (s - 1), none zero for 0 < s < 1, nested as
+                # a (y0 + b/a (y1 + c/b (f0 + d/c f1))) to build it in one
+                # array
+                a = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+                b = s * s * (3.0 - 2.0 * s)
+                c = h * s * (1.0 - s) ** 2
+                q = np.array([a, b, c, h * s * s * (s - 1.0)])
+                out = np.multiply(rate, -s / (1.0 - s), out=work.sample)
+                out += start_rate
+                out *= c / b
+                out += state.omega.values
+                out *= b / a
+                out += start.omega.values
+                out *= a
+                sample = FullState(alpha, Field2D(rgrid, agrid, out), ts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lin = q @ linear
+                row = (sup_norm(sample.omega),
+                       float(np.sqrt(max(float(q @ gram @ q), 0.0))),
+                       float(lin[0]), 2.0 * float(np.max(lin[1:])))
+            yield sample, row
             begun = clock()
             self._sampling_s += begun - stepped
 
@@ -489,16 +481,17 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
     model = ((A[tails.group], sup)
              for _, _, block, sups in tails.blocks(times, _SAMPLE_BLOCK)
              for A, sup in zip(block, sups.tolist()))
-    # the model field f_t + A/2 is reconstruct_Omega2's, with f_t on f0's
-    # row window alone; the window and f_t's angular factors are made once
+    # the model field f_t + A/2 is reconstruct_Omega2's, with f_t formed on
+    # f0's row window alone, as it is +-0 off it; the window and f_t's
+    # angular factors are made once
     values, scratch = full.sample_scratch
     window = _model.row_window(f0.values)
     factors = _model._angular_factors(full.omega0.agrid.nodes,
                                       values[window].shape)
     diff = Field2D(f0.grid, full.omega0.agrid, values)
     growth, remainder = [], []
-    for state, (A, model_sup) in zip(full.samples(times), model):
-        growth.append(full.growth_row(state.omega))
+    for (state, row), (A, model_sup) in zip(full.samples(times), model):
+        growth.append(row)
         # full - (f_t + A/2), one row block at a time, in the first of the
         # march's two buffers, with the second as _compressed's scratch
         omega, half = state.omega.values, 0.5 * A
@@ -510,6 +503,5 @@ def run_remainder_study(f0, alpha, agrid, t_final=None, n_samples=200):
                                scratch[window])
         f += half[window, None]
         np.subtract(omega[window], f, out=f)
-        remainder.append((sup_norm(diff), l2_norm(diff),
-                          growth[-1][0], model_sup))
+        remainder.append((sup_norm(diff), l2_norm(diff), row[0], model_sup))
     return RemainderSeries(growth, remainder, full)

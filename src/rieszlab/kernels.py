@@ -74,11 +74,6 @@ def kernel_values(a):
     # model step calls four times
     if (a < 0).any():
         raise ValueError("negative-a: the accumulated exponent is nonnegative")
-    return _sech2_half(a)
-
-
-def _sech2_half(a):
-    """kernel_values without its sign check, for callers that made it."""
     b = np.exp(-a)
     return 4.0 * b / (1.0 + b) ** 2
 
@@ -104,7 +99,7 @@ def lf_tail(c, half_widths, A, kernel=None):
     the grid's half_widths, both fixed for a model march."""
     if (A < 0).any():
         raise ValueError("negative-A: the accumulated exponent is nonnegative")
-    kv = kernel(A) if kernel is not None else _sech2_half(A)
+    kv = kernel(A) if kernel is not None else kernel_values(A)
     return tail_sums(c * kv, half_widths)
 
 

@@ -165,23 +165,13 @@ def row_window(f0):
 
 
 def reconstruct_Omega2(state, agrid):
-    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial).
-
-    A/2 is copied into every row, and f_t formed and added only on
-    row_window's rows. Each value is the whole-grid sum's bit for bit,
-    but for the sign of a zero: a row of A/2 = -0 off that window reads
-    -0, where +0 + -0 would read +0, which no norm sees."""
-    a, f0 = state.A.values, state.f0.values
-    values, scratch = (np.empty((a.size, agrid.n_theta)) for _ in range(2))
-    half = 0.5 * a
-    np.copyto(values, half[:, None])
-    window = row_window(f0)
-    e = np.exp(-a[window])
-    f = _compressed((f0[window] * e)[:, None], (e * e)[:, None],
-                    _angular_factors(agrid.nodes, values[window].shape),
-                    values[window], scratch[window])
-    f += half[window, None]
-    return Field2D(state.f0.grid, agrid, values)
+    """Omega_2(R, theta) = f_t + A/2 on the tensor grid (A/2 is radial)."""
+    a = state.A.values
+    e = np.exp(-a)
+    f = _compressed((state.f0.values * e)[:, None], (e * e)[:, None],
+                    _angular_factors(agrid.nodes, (a.size, agrid.n_theta)))
+    f += (0.5 * a)[:, None]
+    return Field2D(state.f0.grid, agrid, f)
 
 
 def sup_omega2(state):

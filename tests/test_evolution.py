@@ -181,7 +181,7 @@ def test_dense_samples_on_step_ends_are_the_marched_states():
     h = 0.05 * alpha
     full = FullMarch(m.make_bump(g, amplitude=1e-3), alpha, agrid)
     times = np.array([0.0, 0.5 * h, h, 2.0 * h, 2.25 * h, 2.75 * h, 4.0 * h])
-    got = [(s.t, s.omega.values.copy()) for s in full.samples(times)]
+    got = [(s.t, s.omega.values.copy()) for s, _ in full.samples(times)]
     assert full.stats()["steps"] == 4
     assert full.stats()["dt_min"] == full.stats()["dt_max"] == h
     state = FullState(alpha, full.omega0, 0.0)
@@ -262,11 +262,28 @@ def test_remainder_samples_work_in_the_march_buffers(monkeypatch):
     assert max(peaks) <= 0.6
 
 
-@pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
-def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
+def _initial(name, g):
+    """The initial data of CI's tiny full and remainder runs, by name: the
+    default bump and indicator on [1, 3] and [1.5, 2.5], and the gap
+    table, zero on [2.2, 2.6] inside its support."""
+    if name == "bump":
+        return m.make_bump(g)
+    if name == "indicator":
+        return m.make_indicator(g, 1.5, 2.5)
+    return RadialProfile(g, np.interp(
+        g.nodes, [1.0, 1.5, 2.0, 2.2, 2.6, 2.8, 3.2],
+        [0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.0], left=0.0, right=0.0))
+
+
+@pytest.mark.parametrize("n_r, n_theta, initial", [
+    pytest.param(64, 16, "bump", id="64-16"),
+    pytest.param(128, 32, "bump", id="128-32"),
+    pytest.param(64, 16, "indicator", id="64-16-indicator"),
+    pytest.param(64, 16, "table", id="64-16-table")])
+def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta, initial,
                                                         monkeypatch):
     # the study's rows against rows built out of place one sample at a
-    # time: field_row of the sample, the model field without buffers from
+    # time: field_row of the sample, the whole-grid model field from
     # A = phi(t L0 / alpha) of that sample alone at every node, the norms
     # of the difference and sup_omega2. The remainder rows and the growth
     # sup match bit for bit; the other growth columns come from the
@@ -274,11 +291,17 @@ def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
     # step is 0.05 alpha here, so every fourth of the 41 samples is a step
     # end and the others are Hermite samples, and the model side is read
     # in blocks of 16 samples over the distinct tails (12 at 64 nodes, 21
-    # at 128), so over 3 blocks of A, the last one partial
+    # at 128 for the bump), so over 3 blocks of A, the last one partial.
+    # The study forms f_t on f0's row window only: the indicator's jumps
+    # put its edge rows and the table's gap zero rows inside it
     alpha, t_final, n_samples = 0.2, 0.1, 41
     g = build_radial_grid(8e-3, 8.0, n_r)
     agrid = AngularGrid(n_theta)
-    f0 = m.make_bump(g)
+    f0 = _initial(initial, g)
+    window = m.row_window(f0.values)
+    assert f0.values[window.start] > 0 and f0.values[window.stop - 1] > 0
+    if initial == "table":
+        assert np.any(f0.values[window] == 0.0)
     monkeypatch.setattr(evolution, "_SAMPLE_BLOCK",
                         16 * np.unique(profile_tail(f0).values).size)
     series = run_remainder_study(f0, alpha, agrid, t_final=t_final,
@@ -289,7 +312,8 @@ def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
     L0 = profile_tail(f0).values
     profile = m.similarity_profile((t_final / alpha) * float(np.max(L0)))
     growth, remainder, ends = [], [], 0
-    for state, ts in zip(FullMarch(f0, alpha, agrid).samples(times), times):
+    for (state, _), ts in zip(FullMarch(f0, alpha, agrid).samples(times),
+                              times):
         ends += state.local_error is not None
         growth.append(evolution.field_row(state.omega, j0))
         mstate = m.ModelState(alpha, f0, RadialProfile(
@@ -308,7 +332,7 @@ def test_remainder_rows_match_an_out_of_place_reference(n_r, n_theta,
 
 @pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
 def test_growth_rows_from_kept_steps_match_field_row(n_r, n_theta):
-    # growth_row reads l2, L_s at j0 and A_max off each step's Gram
+    # a yielded row reads l2, L_s at j0 and A_max off its step's Gram
     # matrix, L_s values and angular means at the sample's Hermite
     # weights; field_row reads them off the sample's grid field. Every
     # step is 0.05 alpha, so of the 41 samples the first is t = 0, every
@@ -321,8 +345,8 @@ def test_growth_rows_from_kept_steps_match_field_row(n_r, n_theta):
     j0 = evolution.support_edge_index(f0)
     full = FullMarch(f0, alpha, AngularGrid(n_theta))
     got, want, kinds = [], [], []
-    for state in full.samples(np.linspace(0.0, t_final, 41)):
-        got.append(full.growth_row(state.omega))
+    for state, row in full.samples(np.linspace(0.0, t_final, 41)):
+        got.append(row)
         want.append(evolution.field_row(state.omega, j0))
         kinds.append("start" if state.t == 0.0 else
                      "end" if state.local_error is not None else "hermite")
@@ -336,15 +360,15 @@ def test_growth_rows_from_kept_steps_match_field_row(n_r, n_theta):
 
 @pytest.mark.parametrize("n_r, n_theta", [(64, 16), (128, 32)])
 def test_step_end_growth_rows_read_the_norms_bit_for_bit(n_r, n_theta):
-    # growth_row's l2 is the Gram entry of l2_norm's own rule, weights
+    # a yielded row's l2 is the Gram entry of l2_norm's own rule, weights
     # times the rows' sums of squares, so at t = 0 and every step end the
     # two agree to the bit (scaling the dot product instead of the weights
     # misses); a Hermite sample's l2 is a sum of Gram entries
     g = build_radial_grid(8e-3, 8.0, n_r)
     full = FullMarch(m.make_bump(g), 0.2, AngularGrid(n_theta))
     ends = 0
-    for state in full.samples(np.linspace(0.0, 0.1, 41)):
-        sup, l2 = full.growth_row(state.omega)[:2]
+    for state, row in full.samples(np.linspace(0.0, 0.1, 41)):
+        sup, l2 = row[:2]
         want = l2_norm(state.omega)
         assert sup == sup_norm(state.omega)
         if state.t == 0.0 or state.local_error is not None:
@@ -353,6 +377,35 @@ def test_step_end_growth_rows_read_the_norms_bit_for_bit(n_r, n_theta):
         else:
             assert abs(l2 - want) <= 1e-15 * want
     assert ends == 11
+
+
+def test_a_step_after_a_step_with_no_sample_keeps_its_own_start():
+    # every step is 0.05 alpha = 0.01, so no sample lands in the first
+    # step, the sample at 0.013 is a Hermite sample of the second, and
+    # the one at 0.1 ends the tenth after seven more with no sample: the
+    # start entries of those two steps are made afresh, not carried from
+    # the step kept before (carrying misreads the Hermite sample's A_max
+    # by 60% and its l2 by 3.2e-4 relative)
+    alpha = 0.2
+    g = build_radial_grid(8e-3, 8.0, 64)
+    f0 = m.make_bump(g)
+    j0 = evolution.support_edge_index(f0)
+    full = FullMarch(f0, alpha, AngularGrid(16))
+    got, want, kinds = [], [], []
+    for state, row in full.samples(np.array([0.0, 0.013, 0.1])):
+        got.append(row)
+        want.append(evolution.field_row(state.omega, j0))
+        end = state.t == 0.0 or state.local_error is not None
+        kinds.append("end" if end else "hermite")
+        if end:
+            assert row[1] == l2_norm(state.omega)
+    assert kinds == ["end", "hermite", "end"]
+    assert full.stats()["steps"] == 10
+    got, want = np.array(got), np.array(want)
+    assert got[:, 0].tolist() == want[:, 0].tolist()
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(scale > 0)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
 
 
 def test_march_tail_weights_are_the_trapezoid_rule_from_j0():
@@ -432,7 +485,7 @@ def test_remainder_study_solves_once_per_tendency(monkeypatch):
     assert 0 < steps < n_samples - 1
     assert calls["solve_full"] == calls["rhs_full"] == 3 * steps + 1
     full = FullMarch(f0, alpha, agrid)
-    dense = [s.omega.values.copy() for s in full.samples(times)]
+    dense = [s.omega.values.copy() for s, _ in full.samples(times)]
     # the reference steps at min(cfl_dt, 0.05 alpha, time left to the
     # sample), so it stops at every sample
     ref, state = [], FullState(alpha, full.omega0, 0.0)

@@ -127,7 +127,7 @@ def test_full_march_matches_a_full_circle_march():
     assert full.omega0.agrid.period == np.pi
     assert full.omega0.agrid.n_theta == 16
     times = np.linspace(0.0, m.default_horizon(alpha), 3)
-    last = [s.omega.values.copy() for s in full.samples(times)][-1]
+    last = [s.omega.values.copy() for s, _ in full.samples(times)][-1]
     assert full.stats()["steps"] > 3
     state = FullState(alpha, m.reconstruct_Omega2(m.init_state(f0, alpha),
                                                   agrid), 0.0)

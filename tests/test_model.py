@@ -189,11 +189,10 @@ def _window_profiles(g):
 @pytest.mark.parametrize("name", ["bump", "indicator", "table",
                                   "to-last-row", "zero"])
 def test_reconstruct_row_window_matches_the_whole_grid(name, copies):
-    # reconstruct_Omega2 forms f_t only on the rows from the first to the
-    # last nonzero f0 and copies A/2 into the others. Against _compressed
-    # on every row plus A/2 it agrees bit for bit (np.array_equal, which
-    # takes -0 and +0 as equal: off the window a zero's sign may differ),
-    # on the full and the half circle.
+    # reconstruct_Omega2 against _compressed on every row plus A/2, bit
+    # for bit (np.array_equal, which takes -0 and +0 as equal), for each
+    # shape of f0 whose row window a remainder study forms f_t on, on the
+    # full and the half circle.
     # A is phi(t L0 / alpha) of the bump, nonzero below every support
     g = build_radial_grid(0.5, 8.0, 257)
     f0 = _window_profiles(g)[name]
