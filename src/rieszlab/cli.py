@@ -475,11 +475,10 @@ def _run_full(config, out_dir, manifest):
     return [_write_growth(out_dir, manifest, times, rows)]
 
 
-def _sweep_member(args):
-    """One sweep alpha in a worker process; args is (member config, alpha,
-    member output dir). Returns (peak rem_sup, [(output file, digest)])
-    from the member's manifest; a failure raises. The manifest itself is
-    not among the files: its wall time differs between identical runs."""
+def _run_member(args):
+    """One sweep alpha; args is (member config, alpha, member output dir).
+    Returns (peak rem_sup, [(output file, digest)]) from its manifest; the
+    manifest is no such file: its wall time differs between identical runs."""
     config, _, member_dir = args
     manifest = _execute(config, _run_remainder)
     return manifest["stats"]["peak_rem_sup"], [
@@ -487,57 +486,82 @@ def _sweep_member(args):
         for rel, digest in manifest["files"].items()]
 
 
+def _sweep_member(args):
+    """_run_member, as a sweep worker calls it for each of its members; a
+    wrapper of it (perfbench's tracer) sees no member of the sweep's own."""
+    return _run_member(args)
+
+
+def _outcome(member, args):
+    """(True, member(args)), or (False, the exception it raised)."""
+    try:
+        return True, member(args)
+    except Exception as exc:
+        return False, exc
+
+
+def _sweep_lane(writer, lane):
+    """A sweep worker: sends (index, outcome) as each (index, job) ends."""
+    with writer:
+        for k, args in lane:
+            writer.send((k, _outcome(_sweep_member, args)))
+
+
 def _run_sweep(config, out_dir, manifest):
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing
     jobs = []
     for alpha in config.alphas:
         member = validate_config(dict(config.values, alpha=alpha, **{
             "run.kind": "remainder",
             "output.dir": os.path.join(out_dir, _member_dir_name(alpha))}))
         jobs.append((member, alpha, member.output_dir))
-    workers = min(len(jobs), os.cpu_count() or 1)
-    # every member solves for the stream function: bind LAPACK here, once,
-    # so that workers started by fork inherit the loaded extension instead
-    # of each loading it on its own. The same holds for numpy.fft, which
-    # numpy loads on first use, and which each member's first tendency
-    # uses. Under spawn or forkserver a worker imports rieszlab afresh and
-    # loads both on its first solve
+    lanes = min(len(jobs), os.cpu_count() or 1)
+    # every member solves and transforms: bind LAPACK and load numpy.fft
+    # once, here, and workers started by fork inherit both
     lapack_tridiagonal()
     importlib.import_module("numpy.fft")
-    # longest first (Graham's longest-processing-time rule): a member
-    # marches about 2 log(1/alpha) steps at its 0.05 alpha step cap, so
-    # the smallest alpha is submitted first, and no worker idles while a
-    # long member started last runs on; futures stay in run.alphas order
-    futures = [None] * len(jobs)
-    # a worker that dies (a signal, the OOM killer) breaks the pool: every
-    # member not yet finished, its own among them, then reads
-    # BrokenProcessPool, and so does every submit after it
-    with contextlib.suppress(BrokenProcessPool), \
-            ProcessPoolExecutor(max_workers=workers) as pool:
-        for k in sorted(range(len(jobs)), key=config.alphas.__getitem__):
-            futures[k] = pool.submit(_sweep_member, jobs[k])
-    errors = [BrokenProcessPool() if future is None else future.exception()
-              for future in futures]
-    lost = [(alpha, err) for alpha, err in zip(config.alphas, errors)
-            if isinstance(err, BrokenProcessPool)]
-    if lost:
-        # named alone when only the dead worker's member was lost
-        names = ", ".join("%g" % alpha for alpha, _ in lost)
+    # longest first (Graham's rule): a member marches about 2 log(1/alpha)
+    # steps, so lane j takes every lanes-th member from the j-th in
+    # ascending alpha; lane 0 is this process, warm and never forked
+    order = sorted(range(len(jobs)), key=config.alphas.__getitem__)
+    context = multiprocessing.get_context()
+    outcomes = [None] * len(jobs)  # run.alphas order; None until reported
+    workers = []
+    try:
+        for j in range(1, lanes):
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=_sweep_lane, args=(
+                writer, [(k, jobs[k]) for k in order[j::lanes]]))
+            worker.start()
+            writer.close()  # before the next fork: EOF comes with its worker
+            workers.append((worker, reader))
+        for k in order[::lanes]:
+            outcomes[k] = _outcome(_run_member, jobs[k])
+        for worker, reader in workers:
+            with contextlib.suppress(EOFError):
+                while True:
+                    k, outcomes[k] = reader.recv()
+            worker.join()
+    finally:
+        for worker, reader in workers:
+            worker.terminate()  # a no-op once joined
+            worker.join()
+            reader.close()
+    lost = ["%g" % a for a, got in zip(config.alphas, outcomes) if not got]
+    if lost:  # a worker died (a signal, the OOM killer) before reporting
         raise NumericalError("a sweep worker died before member%s alpha=%s "
-                             "finished: %s" % ("s" * (len(lost) > 1), names,
-                                               lost[0][1]),
-                             stage="sweep") from lost[0][1]
-    for alpha, err in zip(config.alphas, errors):
+                             "finished" % ("s" * (len(lost) > 1),
+                                           ", ".join(lost)), stage="sweep")
+    for alpha, (ok, err) in zip(config.alphas, outcomes):
         if isinstance(err, ConfigError):  # a bad initial table
             raise ConfigError("sweep member alpha=%g: %s" % (alpha, err))
         if isinstance(err, _RUN_FAILURES):
             raise NumericalError("sweep member alpha=%g failed: %s"
                                  % (alpha, err),
                                  stage=getattr(err, "stage", "sweep"))
-        if err is not None:
+        if not ok:
             raise err
-    results = [future.result() for future in futures]
+    results = [result for _, result in outcomes]
     alphas = np.array(config.alphas)
     peaks = np.array([peak for peak, _ in results])
     checks = manifest["checks"]
@@ -549,7 +573,8 @@ def _run_sweep(config, out_dir, manifest):
     except ValueError as exc:
         cumulative = np.full(alphas.size, np.nan)
         checks["scaling_exponent"] = local = "unavailable: %s" % exc
-    manifest["stats"] = {"local_slopes": local}
+    manifest["stats"] = {"local_slopes": local, "workers": len(workers),
+                         "start_method": context.get_start_method()}
     return [written for _, files in results for written in files] + [
         _write_csv(os.path.join(out_dir, "scaling_report.csv"),
                    "alpha,max_rem_sup,fit_exponent_cumulative", alphas,

@@ -1,17 +1,15 @@
-import concurrent.futures
 import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -388,8 +386,8 @@ def test_import_loads_no_unused_scipy_subpackages(tmp_path):
 
 
 def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
-    # the parent of a sweep solves nothing itself, so it holds the bound
-    # routines only if it bound LAPACK before starting the pool
+    # the parent of a sweep holds the bound routines once it is done; that
+    # it bound them before its workers started is checked with numpy.fft
     path = write_config(tmp_path, (
         "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
         "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
@@ -404,22 +402,25 @@ def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
 def test_sweep_loads_numpy_fft_in_the_parent_before_its_workers_start(
         tmp_path):
     # numpy loads numpy.fft on first use, and the parent of a sweep
-    # transforms nothing itself: it must load it before it starts the
-    # pool, so that workers started by fork inherit it
+    # transforms first in its own member, after its worker has started:
+    # it must load it, and bind LAPACK, before it starts the worker, so
+    # that a worker started by fork inherits both
     path = write_config(tmp_path, (
         "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.n_r = 64\n"
         "grid.n_theta = 16\ntime.sample_count = 4\noutput.dir = %s\n"
         % (tmp_path / "out")))
     out = _fresh_interpreter(
-        "import concurrent.futures as cf, rieszlab.cli; seen = []\n"
-        "class Pool(cf.ProcessPoolExecutor):\n"
-        "    def __init__(self, *args, **kwargs):\n"
-        "        seen.append('numpy.fft' in sys.modules)\n"
-        "        super().__init__(*args, **kwargs)\n"
-        "cf.ProcessPoolExecutor = Pool\n"
+        "import os, multiprocessing.process as mp, rieszlab.cli; seen = []\n"
+        "os.cpu_count = lambda: 2\n"
+        "start = mp.BaseProcess.start\n"
+        "def starting(self):\n"
+        "    seen.append(('numpy.fft' in sys.modules, rieszlab.cli"
+        ".lapack_tridiagonal.cache_info().currsize))\n"
+        "    start(self)\n"
+        "mp.BaseProcess.start = starting\n"
         "before = 'numpy.fft' in sys.modules\n"
         "print(rieszlab.cli.main(['run', %r]), before, seen)" % path)
-    assert out.splitlines()[-1] == "0 False [True]"
+    assert out.splitlines()[-1] == "0 False [(True, 1)]"
 
 
 def test_scipy_linalg_imports_after_the_direct_load_of_lapack():
@@ -526,29 +527,6 @@ def test_memory_error_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     assert load_manifest(member.output_dir)["error"]["type"] == "MemoryError"
 
 
-class InProcessPool:
-    """A ProcessPoolExecutor stand-in that runs each job as it is
-    submitted, in this process, so monkeypatched code runs in the sweep's
-    members whatever the start method."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-
 def sweep_config(tmp_path, alphas, out):
     return write_config(tmp_path, (
         "run.kind = sweep\nrun.alphas = %s\ngrid.n_r = 64\n"
@@ -565,90 +543,106 @@ def assert_dead_worker_exit(err, out, lost):
     assert lost in error["message"]
 
 
+def dying_in_workers(monkeypatch, parent_body=None, dies=lambda alpha: True):
+    """Make a sweep member's body exit its worker process at once, without
+    a report, when dies(alpha); in the sweep's own process it runs
+    parent_body, the real one if None. Workers must be forked to inherit
+    it."""
+    parent, real = os.getpid(), cli._run_remainder
+
+    def body(config, out_dir, manifest):
+        if os.getpid() != parent and dies(config.alpha):
+            os._exit(9)
+        return (parent_body or real)(config, out_dir, manifest)
+
+    monkeypatch.setattr(cli, "_run_remainder", body)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched body")
+
+
+@fork_only
 @pytest.mark.parametrize("alphas, lost", [
-    ("0.4", "member alpha=0.4"), ("0.4,0.2", "members alpha=0.4, 0.2")])
+    pytest.param("0.4,0.1", "member alpha=0.4", id="0.4-member alpha=0.4"),
+    pytest.param("0.4,0.2,0.1", "members alpha=0.4, 0.2",
+                 id="0.4,0.2-members alpha=0.4, 0.2")])
 def test_dead_sweep_worker_exits_3_with_manifest(tmp_path, capsys,
                                                  monkeypatch, alphas, lost):
-    # a worker that dies (a signal, the OOM killer) breaks the pool, and
-    # every member not yet finished reads BrokenProcessPool: the sweep
-    # fails at stage sweep and names them. The members run in-process
-    def broken(config, out_dir, manifest):
-        raise BrokenProcessPool("a worker was terminated abruptly")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool, raising=False)
-    monkeypatch.setattr(cli, "_run_remainder", broken)
+    # a worker that dies (a signal, the OOM killer) loses the members it
+    # had not reported: the sweep fails at stage sweep and names them.
+    # Each member but the longest, which runs in the sweep's own process,
+    # runs in a worker of its own here, and every worker dies
+    monkeypatch.setattr(os, "cpu_count", lambda: alphas.count(",") + 1)
+    dying_in_workers(monkeypatch)
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, alphas, out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out, lost)
+    assert load_manifest(out / "alpha_0.1")["error"] is None
 
 
+@fork_only
 def test_dead_sweep_worker_outranks_an_earlier_member_failure(
         tmp_path, capsys, monkeypatch):
-    # one member fails on its own and a worker dies in the other: the
-    # sweep fails at stage sweep and names only the lost member
+    # one member fails on its own in the sweep's process and the worker
+    # dies in the other: the sweep fails at stage sweep and names only the
+    # lost member, although the failure comes first in run.alphas
     def body(config, out_dir, manifest):
-        if config.alpha == 0.4:
-            raise NumericalError("first member", stage="rhs_full")
-        raise BrokenProcessPool("a worker was terminated abruptly")
+        raise NumericalError("first member", stage="rhs_full")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool, raising=False)
-    monkeypatch.setattr(cli, "_run_remainder", body)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    dying_in_workers(monkeypatch, body)
     out = tmp_path / "sweep"
-    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
+    assert cli.main(["run", sweep_config(tmp_path, "0.2,0.4", out)]) == 3
     err = capsys.readouterr().err
-    assert_dead_worker_exit(err, out, "member alpha=0.2 finished")
-    assert "0.4" not in load_manifest(out)["error"]["message"]
-    assert load_manifest(out / "alpha_0.4")["error"]["stage"] == "rhs_full"
+    assert_dead_worker_exit(err, out, "member alpha=0.4 finished")
+    assert "0.2" not in load_manifest(out)["error"]["message"]
+    assert load_manifest(out / "alpha_0.2")["error"]["stage"] == "rhs_full"
 
 
+@fork_only
 def test_sweep_member_never_submitted_is_lost_too(tmp_path, capsys,
                                                   monkeypatch):
-    # a worker that dies while members are still being submitted makes
-    # the next submit raise: the member it would have run is named too
-    class BreakingPool(InProcessPool):
-        broken = False
-
-        def submit(self, fn, *args):
-            if self.broken:
-                raise BrokenProcessPool("the pool is not usable anymore")
-            self.broken = True
-            future = Future()
-            future.set_exception(
-                BrokenProcessPool("a worker was terminated abruptly"))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        BreakingPool, raising=False)
+    # a worker that dies in its first member never starts its second: the
+    # member it would have run is named too. Dealt in ascending alpha,
+    # 0.2 and 0.4 are the worker's, and 0.1 and 0.3 this process's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    dying_in_workers(monkeypatch)
     out = tmp_path / "sweep"
-    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2,0.1,0.3",
+                                         out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out,
                             "members alpha=0.4, 0.2 finished")
+    assert not (out / "alpha_0.4").exists()
+    for alpha in ("0.1", "0.3"):
+        assert load_manifest(out / ("alpha_" + alpha))["error"] is None
 
 
-class RecordingPool(InProcessPool):
-    """InProcessPool that notes the alpha of each job submitted to it."""
+def recording_members(monkeypatch):
+    """Note the alpha of each member this process runs, in order."""
+    ran, real = [], cli._run_remainder
 
-    submitted = []
+    def body(config, out_dir, manifest):
+        ran.append(config.alpha)
+        return real(config, out_dir, manifest)
 
-    def submit(self, fn, *args):
-        self.submitted.append(args[0][1])
-        return super().submit(fn, *args)
+    monkeypatch.setattr(cli, "_run_remainder", body)
+    return ran
 
 
 def test_sweep_submits_longest_first_and_reports_in_run_alphas_order(
         tmp_path, monkeypatch):
-    # the smallest alpha marches longest, so the members are submitted in
-    # ascending alpha; the scaling report's rows and the manifest's files
-    # keep run.alphas as given
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool, raising=False)
-    monkeypatch.setattr(RecordingPool, "submitted", [])
+    # the smallest alpha marches longest, so the members are dealt in
+    # ascending alpha, every other one to this process on two lanes; the
+    # scaling report's rows and the manifest's files keep run.alphas as
+    # given
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ran = recording_members(monkeypatch)
     out = tmp_path / "sweep"
     manifest = cli.run(cli.parse_config(sweep_config(tmp_path, "0.2,0.1,0.4",
                                                      out)))
-    assert RecordingPool.submitted == [0.1, 0.2, 0.4]
+    assert ran == [0.1, 0.4]
     report = np.loadtxt(out / "scaling_report.csv", delimiter=",",
                         skiprows=1)
     assert report[:, 0].tolist() == [0.2, 0.1, 0.4]
@@ -662,18 +656,17 @@ def test_sweep_submits_longest_first_and_reports_in_run_alphas_order(
 
 def test_sweep_names_the_first_failure_in_run_alphas_not_in_submission(
         tmp_path, capsys, monkeypatch):
-    # every member fails; 0.1 and 0.2 ran before 0.4, but 0.4 comes
-    # first in run.alphas and is the one named
+    # every member fails, all in this process; 0.1 and 0.2 ran before
+    # 0.4, but 0.4 comes first in run.alphas and is the one named
     def body(config, out_dir, manifest):
         raise NumericalError("member %g" % config.alpha, stage="rhs_full")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool, raising=False)
-    monkeypatch.setattr(RecordingPool, "submitted", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(cli, "_run_remainder", body)
+    ran = recording_members(monkeypatch)
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, "0.4,0.1,0.2", out)]) == 3
-    assert RecordingPool.submitted == [0.1, 0.2, 0.4]
+    assert ran == [0.1, 0.2, 0.4]
     err = capsys.readouterr().err
     assert ("numerical failure (rhs_full): sweep member alpha=0.4 failed: "
             "member 0.4") in err
@@ -681,33 +674,21 @@ def test_sweep_names_the_first_failure_in_run_alphas_not_in_submission(
     assert load_manifest(out)["error"]["stage"] == "rhs_full"
 
 
+@fork_only
 def test_dead_worker_names_the_members_left_unfinished(tmp_path, capsys,
                                                        monkeypatch):
-    # submitted in ascending alpha, 0.1 finishes, 0.2's worker dies and
-    # the submit of 0.4 finds the pool broken: the sweep names 0.4 and
-    # 0.2, in run.alphas order, and not the member that finished
-    class DyingPool(InProcessPool):
-        submits = 0
-
-        def submit(self, fn, *args):
-            self.submits += 1
-            if self.submits == 1:
-                return super().submit(fn, *args)
-            if self.submits > 2:
-                raise BrokenProcessPool("the pool is not usable anymore")
-            future = Future()
-            future.set_exception(
-                BrokenProcessPool("a worker was terminated abruptly"))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        DyingPool, raising=False)
+    # three lanes: 0.1 in this process, 0.2 and 0.4 in a worker each.
+    # 0.2's worker dies, and the sweep names 0.2 alone: the other lanes
+    # run to the end, 0.4's worker included, and a dead worker loses only
+    # its own unfinished members
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    dying_in_workers(monkeypatch, dies=lambda alpha: alpha == 0.2)
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, "0.4,0.1,0.2", out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out,
-                            "members alpha=0.4, 0.2 finished")
-    assert load_manifest(out / "alpha_0.1")["error"] is None
-    assert not (out / "alpha_0.4").exists()
+                            "member alpha=0.2 finished")
+    for alpha in ("0.1", "0.4"):
+        assert load_manifest(out / ("alpha_" + alpha))["error"] is None
 
 
 @pytest.mark.parametrize("first, second, code, printed", [
@@ -727,8 +708,7 @@ def test_first_failing_sweep_member_in_run_alphas_order_is_named(
     def body(config, out_dir, manifest):
         raise first if config.alpha == 0.1 else second
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(cli, "_run_remainder", body)
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, "0.1,0.4", out)]) == code
@@ -740,22 +720,96 @@ def test_first_failing_sweep_member_in_run_alphas_order_is_named(
         assert member["type"] == type(raised).__name__
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the workers must inherit the patched body")
+@fork_only
 def test_killed_sweep_worker_exits_3_with_manifest(tmp_path, capfd,
                                                    monkeypatch):
-    # a worker process really killed mid-member takes the same exit
-    parent = os.getpid()
+    # a worker process really killed mid-member, by the signal the OOM
+    # killer sends, takes the same exit; the sweep's own process runs its
+    # member to the end
+    parent, real = os.getpid(), cli._run_remainder
 
     def killed(config, out_dir, manifest):
         if os.getpid() != parent:
-            os._exit(9)
-        raise AssertionError("the sweep parent ran a member")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, out_dir, manifest)
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_run_remainder", killed)
     out = tmp_path / "sweep"
-    assert cli.main(["run", sweep_config(tmp_path, "0.4", out)]) == 3
+    assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2", out)]) == 3
     assert_dead_worker_exit(capfd.readouterr().err, out, "member alpha=0.4")
+    assert load_manifest(out / "alpha_0.2")["error"] is None
+
+
+def test_no_process_outlives_a_sweep(tmp_path, monkeypatch):
+    # every worker is joined, or terminated and joined, before the sweep
+    # returns or raises: when it succeeds, when members fail in the
+    # workers (each member finds the table missing), and when the sweep's
+    # own member is interrupted while the worker still runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.run(tiny_config(tmp_path, "sweep", tmp_path / "ok"))[
+        "error"] is None
+    assert multiprocessing.active_children() == []
+    path = write_config(tmp_path, (
+        "run.kind = sweep\ninitial.kind = table\ninitial.table_path = %s\n"
+        "grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+        "output.dir = %s\n" % (tmp_path / "missing.txt", tmp_path / "bad")))
+    with pytest.raises(ConfigError):
+        cli.run(cli.parse_config(path))
+    assert multiprocessing.active_children() == []
+    parent, real = os.getpid(), cli._run_member
+
+    def interrupted(args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(args)
+
+    monkeypatch.setattr(cli, "_run_member", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(tiny_config(tmp_path, "sweep", tmp_path / "stopped"))
+    assert multiprocessing.active_children() == []
+    assert load_manifest(tmp_path / "stopped")["error"]["type"] == (
+        "KeyboardInterrupt")
+
+
+@pytest.mark.parametrize("alphas, cpus, workers", [
+    ("0.4", 4, 0), ("0.4,0.2", 1, 0), ("0.4,0.2", 8, 1),
+    ("0.4,0.2,0.1", 2, 1), ("0.4,0.2,0.1", 3, 2)])
+def test_sweep_stats_count_the_workers_it_started(tmp_path, monkeypatch,
+                                                  alphas, cpus, workers):
+    # min(members, cpus) lanes, the sweep's own process one of them: with
+    # one member or one cpu no process is started
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / "sweep"
+    manifest = cli.run(cli.parse_config(sweep_config(tmp_path, alphas, out)))
+    stats = load_manifest(out)["stats"]
+    assert stats == manifest["stats"]
+    assert stats["workers"] == workers
+    assert stats["start_method"] == multiprocessing.get_start_method()
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_writes_the_same_files_under_every_start_method(tmp_path):
+    # a worker started by spawn or forkserver imports rieszlab afresh and
+    # loads LAPACK and numpy.fft itself: its members' digests are those a
+    # forked worker writes
+    got = {}
+    for method in ("fork", "spawn", "forkserver"):
+        path = write_config(tmp_path, (
+            "run.kind = sweep\ngrid.n_r = 128\ngrid.n_theta = 32\n"
+            "output.dir = %s\n" % (tmp_path / method)), name=method + ".txt")
+        out = _fresh_interpreter(
+            "import json, multiprocessing, os, rieszlab.cli as cli; "
+            "multiprocessing.set_start_method(%r); "
+            "os.cpu_count = lambda: 2; "
+            "m = cli.run(cli.parse_config(%r)); "
+            "print(json.dumps([m['files'], m['stats']['workers'], "
+            "m['stats']['start_method']]))" % (method, path))
+        files, workers, started = json.loads(out.splitlines()[-1])
+        assert (workers, started) == (1, method)
+        got[method] = files
+    assert len(got["fork"]) == 7
+    assert got["spawn"] == got["fork"] and got["forkserver"] == got["fork"]
 
 
 def failing_open(monkeypatch, suffix):
@@ -778,8 +832,7 @@ def test_csv_write_failure_exits_3_with_manifest(tmp_path, capsys,
     # stage write, in a run and in a sweep member, here run in-process;
     # the manifest still records it
     failing_open(monkeypatch, ".csv")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     out = tmp_path / "out"
     path = write_config(tmp_path, (
         "run.kind = %s\nrun.alphas = 0.4\ngrid.n_r = 64\ngrid.n_theta = 16\n"
@@ -1444,8 +1497,7 @@ def test_no_run_reads_back_what_it_wrote(tmp_path, monkeypatch):
     # every output is opened once, to be written; its digest comes from
     # the text written. The sweep's members run in this process, so
     # their opens are counted too
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     rem, sweep = tmp_path / "remainder", tmp_path / "sweep"
     configs = [tiny_config(tmp_path, "remainder", rem),
                tiny_config(tmp_path, "sweep", sweep)]
@@ -1683,6 +1735,27 @@ def test_sweep_member_failure_writes_both_manifests(tmp_path, capsys):
     assert load_manifest(out)["error"] == dict(
         member["error"], type="NumericalError",
         message="sweep member alpha=0.4 failed: " + member["error"]["message"])
+
+
+def test_worker_member_failure_keeps_its_stage(tmp_path, capsys,
+                                               monkeypatch):
+    # on two lanes 0.4 runs in the worker and escapes the domain there;
+    # its exception crosses the worker's pipe with its stage, under any
+    # start method, while 0.2 finishes in the sweep's own process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, (
+        "run.kind = sweep\nrun.alphas = 0.4,0.2\ngrid.r_max = 3.8\n"
+        "time.sample_count = 5\ngrid.n_r = 255\ngrid.n_theta = 64\n"
+        "output.dir = %s\n" % out))
+    assert cli.main(["run", path]) == 3
+    assert ("numerical failure (check_support): sweep member alpha=0.4 "
+            "failed: vorticity reached the outer band") in (
+        capsys.readouterr().err)
+    assert load_manifest(out)["error"]["stage"] == "check_support"
+    assert load_manifest(out / "alpha_0.4")["error"]["type"] == (
+        "SupportEscapeError")
+    assert load_manifest(out / "alpha_0.2")["error"] is None
 
 
 def test_sweep_member_bad_table_exits_2_with_every_manifest(tmp_path,

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,23 @@ def test_a_step_after_a_step_with_no_sample_keeps_its_own_start():
     scale = np.max(np.abs(want), axis=0)
     assert np.all(scale > 0)
     assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
+
+
+def test_march_and_sampling_times_fit_in_the_loop_around_them():
+    # march_s and sampling_s are disjoint spans of the caller's loop over
+    # the samples, so their sum is at most the loop's own time; with 200
+    # samples in 10 steps the sampling spans add up to milliseconds, and
+    # counting them in march_s as well overshoots it
+    g = build_radial_grid(8e-3, 8.0, 64)
+    full = FullMarch(m.make_bump(g), 0.2, AngularGrid(16))
+    t0 = time.perf_counter()
+    for _ in full.samples(np.linspace(0.0, 0.1, 200)):
+        pass
+    elapsed = time.perf_counter() - t0
+    stats = full.stats()
+    assert stats["steps"] == 10
+    assert 0 < stats["march_s"] and 0 < stats["sampling_s"]
+    assert stats["march_s"] + stats["sampling_s"] <= elapsed
 
 
 def test_march_tail_weights_are_the_trapezoid_rule_from_j0():
