@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab.errors import ConfigError, NumericalError, WriteError
-from rieszlab import cli
+from rieszlab.errors import (ConfigError, EllipticError, NumericalError,
+                             WriteError)
+from rieszlab import cli, verify
 from rieszlab.evolution import (FullState, field_row, step_linear,
                                 support_edge_index)
 from rieszlab.grids import Field2D
@@ -383,6 +384,26 @@ def test_import_loads_no_unused_scipy_subpackages(tmp_path):
         "for p in %r])" % paths)
     assert out.splitlines()[-1] == (
         "[] [(0, []), (0, []), (0, ['scipy.linalg._flapack'])]")
+
+
+def test_runs_never_load_the_verify_suites(tmp_path):
+    # a fresh interpreter: the command line and its model, linear and
+    # remainder runs leave rieszlab.verify unloaded, and a verify command
+    # loads it
+    config = ("grid.n_r = 64\ngrid.n_theta = 16\ntime.sample_count = 4\n"
+              "run.kind = %s\noutput.dir = %s\n")
+    paths = [write_config(tmp_path, config % (kind, tmp_path / kind),
+                          name=kind + ".txt")
+             for kind in ("model", "linear", "remainder")]
+    out = _fresh_interpreter(
+        "import rieszlab.cli; "
+        "loaded = lambda: 'rieszlab.verify' in sys.modules; "
+        "before = loaded(); "
+        "codes = [rieszlab.cli.main(['run', p]) for p in %r]; "
+        "after = loaded(); "
+        "print(before, codes, after, rieszlab.cli.main(['verify-elliptic']), "
+        "loaded())" % paths)
+    assert out.splitlines()[-1] == "False [0, 0, 0] False 0 True"
 
 
 def test_sweep_loads_lapack_in_the_parent_before_its_workers_start(tmp_path):
@@ -1926,6 +1947,39 @@ def test_main_exit_codes(tmp_path, capsys):
     for name in ("closed-form-identity", "kernel-sandwich",
                  "production-vs-quadrature", "zero-exponent-reduction"):
         assert "ok   " + name in printed
+
+
+def test_verify_fail_exits_4_with_a_negative_margin(capsys, monkeypatch):
+    # a production kernel off by one part in 10^6 fails its check against
+    # the quadrature
+    kernel_values = verify.kernel_values
+    monkeypatch.setattr(verify, "kernel_values",
+                        lambda a: kernel_values(a) * (1.0 + 1e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify-kernel"]) == 4
+    printed = capsys.readouterr().out
+    assert "FAIL production-vs-quadrature " in printed
+    assert verify_margin(printed, "production-vs-quadrature") < 0.0
+    assert printed.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("name, error", [
+    ("exact_mode2", EllipticError("mode 2 quadrature failed")),
+    ("solve_mode", ValueError("broken precondition"))])
+def test_verify_numerical_failure_exits_3(capsys, monkeypatch, name, error):
+    # a suite stopped by a solver's error or precondition exits 3 with a
+    # one-line message, as a run does, and prints no check
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(verify, name, failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify-elliptic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: %s\n" % error
+    assert captured.out == ""
 
 
 def test_table_initial_kind(tmp_path):
