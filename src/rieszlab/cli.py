@@ -104,6 +104,12 @@ def _member_dir_name(alpha):
     return "alpha_%g" % alpha
 
 
+def _march_steps(horizon_factor, alpha):
+    """The fewest steps, unrounded, of a full march to T = horizon_factor
+    alpha |log alpha| at its step cap MAX_STEP_OVER_ALPHA alpha."""
+    return float(horizon_factor) * abs(math.log(alpha)) / MAX_STEP_OVER_ALPHA
+
+
 def _check_range(key, value, bounds):
     """Refuse a value of key that lies outside the interval bounds."""
     opening, lo, hi, closing = bounds
@@ -172,8 +178,8 @@ def validate_config(values):
                           % merged["run.alphas"])
     if merged["run.kind"] in ("full", "remainder", "sweep"):
         marched = alphas if merged["run.kind"] == "sweep" else (alpha,)
-        steps = max(float(merged["time.horizon_factor"]) * abs(math.log(a))
-                    for a in marched) / MAX_STEP_OVER_ALPHA
+        steps = max(_march_steps(merged["time.horizon_factor"], a)
+                    for a in marched)
         if steps > MAX_FULL_STEPS:
             raise ConfigError("time.horizon_factor = %g needs at least %.3g "
                               "full-march steps, over the %g allowed"
@@ -419,13 +425,21 @@ def _run_linear(config, out_dir, manifest):
             block[:, 3] = 2.0 * np.max(mean0 + src, axis=1)
         # the check marches the grid field to the horizon in two steps, so
         # the second takes L_s from an evolved field, and holds the march
-        # and its growth columns against the closed form
-        state = FullState(config.alpha, omega0, 0.0)
-        for ts in (0.5 * times[-1], times[-1]):
-            state = step_linear(state, ts - state.t)
-        exact = omega0.values + (0.5 * times[-1] / config.alpha) * ls0[:, None]
-    gaps = [float(np.max(np.abs(state.omega.values - exact)))
-            / max(float(np.max(np.abs(exact))), 1e-300)]
+        # and its growth columns against the closed form. Two grid arrays
+        # serve: once the first step has read omega0, its array takes the
+        # closed form, and the second step marches in the first's array
+        state = step_linear(FullState(config.alpha, omega0, 0.0),
+                            0.5 * times[-1])
+        exact = np.add(omega0.values,
+                       (0.5 * times[-1] / config.alpha) * ls0[:, None],
+                       out=omega0.values)
+        state = step_linear(state, times[-1] - state.t,
+                            out=state.omega.values)
+    # max |exact| as sup_norm reads it, with no pass that writes, before
+    # the gap takes its array
+    scale = max(abs(float(max(exact.max(), -exact.min()))), 1e-300)
+    np.subtract(state.omega.values, exact, out=exact)
+    gaps = [float(np.max(np.abs(exact, out=exact))) / scale]
     # Python floats: an inf - inf gap is a nan, where numpy would warn
     last = rows[-1].tolist()
     gaps += [abs(got - want) / max(abs(want), 1e-300)
@@ -505,6 +519,25 @@ def _sweep_lane(writer, lane):
             writer.send((k, _outcome(_sweep_member, args)))
 
 
+def _deal(alphas, horizon_factor, lanes):
+    """Deal the sweep members alphas to `lanes` lanes: each lane's member
+    indices in run order, the heaviest lane first. A member marches
+    n = ceil(_march_steps) steps at its step cap, 3 n + 1 tendencies
+    (FullMarch). Longest first, ties by ascending alpha, each member goes
+    to the lane with the fewest tendencies so far, ties to the lower lane:
+    Graham's longest-processing-time rule."""
+    tendencies = [3 * math.ceil(_march_steps(horizon_factor, a)) + 1
+                  for a in alphas]
+    dealt, loads = [[] for _ in range(lanes)], [0] * lanes
+    for k in sorted(range(len(alphas)),
+                    key=lambda k: (-tendencies[k], alphas[k])):
+        j = loads.index(min(loads))
+        dealt[j].append(k)
+        loads[j] += tendencies[k]
+    dealt.insert(0, dealt.pop(loads.index(max(loads))))
+    return dealt
+
+
 def _run_sweep(config, out_dir, manifest):
     import multiprocessing
     jobs = []
@@ -513,27 +546,26 @@ def _run_sweep(config, out_dir, manifest):
             "run.kind": "remainder",
             "output.dir": os.path.join(out_dir, _member_dir_name(alpha))}))
         jobs.append((member, alpha, member.output_dir))
-    lanes = min(len(jobs), os.cpu_count() or 1)
     # every member solves and transforms: bind LAPACK and load numpy.fft
     # once, here, and workers started by fork inherit both
     lapack_tridiagonal()
     importlib.import_module("numpy.fft")
-    # round-robin down the longest-first order: a member marches about
-    # 2 log(1/alpha) steps, so lane j takes every lanes-th member from the
-    # j-th in ascending alpha; lane 0 is this process, warm and never forked
-    order = sorted(range(len(jobs)), key=config.alphas.__getitem__)
+    # lane 0, the heaviest, is this process: warm and never forked, it
+    # pays no worker's start-up and exit, and each other lane is a worker
+    lanes = _deal(config.alphas, config.horizon_factor,
+                  min(len(jobs), os.cpu_count() or 1))
     context = multiprocessing.get_context()
     outcomes = [None] * len(jobs)  # run.alphas order; None until reported
     workers = []
     try:
-        for j in range(1, lanes):
+        for lane in lanes[1:]:
             reader, writer = context.Pipe(duplex=False)
             worker = context.Process(target=_sweep_lane, args=(
-                writer, [(k, jobs[k]) for k in order[j::lanes]]))
+                writer, [(k, jobs[k]) for k in lane]))
             worker.start()
             writer.close()  # before the next fork: EOF comes with its worker
             workers.append((worker, reader))
-        for k in order[::lanes]:
+        for k in lanes[0]:
             outcomes[k] = _outcome(_run_member, jobs[k])
         for worker, reader in workers:
             with contextlib.suppress(EOFError):
@@ -572,7 +604,9 @@ def _run_sweep(config, out_dir, manifest):
         cumulative = np.full(alphas.size, np.nan)
         checks["scaling_exponent"] = local = "unavailable: %s" % exc
     manifest["stats"] = {"local_slopes": local, "workers": len(workers),
-                         "start_method": context.get_start_method()}
+                         "start_method": context.get_start_method(),
+                         "lanes": [[config.alphas[k] for k in lane]
+                                   for lane in lanes]}
     return [written for _, files in results for written in files] + [
         _write_csv(os.path.join(out_dir, "scaling_report.csv"),
                    "alpha,max_rem_sup,fit_exponent_cumulative", alphas,
@@ -672,7 +706,8 @@ def main(argv=None):
     try:
         good, lines = suites[args.command]()
     except _RUN_FAILURES as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
+        print("numerical failure: %s" % (str(exc) or type(exc).__name__),
+              file=sys.stderr)
         return 3
     for line in lines:
         print(line)

@@ -267,15 +267,17 @@ def check_support(state, threshold):
     return reach
 
 
-def step_linear(state, dt):
+def step_linear(state, dt, out=None):
     """Exact step of the sourced linear dynamics d omega/dt =
     L_s(omega)/(2 alpha): the source is constant in theta, so it leaves
-    L_s itself invariant and a single step of any size is exact."""
+    L_s itself invariant and a single step of any size is exact. out, a
+    grid array that may be state's own, receives the stepped values."""
     if dt <= 0:
         raise ValueError("nonpositive-dt")
     om = state.omega
     ls = op_Ls(om).values
-    values = om.values + (0.5 * dt / state.alpha) * ls[:, None]
+    values = np.add(om.values, (0.5 * dt / state.alpha) * ls[:, None],
+                    out=out)
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite vorticity after linear step at t=%g"
                              % (state.t + dt), stage="step_linear")

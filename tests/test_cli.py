@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -626,17 +627,18 @@ def test_dead_sweep_worker_outranks_an_earlier_member_failure(
 def test_sweep_member_never_submitted_is_lost_too(tmp_path, capsys,
                                                   monkeypatch):
     # a worker that dies in its first member never starts its second: the
-    # member it would have run is named too. Dealt in ascending alpha,
-    # 0.2 and 0.4 are the worker's, and 0.1 and 0.3 this process's
+    # member it would have run is named too. Both lanes predict 23
+    # tendencies, 16 + 7 and 13 + 10, so the tie leaves 0.1 and 0.4 to
+    # this process, and 0.2 and 0.3 are the worker's
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     dying_in_workers(monkeypatch)
     out = tmp_path / "sweep"
     assert cli.main(["run", sweep_config(tmp_path, "0.4,0.2,0.1,0.3",
                                          out)]) == 3
     assert_dead_worker_exit(capsys.readouterr().err, out,
-                            "members alpha=0.4, 0.2 finished")
-    assert not (out / "alpha_0.4").exists()
-    for alpha in ("0.1", "0.3"):
+                            "members alpha=0.2, 0.3 finished")
+    assert not (out / "alpha_0.3").exists()
+    for alpha in ("0.1", "0.4"):
         assert load_manifest(out / ("alpha_" + alpha))["error"] is None
 
 
@@ -654,16 +656,16 @@ def recording_members(monkeypatch):
 
 def test_sweep_submits_longest_first_and_reports_in_run_alphas_order(
         tmp_path, monkeypatch):
-    # the smallest alpha marches longest, so the members are dealt in
-    # ascending alpha, every other one to this process on two lanes; the
-    # scaling report's rows and the manifest's files keep run.alphas as
-    # given
+    # the smallest alpha marches longest: 0.1 (16 tendencies) goes to one
+    # lane, and 0.2 (13) then 0.4 (7) to the other, the heavier, which
+    # this process runs; the scaling report's rows and the manifest's
+    # files keep run.alphas as given
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ran = recording_members(monkeypatch)
     out = tmp_path / "sweep"
     manifest = cli.run(cli.parse_config(sweep_config(tmp_path, "0.2,0.1,0.4",
                                                      out)))
-    assert ran == [0.1, 0.4]
+    assert ran == [0.2, 0.4]
     report = np.loadtxt(out / "scaling_report.csv", delimiter=",",
                         skiprows=1)
     assert report[:, 0].tolist() == [0.2, 0.1, 0.4]
@@ -808,6 +810,39 @@ def test_sweep_stats_count_the_workers_it_started(tmp_path, monkeypatch,
     assert stats["workers"] == workers
     assert stats["start_method"] == multiprocessing.get_start_method()
     assert multiprocessing.active_children() == []
+
+
+def predicted_tendencies(alpha):
+    """3 n + 1 tendencies of a march of n steps at the 0.05 alpha cap to the
+    default horizon 0.1 alpha log(1/alpha)."""
+    return 3 * math.ceil(0.1 * math.log(1.0 / alpha) / 0.05) + 1
+
+
+@pytest.mark.parametrize("alphas, cpus, today", [
+    ("0.4,0.2,0.1", 2, None), ("0.4,0.2,0.1", 3, [[0.1], [0.2], [0.4]]),
+    ("0.4,0.2", 2, [[0.2], [0.4]]), ("0.4,0.2,0.1,0.3", 2, None),
+    ("0.4,0.2,0.1", 1, None), ("0.4", 4, None)])
+def test_sweep_deals_every_member_once_and_keeps_the_heaviest_lane(
+        tmp_path, monkeypatch, alphas, cpus, today):
+    # each member runs in exactly one of min(members, cpus) lanes, and the
+    # lane this process runs predicts at least as many tendencies as each
+    # worker's; with one member per lane the longest stays here, as under
+    # the round-robin deal before. stats.lanes names what each lane ran
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    ran = recording_members(monkeypatch)
+    out = tmp_path / "sweep"
+    manifest = cli.run(cli.parse_config(sweep_config(tmp_path, alphas, out)))
+    lanes = manifest["stats"]["lanes"]
+    members = [float(a) for a in alphas.split(",")]
+    assert sorted(a for lane in lanes for a in lane) == sorted(members)
+    assert len(lanes) == min(len(members), cpus) == manifest["stats"][
+        "workers"] + 1
+    loads = [sum(map(predicted_tendencies, lane)) for lane in lanes]
+    assert all(loads[0] >= load for load in loads[1:])
+    if today is not None:
+        assert lanes == today
+    assert ran == lanes[0]
+    assert load_manifest(out)["stats"]["lanes"] == lanes
 
 
 def test_sweep_writes_the_same_files_under_every_start_method(tmp_path):
@@ -1357,6 +1392,25 @@ def test_linear_run_memory_does_not_grow_with_samples_times_nodes(tmp_path):
             tracemalloc.stop()
     assert manifest["checks"]["closed_form"].startswith("pass")
     assert peak < 64 * 2 ** 20
+
+
+def test_linear_closed_form_check_holds_two_grid_arrays(tmp_path):
+    # omega0's array takes the closed form and the second step marches in
+    # the first's, so a 512 x 64 run peaks under 3 grid arrays of 256 KiB;
+    # five were alive at once when each step and the gap made their own
+    cfg = cli.validate_config({
+        "run.kind": "linear", "grid.n_theta": 64,
+        "output.dir": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            manifest = cli.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert manifest["checks"]["closed_form"].startswith("pass")
+    assert peak < 3 * 512 * 64 * 8
 
 
 def test_model_run_memory_does_not_grow_with_samples_times_distinct_tails(
@@ -1966,10 +2020,12 @@ def test_verify_fail_exits_4_with_a_negative_margin(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, error", [
     ("exact_mode2", EllipticError("mode 2 quadrature failed")),
-    ("solve_mode", ValueError("broken precondition"))])
+    ("solve_mode", ValueError("broken precondition")),
+    pytest.param("solve_mode", MemoryError(), id="solve_mode-memory")])
 def test_verify_numerical_failure_exits_3(capsys, monkeypatch, name, error):
-    # a suite stopped by a solver's error or precondition exits 3 with a
-    # one-line message, as a run does, and prints no check
+    # a suite stopped by a solver's error or precondition, or a failed
+    # allocation, exits 3 with a one-line message, as a run does, and
+    # prints no check; a bare MemoryError has no text, so its type stands in
     def failing(*args, **kwargs):
         raise error
 
@@ -1978,7 +2034,8 @@ def test_verify_numerical_failure_exits_3(capsys, monkeypatch, name, error):
         warnings.simplefilter("error")
         assert cli.main(["verify-elliptic"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "numerical failure: %s\n" % error
+    assert captured.err == "numerical failure: %s\n" % (
+        "MemoryError" if isinstance(error, MemoryError) else error)
     assert captured.out == ""
 
 
